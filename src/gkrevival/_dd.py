@@ -6,15 +6,20 @@ doubles would lose up to ~1e-9 of a cycle.  The error-free transformations
 below (Knuth two-sum, Dekker split/product) keep the fractional cycle
 accurate to a few ulp without an arbitrary-precision dependency.
 
-All functions accept floats or ndarrays and are branch-free, so they
+``phase_factors`` turns the reduced cycle into exp(-2 pi i frac) for
+both the overlap series and the revival kernel.  All functions accept
+floats or ndarrays (broadcasting like NumPy) and are branch-free, so they
 vectorize.  Fractional-part extraction assumes |hi| < 2**52, which holds
 for every phase argument formed in this package (n below ~1e5, t below
 ~1e3 revival periods).
 """
 
+import math
+
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+_TWO_PI = 2.0 * math.pi
 
 
 def two_sum(a, b):
@@ -39,27 +44,6 @@ def two_prod(a, b):
     return p, e
 
 
-def dd_mul_d(a_hi, a_lo, b):
-    """(a_hi + a_lo) * b, renormalized."""
-    p, e = two_prod(a_hi, b)
-    return two_sum(p, e + a_lo * b)
-
-
-def dd_mul(a_hi, a_lo, b_hi, b_lo):
-    """(a_hi + a_lo) * (b_hi + b_lo), renormalized."""
-    p, e = two_prod(a_hi, b_hi)
-    e = e + (a_hi * b_lo + a_lo * b_hi)
-    return two_sum(p, e)
-
-
-def dd_div_d(a_hi, a_lo, b):
-    """(a_hi + a_lo) / b, renormalized."""
-    q = a_hi / b
-    p, e = two_prod(q, b)
-    r = ((a_hi - p) - e + a_lo) / b
-    return two_sum(q, r)
-
-
 def quadratic_in_n(n, mu):
     """mu*n + n**2 as a double-double pair.
 
@@ -82,3 +66,8 @@ def mul_frac(m_hi, m_lo, t):
     """frac((m_hi + m_lo) * t) to a few ulp of a cycle."""
     p, e = two_prod(m_hi, t)
     return frac(p, e + m_lo * t)
+
+
+def phase_factors(m_hi, m_lo, t):
+    """exp(-2 pi i (m_hi + m_lo) t), reduced mod 1 before the 2 pi multiply."""
+    return np.exp(-1j * (_TWO_PI * mul_frac(m_hi, m_lo, t)))

@@ -26,12 +26,7 @@ import numpy as np
 
 from .gkstate import build_state, mandel_q, mean_n, overlap
 from .measure import QuadratureConfig, moment_check
-from .revival import (
-    autocorrelation,
-    diagonal_term,
-    interference_term,
-    survival_fraction,
-)
+from .revival import _diagonal, _intensities, _interference, channel_amplitudes
 from .specfun import ConvergenceError
 from .spectrum import SpectrumParams, time_scales
 
@@ -148,32 +143,29 @@ def _rows_mandel(cfg: RunConfig):
     return ["j", "mandel_q"], rows
 
 
+def _amplitude_rows(t, amplitudes):
+    return list(zip(t, amplitudes.real, amplitudes.imag, _intensities(amplitudes)))
+
+
 def _rows_autocorr(cfg: RunConfig):
     s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
-    rows = []
-    for t in _t_grid(cfg):
-        a = autocorrelation(s, float(t))
-        rows.append((t, a.real, a.imag, abs(a) ** 2))
-    return ["t", "re", "im", "abs2"], rows
+    t = _t_grid(cfg)
+    return ["t", "re", "im", "abs2"], _amplitude_rows(t, channel_amplitudes(s, 1, t)[:, 0])
 
 
 def _rows_survival(cfg: RunConfig):
     s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
-    rows = []
-    for t in _t_grid(cfg):
-        p = survival_fraction(s, cfg.q, cfg.delta, float(t))
-        rows.append((t, p.real, p.imag, abs(p) ** 2))
-    return ["t", "re", "im", "abs2"], rows
+    t = _t_grid(cfg)
+    p = channel_amplitudes(s, cfg.q, t)[:, cfg.delta]
+    return ["t", "re", "im", "abs2"], _amplitude_rows(t, p)
 
 
 def _rows_survival_intensity(cfg: RunConfig):
     s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
-    rows = []
-    for t in _t_grid(cfg):
-        a = autocorrelation(s, float(t))
-        diag = diagonal_term(s, cfg.q, float(t))
-        interf = interference_term(s, cfg.q, float(t))
-        rows.append((t, abs(a) ** 2, diag, interf))
+    t = _t_grid(cfg)
+    abs2 = _intensities(channel_amplitudes(s, 1, t)[:, 0])
+    p = channel_amplitudes(s, cfg.q, t)
+    rows = list(zip(t, abs2, _diagonal(p), _interference(p)))
     return ["t", "abs2", "diagonal", "interference"], rows
 
 
@@ -248,9 +240,8 @@ def _validate(cfg: RunConfig) -> Optional[str]:
         return f"--tail-tol must lie in (0, 1e-6], got {cfg.tail_tol}"
     if not (cfg.abs_tol > 0.0 and cfg.rel_tol > 0.0):
         return "--abs-tol and --rel-tol must be > 0"
-    if cfg.command in ("weights", "autocorr", "survival", "survival-intensity", "overlap"):
-        if cfg.j == 0.0 and cfg.command == "overlap":
-            return "--j must be > 0 for overlap sweeps"
+    if cfg.command == "overlap" and cfg.j == 0.0:
+        return "--j must be > 0 for overlap sweeps"
     return None
 
 
@@ -415,16 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
-    kw = {}
-    mapping = {
-        "j": "j", "mu": "mu", "alpha": "alpha", "q": "q", "delta": "delta",
-        "t_max": "t_max", "points": "points", "n_max": "n_max", "j_max": "j_max",
-        "tail_tol": "tail_tol", "abs_tol": "abs_tol", "rel_tol": "rel_tol",
-        "out": "out_path",
-    }
-    for src, dst in mapping.items():
-        if hasattr(ns, src):
-            kw[dst] = getattr(ns, src)
+    kw = {k: v for k, v in vars(ns).items() if k != "command"}
+    kw["out_path"] = kw.pop("out")
     return RunConfig(command=ns.command, **kw)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dd import mul_frac, quadratic_in_n
+from ._dd import phase_factors, quadratic_in_n
 from .specfun import ConvergenceError, bessel_i_ratio, ln_bessel_i, ln_gamma
 from .spectrum import SpectrumParams
 
@@ -221,16 +221,6 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
     return dataclasses.replace(state, gamma=state.gamma + state.params.alpha * t)
 
 
-def _phases(n_up: int, dgamma: float, mu: float) -> np.ndarray:
-    # exp(-i dgamma e_n) with e_n = (mu n + n^2) / mu.  The quadratic is
-    # split into double length pieces and reduced mod 1 against
-    # dgamma / (2 pi mu) before the single 2 pi multiply.
-    n = np.arange(n_up + 1, dtype=float)
-    m_hi, m_lo = quadratic_in_n(n, mu)
-    f = mul_frac(m_hi, m_lo, dgamma / (_TWO_PI * mu))
-    return np.exp(-1j * (_TWO_PI * f))
-
-
 def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     """Inner product <s1|s2> of two states on the same ladder.
 
@@ -247,6 +237,11 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     ln2[: s2.n_max + 1] = s2.ln_weights + s2.ln_norm_sq
     ln_a = 0.5 * (ln1 + ln2)
     c = float(ln_a.max())
-    terms = np.exp(ln_a - c) * _phases(n_up, s2.gamma - s1.gamma, s1.params.mu)
+    # exp(-i dgamma e_n) with e_n = (mu n + n^2) / mu: the quadratic is
+    # reduced mod 1 against dgamma / (2 pi mu) before the 2 pi multiply.
+    mu = s1.params.mu
+    m_hi, m_lo = quadratic_in_n(np.arange(n_up + 1, dtype=float), mu)
+    phases = phase_factors(m_hi, m_lo, (s2.gamma - s1.gamma) / (_TWO_PI * mu))
+    terms = np.exp(ln_a - c) * phases
     scale = math.exp(c - 0.5 * (s1.ln_norm_sq + s2.ln_norm_sq))
     return complex(terms.sum() * scale)

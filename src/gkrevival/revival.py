@@ -16,6 +16,14 @@ The autocorrelation A(t) = sum_n w_n exp(-i phi_n(t)) regroups exactly
 into q residue classes P_Delta(t) (fractional revival channels), whose
 squared moduli and cross terms split |A(t)|^2 into a diagonal and an
 interference part.
+
+Every time series and every single-time value here comes from one
+kernel, ``channel_amplitudes``, which returns the (T, q) matrix of
+P_Delta(t_k) (q = 1 gives A).  It forms the hi/lo quadratic once and
+evaluates the terms w_n exp(-i phi_n(t_k)) on 2-D blocks of grid rows x
+levels holding at most _BLOCK_LEVEL_POINTS terms, so its temporaries stay
+at a few hundred kB whatever n_max is; each channel is the strided row
+sum over n = Delta, Delta + q, ...  A single time is a 1-point grid.
 """
 
 import math
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dd import mul_frac, quadratic_in_n
+from ._dd import mul_frac, phase_factors, quadratic_in_n
 from .gkstate import CoherentState
 
 __all__ = [
@@ -31,6 +39,7 @@ __all__ = [
     "FractionalDecomposition",
     "PhaseGroupReport",
     "phase",
+    "channel_amplitudes",
     "autocorrelation",
     "autocorrelation_series",
     "survival_fraction",
@@ -42,6 +51,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Grid-point x level terms per kernel block: bounds the temporaries at any
+# n_max (one grid row per block once n_max + 1 exceeds it).
+_BLOCK_LEVEL_POINTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,22 +101,6 @@ def phase(n: int, t: float, mu: float) -> float:
     return _TWO_PI * (mu * n + n * n) * t
 
 
-def _phase_factors(m_hi: np.ndarray, m_lo: np.ndarray, t: float) -> np.ndarray:
-    # exp(-i phi_n(t)) from the exact hi/lo split of mu n + n^2.
-    return np.exp(-1j * (_TWO_PI * mul_frac(m_hi, m_lo, t)))
-
-
-def _weighted_factors(state: CoherentState, t: float) -> np.ndarray:
-    n = np.arange(state.n_max + 1, dtype=float)
-    m_hi, m_lo = quadratic_in_n(n, state.params.mu)
-    return np.exp(state.ln_weights) * _phase_factors(m_hi, m_lo, t)
-
-
-def autocorrelation(state: CoherentState, t: float) -> complex:
-    """A(t) = sum_n w_n exp(-i phi_n(t)); |A| <= 1, A(0) = 1."""
-    return complex(_weighted_factors(state, t).sum())
-
-
 def _grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
@@ -112,16 +108,41 @@ def _grid(t_grid) -> np.ndarray:
     return t
 
 
-def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
-    """|A(t)|^2 sampled on the grid (grid in t_rev units)."""
+def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
+    """(T, q) complex matrix: column Delta holds P_Delta(t_k).
+
+    q = 1 gives A(t_k) in the single column.  The grid is evaluated in
+    blocks of _BLOCK_LEVEL_POINTS grid-point x level terms.
+    """
+    if not (isinstance(q, (int, np.integer)) and q >= 1):
+        raise ValueError(f"q must be an integer >= 1, got {q}")
     t = _grid(t_grid)
     n = np.arange(state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
     w = np.exp(state.ln_weights)
-    vals = np.empty(len(t))
-    for i, ti in enumerate(t):
-        a = (w * _phase_factors(m_hi, m_lo, float(ti))).sum()
-        vals[i] = abs(a) ** 2
+    out = np.empty((len(t), q), dtype=complex)
+    rows = max(1, _BLOCK_LEVEL_POINTS // len(n))
+    for i in range(0, len(t), rows):
+        terms = w * phase_factors(m_hi, m_lo, t[i : i + rows, None])
+        for d in range(q):
+            out[i : i + rows, d] = terms[:, d::q].sum(axis=1)
+    return out
+
+
+def _intensities(amplitudes: np.ndarray) -> np.ndarray:
+    # |z|^2 through Python's abs (hypot), which np.abs can miss by an ulp.
+    return np.array([abs(z) ** 2 for z in amplitudes.tolist()])
+
+
+def autocorrelation(state: CoherentState, t: float) -> complex:
+    """A(t) = sum_n w_n exp(-i phi_n(t)); |A| <= 1, A(0) = 1."""
+    return complex(channel_amplitudes(state, 1, [t])[0, 0])
+
+
+def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
+    """|A(t)|^2 sampled on the grid (grid in t_rev units)."""
+    t = _grid(t_grid)
+    vals = _intensities(channel_amplitudes(state, 1, t)[:, 0])
     return TimeSeries(t_grid=t, values=vals, label="|A(t)|^2")
 
 
@@ -135,50 +156,44 @@ def _check_residue(q: int, delta: int):
 def survival_fraction(state: CoherentState, q: int, delta: int, t: float) -> complex:
     """Channel amplitude P_Delta(t) = sum_k w_{kq+Delta} exp(-i phi(t))."""
     _check_residue(q, delta)
-    return complex(_weighted_factors(state, t)[delta::q].sum())
+    return complex(channel_amplitudes(state, q, [t])[0, delta])
 
 
 def survival_fraction_series(state: CoherentState, q: int, delta: int, t_grid) -> TimeSeries:
     """|P_Delta(t)|^2 sampled on the grid."""
     _check_residue(q, delta)
     t = _grid(t_grid)
-    n = np.arange(state.n_max + 1, dtype=float)
-    m_hi, m_lo = quadratic_in_n(n, state.params.mu)
-    w = np.exp(state.ln_weights)
-    vals = np.empty(len(t))
-    for i, ti in enumerate(t):
-        p = (w * _phase_factors(m_hi, m_lo, float(ti)))[delta::q].sum()
-        vals[i] = abs(p) ** 2
+    vals = _intensities(channel_amplitudes(state, q, t)[:, delta])
     return TimeSeries(t_grid=t, values=vals, label=f"|P_{delta}(t)|^2")
-
-
-def _channel_amplitudes(state: CoherentState, q: int, t: float) -> np.ndarray:
-    terms = _weighted_factors(state, t)
-    return np.array([terms[d::q].sum() for d in range(q)])
 
 
 def fractional_decomposition(state: CoherentState, q: int, t_grid) -> FractionalDecomposition:
     """All q complex channels P_Delta on a common grid."""
     _check_residue(q, 0)
     t = _grid(t_grid)
-    n = np.arange(state.n_max + 1, dtype=float)
-    m_hi, m_lo = quadratic_in_n(n, state.params.mu)
-    w = np.exp(state.ln_weights)
-    chans = np.empty((q, len(t)), dtype=complex)
-    for i, ti in enumerate(t):
-        terms = w * _phase_factors(m_hi, m_lo, float(ti))
-        for d in range(q):
-            chans[d, i] = terms[d::q].sum()
+    chans = channel_amplitudes(state, q, t)
     fractions = [
-        TimeSeries(t_grid=t, values=chans[d], label=f"P_{d}(t)") for d in range(q)
+        TimeSeries(t_grid=t, values=chans[:, d], label=f"P_{d}(t)") for d in range(q)
     ]
     return FractionalDecomposition(q=q, fractions=fractions)
 
 
+def _diagonal(p: np.ndarray) -> np.ndarray:
+    # sum_Delta |P_Delta|^2 for each row of a (T, q) channel matrix
+    return (np.abs(p) ** 2).sum(axis=1)
+
+
+def _interference(p: np.ndarray) -> np.ndarray:
+    # twice the real part over ordered pairs Delta > Gamma, row by row
+    acc = np.zeros(len(p))
+    for d in range(1, p.shape[1]):
+        acc += np.real(p[:, d, None] * np.conj(p[:, :d])).sum(axis=1)
+    return 2.0 * acc
+
+
 def diagonal_term(state: CoherentState, q: int, t: float) -> float:
     """Sum of channel intensities sum_Delta |P_Delta(t)|^2."""
-    p = _channel_amplitudes(state, q, t)
-    return float((np.abs(p) ** 2).sum())
+    return float(_diagonal(channel_amplitudes(state, q, [t]))[0])
 
 
 def interference_term(state: CoherentState, q: int, t: float) -> float:
@@ -187,11 +202,7 @@ def interference_term(state: CoherentState, q: int, t: float) -> float:
     Computed as twice the real part over ordered pairs, so the result is
     exactly real; equals |A(t)|^2 - diagonal_term by construction.
     """
-    p = _channel_amplitudes(state, q, t)
-    acc = 0.0
-    for d in range(1, len(p)):
-        acc += float(np.real(p[d] * np.conj(p[:d])).sum())
-    return 2.0 * acc
+    return float(_interference(channel_amplitudes(state, q, [t]))[0])
 
 
 def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
