@@ -40,18 +40,6 @@ __all__ = [
     "main",
 ]
 
-_COMMANDS = (
-    "weights",
-    "mandel",
-    "autocorr",
-    "survival",
-    "survival-intensity",
-    "unity",
-    "overlap",
-    "timescales",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One fully validated invocation."""
@@ -295,8 +283,8 @@ def _mu_tag(mu: float) -> str:
     return str(int(mu)) if float(mu).is_integer() else str(mu).replace(".", "p")
 
 
-def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = 1e-14,
-                  points: int = 2001) -> list:
+def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = RunConfig.tail_tol,
+                  points: int = RunConfig.points) -> list:
     """Write the CSV datasets behind one figure (1..7) into out_dir.
 
     Returns the list of file paths written.  Raises ValueError for an
@@ -344,19 +332,20 @@ def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = 1e-14,
     return written
 
 
+# Every flag default is read from RunConfig, so it is written once.
 def _add_common(sp, *, t_flags: bool = False, q_flags: bool = False) -> None:
-    sp.add_argument("--j", type=float, default=10.0, help="action label J")
-    sp.add_argument("--mu", type=float, default=28.0, help="deformation parameter mu")
-    sp.add_argument("--alpha", type=float, default=1.0, help="angular frequency")
-    sp.add_argument("--tail-tol", type=float, default=1e-14,
+    sp.add_argument("--j", type=float, default=RunConfig.j, help="action label J")
+    sp.add_argument("--mu", type=float, default=RunConfig.mu, help="deformation parameter mu")
+    sp.add_argument("--alpha", type=float, default=RunConfig.alpha, help="angular frequency")
+    sp.add_argument("--tail-tol", type=float, default=RunConfig.tail_tol,
                     help="weight tail cutoff, in (0, 1e-6]")
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+    sp.add_argument("--out", default=RunConfig.out_path, help="output path, '-' for stdout")
     if t_flags:
-        sp.add_argument("--t-max", type=float, default=1.0,
+        sp.add_argument("--t-max", type=float, default=RunConfig.t_max,
                         help="grid end in revival-time units")
-        sp.add_argument("--points", type=int, default=2001, help="grid size")
+        sp.add_argument("--points", type=int, default=RunConfig.points, help="grid size")
     if q_flags:
-        sp.add_argument("--q", type=int, default=4, help="revival order")
+        sp.add_argument("--q", type=int, default=RunConfig.q, help="revival order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mandel", help="Mandel Q over a J sweep")
     _add_common(sp)
-    sp.add_argument("--j-max", type=float, default=20.0, help="sweep end (0, j_max]")
-    sp.add_argument("--points", type=int, default=2001, help="sweep size")
+    sp.add_argument("--j-max", type=float, default=RunConfig.j_max, help="sweep end (0, j_max]")
+    sp.add_argument("--points", type=int, default=RunConfig.points, help="sweep size")
 
     _add_common(sub.add_parser("autocorr", help="|A(t)|^2 series"), t_flags=True)
 
     sp = sub.add_parser("survival", help="one channel P_delta(t)")
     _add_common(sp, t_flags=True, q_flags=True)
-    sp.add_argument("--delta", type=int, default=0, help="residue class in [0, q)")
+    sp.add_argument("--delta", type=int, default=RunConfig.delta, help="residue class in [0, q)")
 
     _add_common(
         sub.add_parser("survival-intensity", help="|A|^2 split into diagonal + interference"),
@@ -387,21 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("unity", help="moment checks of the measure density")
     _add_common(sp)
-    sp.add_argument("--n-max", type=int, default=5, help="check moments 0..n_max")
-    sp.add_argument("--abs-tol", type=float, default=1e-10)
-    sp.add_argument("--rel-tol", type=float, default=1e-8)
+    sp.add_argument("--n-max", type=int, default=RunConfig.n_max, help="check moments 0..n_max")
+    sp.add_argument("--abs-tol", type=float, default=RunConfig.abs_tol)
+    sp.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol)
 
     sp = sub.add_parser("overlap", help="<J,0|J',0> as J' sweeps (0, 2J]")
     _add_common(sp)
-    sp.add_argument("--points", type=int, default=2001, help="sweep size")
+    sp.add_argument("--points", type=int, default=RunConfig.points, help="sweep size")
 
     _add_common(sub.add_parser("timescales", help="classical period and revival time"))
 
     sp = sub.add_parser("figure", help="write every dataset behind one figure")
     sp.add_argument("--id", type=int, required=True, help="figure number, 1..7")
     sp.add_argument("--out-dir", required=True, help="target directory")
-    sp.add_argument("--tail-tol", type=float, default=1e-14)
-    sp.add_argument("--points", type=int, default=2001)
+    sp.add_argument("--tail-tol", type=float, default=RunConfig.tail_tol)
+    sp.add_argument("--points", type=int, default=RunConfig.points)
     return ap
 
 

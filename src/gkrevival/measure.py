@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .specfun import ConvergenceError, ln_bessel_k, ln_gamma
+from .specfun import ConvergenceError, bessel_i_scaled, bessel_k_scaled, ln_bessel_k, ln_gamma
 from .spectrum import SpectrumParams, moment_rho
 
 __all__ = [
@@ -33,20 +33,20 @@ __all__ = [
 ]
 
 _MAX_N = 20
+_CUTOFF_FACTOR = 1e-3
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature tolerances and the domain truncation rule: the scaled
-    integrand is followed past its peak until it falls below
-    abs_tol * cutoff_factor (and at least 46 nats below the peak)."""
+    """Quadrature tolerances.  The domain is truncated where the scaled
+    integrand has fallen below abs_tol * 1e-3 (and at least 46 nats below
+    its peak)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    cutoff_factor: float = 1e-3
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0 and self.cutoff_factor > 0.0):
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("quadrature tolerances must be positive")
 
 
@@ -79,18 +79,14 @@ def measure_k(J: float, p: SpectrumParams) -> float:
     """Positive measure weight k(J) = 2 mu I_mu(y) K_mu(y), y = 2 sqrt(J mu).
 
     Equals N^2(J) rho(J); for large J it falls off like sqrt(mu/J)/2.
+    Both factors are the kernel's scaled Bessel functions, whose term
+    budget grows with y, so any finite J > 0 is served.
     """
     if not J > 0.0:
         raise ValueError(f"J must be > 0, got {J}")
-    from .specfun import DEFAULT_POLICY, AccuracyPolicy, bessel_i_scaled, bessel_k_scaled
-
     mu = p.mu
     y = 2.0 * math.sqrt(J * mu)
-    # the ascending series needs ~y/2 terms before its peak, so very
-    # large J must widen the series cap beyond the default policy
-    cap = max(DEFAULT_POLICY.max_terms, int(0.5 * y + 12.0 * math.sqrt(y) + 200.0))
-    policy = AccuracyPolicy(rel_tol=DEFAULT_POLICY.rel_tol, max_terms=cap)
-    return 2.0 * mu * bessel_i_scaled(mu, y, policy) * bessel_k_scaled(mu, y)
+    return 2.0 * mu * bessel_i_scaled(mu, y) * bessel_k_scaled(mu, y)
 
 
 def _ln_integrand_u(u: float, n: int, mu: float) -> float:
@@ -111,7 +107,7 @@ def _u_window(n: int, mu: float, ln_shift: float, cfg: QuadratureConfig) -> tupl
     # decayed below the truncation threshold.
     u_peak = 2.0 * n + mu + 0.5
     ln_peak = _ln_integrand_u(u_peak, n, mu) - ln_shift
-    threshold = min(math.log(cfg.abs_tol * cfg.cutoff_factor), ln_peak - 46.0)
+    threshold = min(math.log(cfg.abs_tol * _CUTOFF_FACTOR), ln_peak - 46.0)
     u = u_peak
     step = max(1.0, 0.125 * u_peak)
     while _ln_integrand_u(u, n, mu) - ln_shift > threshold:
@@ -134,39 +130,21 @@ def _run_quad(f, a: float, b: float, points, cfg: QuadratureConfig) -> float:
 
 
 def moment_integral(
-    n: int, p: SpectrumParams, cfg: QuadratureConfig = QuadratureConfig(),
-    substitution: bool = True,
+    n: int, p: SpectrumParams, cfg: QuadratureConfig = QuadratureConfig()
 ) -> float:
-    """The n-th moment of rho as a number, by adaptive quadrature.
-
-    With substitution=True the integral runs in u = 2 sqrt(J mu); with
-    False it runs directly in J over the equivalent window (slower and
-    with a root-type endpoint, kept as a cross check).
-    """
+    """The n-th moment of rho as a number, by adaptive quadrature in
+    u = 2 sqrt(J mu) over [0, u_max], with the peak as a break point."""
     if not 0 <= n <= _MAX_N:
         raise ValueError(f"n must lie in [0, {_MAX_N}], got {n}")
     mu = p.mu
     ln_shift = moment_rho(n, p)
     u_peak, u_max = _u_window(n, mu, ln_shift, cfg)
 
-    if substitution:
-        def f(u: float) -> float:
-            ln_g = _ln_integrand_u(u, n, mu) - ln_shift
-            return math.exp(ln_g) if ln_g > -745.0 else 0.0
+    def f(u: float) -> float:
+        ln_g = _ln_integrand_u(u, n, mu) - ln_shift
+        return math.exp(ln_g) if ln_g > -745.0 else 0.0
 
-        scaled = _run_quad(f, 0.0, u_max, [u_peak], cfg)
-    else:
-        j_peak = u_peak * u_peak / (4.0 * mu)
-        j_max = u_max * u_max / (4.0 * mu)
-
-        def f(J: float) -> float:
-            if J <= 0.0:
-                return 0.0
-            ln_g = n * math.log(J) + math.log(density_rho(J, p)) - ln_shift
-            return math.exp(ln_g) if ln_g > -745.0 else 0.0
-
-        scaled = _run_quad(f, 0.0, j_max, [j_peak], cfg)
-    return scaled * math.exp(ln_shift)
+    return _run_quad(f, 0.0, u_max, [u_peak], cfg) * math.exp(ln_shift)
 
 
 def moment_check(
@@ -175,7 +153,7 @@ def moment_check(
     """Integrate the n-th moment and compare it with the ladder product
     rho_n = n! Gamma(n+1+mu) / (mu^n Gamma(1+mu))."""
     rho_n = math.exp(moment_rho(n, p))
-    integral = moment_integral(n, p, cfg, substitution=True)
+    integral = moment_integral(n, p, cfg)
     return MomentReport(
         n=n, integral=integral, rho_n=rho_n, rel_err=abs(integral - rho_n) / rho_n
     )

@@ -4,8 +4,11 @@ scaled :math:`K_\nu`, and stable consecutive-order ratios.
 Every observable built on the quadratic oscillator ladder reduces to
 modified Bessel functions of real (generally non-integer) order.  The
 three primitives here are deliberately self-contained so the whole
-parameter range actually needed (order up to ~300, argument up to ~700)
-is covered by algorithms that are easy to audit:
+parameter range actually needed (order up to ~300, argument
+``x = 2 sqrt(J mu)`` into the millions) is covered by algorithms that are
+easy to audit.  The series and the continued fraction run on a term
+budget derived from the argument (``_term_budget``), so no caller sets
+an accuracy knob:
 
 * ``bessel_i_scaled`` sums the ascending series (DLMF 10.25.2) in the log
   domain.  All terms are positive, so there is no cancellation, and once
@@ -30,14 +33,11 @@ any linear representation.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AccuracyPolicy",
     "ConvergenceError",
-    "DEFAULT_POLICY",
     "ln_gamma",
     "ln_bessel_i",
     "ln_bessel_k",
@@ -47,44 +47,45 @@ __all__ = [
     "wronskian_residual",
 ]
 
+# relative tolerance of every returned value
+_REL_TOL = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """A series, continued fraction, or quadrature refinement failed to
     reach the requested tolerance within its term budget."""
 
 
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Convergence targets shared by the kernel routines.
+def _term_budget(x: float) -> int:
+    """Series terms / continued-fraction steps allowed at argument x.
 
-    Parameters
-    ----------
-    rel_tol : float
-        Relative tolerance for every returned value; must lie in
-        ``(0, 1e-6]``.
-    max_terms : int
-        Budget for series terms / continued-fraction iterations, at
-        least 100.
+    The ascending I series peaks near k = x/2 and closes about 4.1 sqrt(x)
+    terms later; the ratio continued fraction needs about 5.8 sqrt(x)
+    steps.  The budget covers both with room to spare and is never below
+    5000, so reaching it means the input is outside what the algorithms
+    can serve, not that the cap was too tight.
     """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 5000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise ValueError(f"max_terms must be >= 100, got {self.max_terms}")
+    return 5000 + int(0.5 * x + 12.0 * math.sqrt(x))
 
 
-DEFAULT_POLICY = AccuracyPolicy()
+def _check_domain(nu: float, x: float, x_positive: bool = False) -> None:
+    # A NaN or infinite input would otherwise run a loop to its budget or
+    # come back as a meaningless number.
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise ValueError(f"order and argument must be finite, got nu={nu}, x={x}")
+    if nu < 0.0:
+        raise ValueError(f"order must be >= 0, got {nu}")
+    if x_positive and x <= 0.0:
+        raise ValueError(f"argument must be > 0, got {x}")
+    if x < 0.0:
+        raise ValueError(f"argument must be >= 0, got {x}")
 
 
 def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0.
 
     Thin wrapper over the platform ``lgamma`` (correct to ~1 ulp, well
-    inside the 1e-12 policy) with the domain restricted to positive
+    inside the 1e-12 tolerance) with the domain restricted to positive
     arguments: orders and quantum numbers never make it negative here.
     """
     if x <= 0.0:
@@ -92,7 +93,7 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def ln_bessel_i(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def ln_bessel_i(nu: float, x: float) -> float:
     r"""ln :math:`I_\nu(x)` for ``nu >= 0``, ``x >= 0``.
 
     Ascending series, DLMF 10.25.2:
@@ -102,12 +103,9 @@ def ln_bessel_i(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
                    \frac{(x^2/4)^k}{k!\,\Gamma(\nu+k+1)}
 
     summed in the log domain (every term positive).  Returns ``-inf`` at
-    ``x = 0`` for ``nu > 0``.
+    ``x = 0`` for ``nu > 0``.  The cost grows like ``x/2`` terms.
     """
-    if nu < 0.0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    if x < 0.0:
-        raise ValueError(f"argument must be >= 0, got {x}")
+    _check_domain(nu, x)
     if x == 0.0:
         return 0.0 if nu == 0.0 else -math.inf
 
@@ -116,7 +114,8 @@ def ln_bessel_i(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
     ln_t = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     terms = [ln_t]
     peak = ln_t
-    for k in range(1, policy.max_terms + 1):
+    budget = _term_budget(x)
+    for k in range(1, budget + 1):
         ln_t += ln_q - math.log(k * (nu + k))
         terms.append(ln_t)
         if ln_t > peak:
@@ -125,21 +124,22 @@ def ln_bessel_i(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
             # past the maximum: ratios r_j < r < 1, so the tail is
             # bounded by t_k * r / (1 - r)
             r = q / ((k + 1.0) * (nu + k + 1.0))
-            if ln_t + math.log(r) - math.log1p(-r) < peak + math.log(policy.rel_tol) - 3.0:
+            if ln_t + math.log(r) - math.log1p(-r) < peak + math.log(_REL_TOL) - 3.0:
                 arr = np.array(terms)
                 return peak + math.log(np.exp(arr - peak).sum())
     raise ConvergenceError(
-        f"I series for nu={nu}, x={x} did not converge in {policy.max_terms} terms"
+        f"I series for nu={nu}, x={x} did not converge in {budget} terms"
     )
 
 
-def bessel_i_scaled(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def bessel_i_scaled(nu: float, x: float) -> float:
     r"""Exponentially scaled :math:`e^{-x} I_\nu(x)`.
 
-    The scaling keeps the result representable up to ``x ~ 700``; use
-    ``ln_bessel_i`` when even the scaled value would underflow.
+    The scaling keeps the result representable past ``x ~ 700``, where
+    :math:`I_\nu` itself overflows; use ``ln_bessel_i`` when even the
+    scaled value would underflow (order far above the argument).
     """
-    return math.exp(ln_bessel_i(nu, x, policy) - x)
+    return math.exp(ln_bessel_i(nu, x) - x)
 
 
 def _ln_cosh(a: np.ndarray) -> np.ndarray:
@@ -147,7 +147,7 @@ def _ln_cosh(a: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def ln_bessel_k(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def ln_bessel_k(nu: float, x: float) -> float:
     r"""ln :math:`K_\nu(x)` for ``nu >= 0``, ``x > 0``.
 
     Trapezoidal refinement of DLMF 10.32.9.  Working with the shifted
@@ -156,10 +156,7 @@ def ln_bessel_k(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
     :math:`e^{x}K_\nu(x)` itself would overflow (large order, small
     argument).
     """
-    if nu < 0.0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be > 0, got {x}")
+    _check_domain(nu, x, x_positive=True)
 
     def ln_f(t: np.ndarray) -> np.ndarray:
         # cosh t - 1 = 2 sinh^2(t/2), exact near 0
@@ -183,7 +180,7 @@ def ln_bessel_k(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
         vals = np.exp(ln_f(t) - ln_peak)
         vals[0] *= 0.5
         total = h * float(vals.sum())
-        if previous is not None and abs(total - previous) <= policy.rel_tol * abs(total):
+        if previous is not None and abs(total - previous) <= _REL_TOL * abs(total):
             # K_nu(x) = e^{-x} * exp(ln_peak) * total
             return ln_peak + math.log(total) - x
         previous = total
@@ -193,19 +190,19 @@ def ln_bessel_k(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
     )
 
 
-def bessel_k_scaled(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def bessel_k_scaled(nu: float, x: float) -> float:
     r"""Exponentially scaled :math:`e^{x} K_\nu(x)` for ``x > 0``.
 
     Overflows (returns ``inf``) only in the extreme corner of large order
     with tiny argument; ``ln_bessel_k`` is the safe form there.
     """
-    ln_scaled = ln_bessel_k(nu, x, policy) + x
+    ln_scaled = ln_bessel_k(nu, x) + x
     if ln_scaled > 709.7:
         return math.inf
     return math.exp(ln_scaled)
 
 
-def bessel_i_ratio(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def bessel_i_ratio(nu: float, x: float) -> float:
     r"""The consecutive-order ratio :math:`I_{\nu+1}(x)/I_\nu(x)`.
 
     Gauss continued fraction derived from the three-term recurrence,
@@ -218,10 +215,7 @@ def bessel_i_ratio(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY)
     ``(0, 1)`` for every ``x > 0`` and tends to ``x / (2(nu+1))`` as
     ``x -> 0``.
     """
-    if nu < 0.0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    if x < 0.0:
-        raise ValueError(f"argument must be >= 0, got {x}")
+    _check_domain(nu, x)
     if x == 0.0:
         return 0.0
 
@@ -229,7 +223,7 @@ def bessel_i_ratio(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY)
     f = tiny
     c = f
     d = 0.0
-    for k in range(1, policy.max_terms + 1):
+    for k in range(1, _term_budget(x) + 1):
         b = 2.0 * (nu + k) / x
         d = b + d
         if d == 0.0:
@@ -240,14 +234,14 @@ def bessel_i_ratio(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY)
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < 0.01 * policy.rel_tol:
+        if abs(delta - 1.0) < 0.01 * _REL_TOL:
             return f
     raise ConvergenceError(
         f"ratio continued fraction for nu={nu}, x={x} did not converge"
     )
 
 
-def wronskian_residual(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def wronskian_residual(nu: float, x: float) -> float:
     r"""Residual of the Wronskian identity
     :math:`x\,[I_\nu K_{\nu+1} + I_{\nu+1} K_\nu] = 1` (DLMF 10.28.2).
 
@@ -255,9 +249,8 @@ def wronskian_residual(nu: float, x: float, policy: AccuracyPolicy = DEFAULT_POL
     imbalanced magnitudes of I and K at high order cancel before a single
     exp; a cheap independent consistency check on the I and K paths.
     """
-    if x <= 0.0:
-        raise ValueError(f"x must be > 0, got {x}")
+    _check_domain(nu, x, x_positive=True)
     ln_x = math.log(x)
-    t0 = math.exp(ln_x + ln_bessel_i(nu, x, policy) + ln_bessel_k(nu + 1.0, x, policy))
-    t1 = math.exp(ln_x + ln_bessel_i(nu + 1.0, x, policy) + ln_bessel_k(nu, x, policy))
+    t0 = math.exp(ln_x + ln_bessel_i(nu, x) + ln_bessel_k(nu + 1.0, x))
+    t1 = math.exp(ln_x + ln_bessel_i(nu + 1.0, x) + ln_bessel_k(nu, x))
     return abs(t0 + t1 - 1.0)

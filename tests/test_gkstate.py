@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkrevival.gkstate import (
     CoherentState,
@@ -99,11 +101,26 @@ def test_weight_negative_index():
         weight(-1, s)
 
 
-@pytest.mark.parametrize("J,mu", [(10.0, 28.0), (10.0, 80.0), (1.0, 2.0)])
+@pytest.mark.parametrize("J,mu", [(10.0, 28.0), (10.0, 80.0), (1.0, 2.0),
+                                  (1e6, 40.5), (1e6, 80.0), (1e8, 1.0)])
 def test_norm_closed_vs_series(J, mu):
     # series ln N^2 is cached on the state; closed form must match
     s = _state(J, mu)
     assert abs(math.exp(normalization_sq(J, SpectrumParams(mu=mu)) - s.ln_norm_sq) - 1.0) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(min_value=1.0, max_value=80.0, exclude_min=True),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_norm_closed_vs_series_large_j(mu, frac):
+    # J log-uniform from 1e-3 up to J mu = 1e8, past the J mu ~ 2.1e7
+    # where a fixed 5000-term series budget used to give out
+    J = math.exp(math.log(1e-3) + frac * (math.log(1e8 / mu) - math.log(1e-3)))
+    p = SpectrumParams(mu=mu)
+    series = build_state(J, 0.0, p).ln_norm_sq
+    assert abs(normalization_sq(J, p) - series) <= 1e-12 * max(1.0, abs(series))
 
 
 def test_norm_small_series_oracle():

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkrevival import specfun
 from gkrevival.specfun import (
-    DEFAULT_POLICY,
-    AccuracyPolicy,
     ConvergenceError,
     bessel_i_ratio,
     bessel_i_scaled,
@@ -154,21 +155,12 @@ def test_log_domain_extremes():
                         rel_tol=1e-13)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        AccuracyPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        AccuracyPolicy(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        AccuracyPolicy(max_terms=10)
-    assert DEFAULT_POLICY.rel_tol == 1e-12
-    assert DEFAULT_POLICY.max_terms == 5000
-
-
-def test_series_cap_error():
-    tight = AccuracyPolicy(rel_tol=1e-12, max_terms=100)
+def test_series_cap_error(monkeypatch):
+    # the budget is derived from the argument; shrinking it must still
+    # end in a loud ConvergenceError rather than a truncated sum
+    monkeypatch.setattr(specfun, "_term_budget", lambda x: 100)
     with pytest.raises(ConvergenceError):
-        ln_bessel_i(0.0, 600.0, tight)
+        ln_bessel_i(0.0, 600.0)
 
 
 def test_k_domain_error():
@@ -176,3 +168,55 @@ def test_k_domain_error():
         bessel_k_scaled(1.0, 0.0)
     with pytest.raises(ValueError):
         ln_bessel_k(1.0, -2.0)
+
+
+_KERNEL = [ln_bessel_i, bessel_i_scaled, ln_bessel_k, bessel_k_scaled, bessel_i_ratio,
+           wronskian_residual]
+
+
+@pytest.mark.parametrize("fn", _KERNEL, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["nu", "x"])
+def test_non_finite_input_rejected(fn, bad, slot):
+    nu, x = (bad, 5.0) if slot == "nu" else (1.0, bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(nu, x)
+
+
+@pytest.mark.parametrize("fn", [ln_bessel_i, ln_bessel_k, bessel_i_ratio, wronskian_residual],
+                         ids=lambda f: f.__name__)
+def test_negative_input_messages(fn):
+    with pytest.raises(ValueError, match=r"order must be >= 0, got -1\.0"):
+        fn(-1.0, 5.0)
+    with pytest.raises(ValueError, match=r"argument must be >=? 0, got -2\.0"):
+        fn(1.0, -2.0)
+
+
+def test_far_past_a_fixed_budget():
+    # ~5e4 series terms and ~8e3 fraction steps, both past the 5000 that
+    # used to be the fixed cap
+    from scipy.special import ive
+
+    ref = math.log(float(ive(40.5, 1e5))) + 1e5
+    assert math.isclose(ln_bessel_i(40.5, 1e5), ref, rel_tol=1e-12)
+    ratio = float(ive(81.0, 2e6)) / float(ive(80.0, 2e6))
+    assert math.isclose(bessel_i_ratio(80.0, 2e6), ratio, rel_tol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.floats(min_value=0.0, max_value=100.0),
+    log_x=st.floats(min_value=math.log(1e-3), max_value=math.log(2e4)),
+)
+def test_kernel_matches_scipy_ive(nu, log_x):
+    # wherever SciPy's scaled I stays in the normal double range
+    from scipy.special import ive
+
+    x = math.exp(log_x)
+    i0, i1 = float(ive(nu, x)), float(ive(nu + 1.0, x))
+    if i0 < 1e-300:
+        return
+    ref = math.log(i0) + x
+    assert abs(ln_bessel_i(nu, x) - ref) <= 1e-12 * max(1.0, abs(ref))
+    if i1 >= 1e-300:
+        assert math.isclose(bessel_i_ratio(nu, x), i1 / i0, rel_tol=1e-12)
