@@ -12,12 +12,16 @@ files.  Diagnostics go to stderr, never into the CSV.  Exit codes:
 0 success, 2 flag validation failure, 3 numerical non-convergence.
 
 Commands: weights, mandel, autocorr, survival, survival-intensity,
-unity, overlap, timescales, figure.  Times are given and reported in
-revival-time units; `timescales` reports the physical conversion.
+unity, overlap, timescales, figure.  The `_COMMANDS` table is the one
+place a dataset command's flags are declared; the parser and the
+preamble are read from it, and `_FIGURES` lists each figure's datasets.
+Times are given and reported in revival-time units; `timescales`
+reports the physical conversion.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -191,96 +195,120 @@ def _rows_timescales(cfg: RunConfig):
     )
 
 
-_ROWBUILDERS = {
-    "weights": _rows_weights,
-    "mandel": _rows_mandel,
-    "autocorr": _rows_autocorr,
-    "survival": _rows_survival,
-    "survival-intensity": _rows_survival_intensity,
-    "unity": _rows_unity,
-    "overlap": _rows_overlap,
-    "timescales": _rows_timescales,
+# The one place a command's flags are declared: its row builder, its help
+# line and the RunConfig fields it takes beyond _COMMON and --out.  The
+# parser's flags and the dataset preamble's keys are both read from it.
+_COMMANDS = {
+    "weights": (_rows_weights, "number distribution w_n", ()),
+    "mandel": (_rows_mandel, "Mandel Q over a J sweep", ("j_max", "points")),
+    "autocorr": (_rows_autocorr, "|A(t)|^2 series", ("t_max", "points")),
+    "survival": (_rows_survival, "one channel P_delta(t)", ("t_max", "points", "q", "delta")),
+    "survival-intensity": (_rows_survival_intensity,
+                           "|A|^2 split into diagonal + interference", ("t_max", "points", "q")),
+    "unity": (_rows_unity, "moment checks of the measure density",
+              ("n_max", "abs_tol", "rel_tol")),
+    "overlap": (_rows_overlap, "<J,0|J',0> as J' sweeps (0, 2J]", ("points",)),
+    "timescales": (_rows_timescales, "classical period and revival time", ()),
+}
+# taken by every dataset command and recorded in every preamble
+_COMMON = ("j", "mu", "alpha", "tail_tol")
+
+_HELP = {
+    "j": "action label J",
+    "mu": "deformation parameter mu",
+    "alpha": "angular frequency",
+    "tail_tol": "weight tail cutoff, in (0, 1e-6]",
+    "out_path": "output path, '-' for stdout",
+    "t_max": "grid end in revival-time units",
+    "points": "grid or sweep size",
+    "q": "revival order",
+    "delta": "residue class in [0, q)",
+    "j_max": "sweep end (0, j_max]",
+    "n_max": "check moments 0..n_max",
+    "abs_tol": "quadrature absolute tolerance",
+    "rel_tol": "quadrature relative tolerance",
 }
 
 
-def _validate(cfg: RunConfig) -> Optional[str]:
-    if cfg.command not in _ROWBUILDERS:
-        return f"unknown command {cfg.command!r}"
+def _validate(cfg: RunConfig) -> None:
+    """Raise ValueError naming the first flag out of range."""
+    if cfg.command not in _COMMANDS:
+        raise ValueError(f"unknown command {cfg.command!r}")
     if not (math.isfinite(cfg.j) and cfg.j >= 0.0):
-        return f"--j must be finite and >= 0, got {cfg.j}"
+        raise ValueError(f"--j must be finite and >= 0, got {cfg.j}")
     if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
-        return f"--mu must be > 0, got {cfg.mu}"
+        raise ValueError(f"--mu must be > 0, got {cfg.mu}")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0.0):
-        return f"--alpha must be > 0, got {cfg.alpha}"
+        raise ValueError(f"--alpha must be > 0, got {cfg.alpha}")
     if cfg.points < 2:
-        return f"--points must be >= 2, got {cfg.points}"
-    if not cfg.t_max > 0.0:
-        return f"--t-max must be > 0, got {cfg.t_max}"
+        raise ValueError(f"--points must be >= 2, got {cfg.points}")
+    if not 0.0 < cfg.t_max < math.inf:
+        raise ValueError(f"--t-max must be finite and > 0, got {cfg.t_max}")
     if cfg.q < 2:
-        return f"--q must be >= 2, got {cfg.q}"
+        raise ValueError(f"--q must be >= 2, got {cfg.q}")
     if not 0 <= cfg.delta < cfg.q:
-        return f"--delta must lie in [0, q), got {cfg.delta}"
+        raise ValueError(f"--delta must lie in [0, q), got {cfg.delta}")
     if not 0 <= cfg.n_max <= 20:
-        return f"--n-max must lie in [0, 20], got {cfg.n_max}"
-    if not cfg.j_max > 0.0:
-        return f"--j-max must be > 0, got {cfg.j_max}"
+        raise ValueError(f"--n-max must lie in [0, 20], got {cfg.n_max}")
+    if not 0.0 < cfg.j_max < math.inf:
+        raise ValueError(f"--j-max must be finite and > 0, got {cfg.j_max}")
     if not 0.0 < cfg.tail_tol <= 1e-6:
-        return f"--tail-tol must lie in (0, 1e-6], got {cfg.tail_tol}"
-    if not (cfg.abs_tol > 0.0 and cfg.rel_tol > 0.0):
-        return "--abs-tol and --rel-tol must be > 0"
+        raise ValueError(f"--tail-tol must lie in (0, 1e-6], got {cfg.tail_tol}")
+    if not (0.0 < cfg.abs_tol < math.inf and 0.0 < cfg.rel_tol < math.inf):
+        raise ValueError("--abs-tol and --rel-tol must be finite and > 0")
     if cfg.command == "overlap" and cfg.j == 0.0:
-        return "--j must be > 0 for overlap sweeps"
-    return None
+        raise ValueError("--j must be > 0 for overlap sweeps")
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command, writing the dataset to cfg.out_path ('-' for
-    standard output).  Returns the process exit code."""
-    problem = _validate(cfg)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    params = {
-        "command": cfg.command,
-        "j": cfg.j,
-        "mu": cfg.mu,
-        "alpha": cfg.alpha,
-        "tail_tol": cfg.tail_tol,
-    }
-    if cfg.command in ("autocorr", "survival", "survival-intensity"):
-        params.update(t_max=cfg.t_max, points=cfg.points)
-    if cfg.command in ("survival", "survival-intensity"):
-        params.update(q=cfg.q)
-    if cfg.command == "survival":
-        params.update(delta=cfg.delta)
-    if cfg.command in ("mandel", "overlap"):
-        params.update(points=cfg.points)
-    if cfg.command == "mandel":
-        params.update(j_max=cfg.j_max)
-    if cfg.command == "unity":
-        params.update(n_max=cfg.n_max, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
+def _exit_code(action, *args) -> int:
+    """Call action(*args) and return the process exit code: 0, or 2 for a
+    ValueError and 3 for a ConvergenceError, whose message goes to stderr."""
+    try:
+        action(*args)
+    except (ValueError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, ConvergenceError) else 2
+    return 0
+
+
+def _write(cfg: RunConfig) -> None:
+    """run() without the exit-code mapping: failures raise."""
+    _validate(cfg)
+    build, _, fields = _COMMANDS[cfg.command]
+    params = {k: getattr(cfg, k) for k in ("command",) + _COMMON + fields}
     if cfg.figure is not None:
         params.update(figure=cfg.figure)
-
-    try:
-        header, rows = _ROWBUILDERS[cfg.command](cfg)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    # rows first, so a failed computation leaves no partial file behind
+    header, rows = build(cfg)
     if cfg.out_path == "-":
         write_dataset(sys.stdout, params, header, rows)
     else:
         with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
             write_dataset(fh, params, header, rows)
-    return 0
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute one command, writing the dataset to cfg.out_path ('-' for
+    standard output).  Returns the process exit code."""
+    return _exit_code(_write, cfg)
 
 
 def _mu_tag(mu: float) -> str:
     return str(int(mu)) if float(mu).is_integer() else str(mu).replace(".", "p")
+
+
+# figure id -> (command, mu values, delta values); an empty delta tuple
+# leaves delta at its default and out of the file name.  Every other
+# field takes its RunConfig default.
+_FIGURES = {
+    1: ("weights", (28.0, 80.0), ()),
+    2: ("mandel", (28.0, 80.0), ()),
+    3: ("autocorr", (1.0, 28.0, 80.0), ()),
+    4: ("survival", (28.0,), (0, 1, 2, 3)),
+    5: ("survival", (80.0,), (0, 1, 2, 3)),
+    6: ("survival-intensity", (28.0, 80.0), ()),
+    7: ("survival-intensity", (28.0, 80.0), ()),
+}
 
 
 def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = RunConfig.tail_tol,
@@ -288,64 +316,34 @@ def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = RunConfig.tail
     """Write the CSV datasets behind one figure (1..7) into out_dir.
 
     Returns the list of file paths written.  Raises ValueError for an
-    unknown figure id; numerical failures propagate as in run().
+    unknown figure id or an out-of-range flag, before out_dir is created;
+    numerical failures propagate as ConvergenceError.
     """
-    import os
-
-    if figure_id not in range(1, 8):
+    if figure_id not in _FIGURES:
         raise ValueError(f"figure id must lie in 1..7, got {figure_id}")
-    os.makedirs(out_dir, exist_ok=True)
+    command, mus, deltas = _FIGURES[figure_id]
     jobs = []
-    base = dict(j=10.0, alpha=1.0, tail_tol=tail_tol, points=points, figure=figure_id)
-    if figure_id == 1:
-        for mu in (28.0, 80.0):
-            jobs.append((RunConfig(command="weights", mu=mu, **base),
-                         f"fig1_weights_mu{_mu_tag(mu)}.csv"))
-    elif figure_id == 2:
-        for mu in (28.0, 80.0):
-            jobs.append((RunConfig(command="mandel", mu=mu, j_max=20.0, **base),
-                         f"fig2_mandel_mu{_mu_tag(mu)}.csv"))
-    elif figure_id == 3:
-        for mu in (1.0, 28.0, 80.0):
-            jobs.append((RunConfig(command="autocorr", mu=mu, t_max=1.0, **base),
-                         f"fig3_autocorr_mu{_mu_tag(mu)}.csv"))
-    elif figure_id in (4, 5):
-        mu = 28.0 if figure_id == 4 else 80.0
-        for delta in range(4):
-            jobs.append((RunConfig(command="survival", mu=mu, q=4, delta=delta,
-                                   t_max=1.0, **base),
-                         f"fig{figure_id}_survival_mu{_mu_tag(mu)}_delta{delta}.csv"))
-    else:
-        for mu in (28.0, 80.0):
-            jobs.append((RunConfig(command="survival-intensity", mu=mu, q=4,
-                                   t_max=1.0, **base),
-                         f"fig{figure_id}_survival_intensity_mu{_mu_tag(mu)}.csv"))
-
-    written = []
-    for cfg, name in jobs:
-        path = os.path.join(out_dir, name)
-        code = run(RunConfig(**{**cfg.__dict__, "out_path": path}))
-        if code != 0:
-            raise ConvergenceError(f"figure {figure_id}: {name} failed with code {code}")
-        written.append(path)
-        print(f"wrote {path}", file=sys.stderr)
-    return written
+    for mu in mus:
+        for delta in deltas or (RunConfig.delta,):
+            name = f"fig{figure_id}_{command.replace('-', '_')}_mu{_mu_tag(mu)}"
+            name += f"_delta{delta}.csv" if deltas else ".csv"
+            jobs.append(RunConfig(command=command, mu=mu, delta=delta, tail_tol=tail_tol,
+                                  points=points, out_path=os.path.join(out_dir, name),
+                                  figure=figure_id))
+    for cfg in jobs:
+        _validate(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    for cfg in jobs:
+        _write(cfg)
+        print(f"wrote {cfg.out_path}", file=sys.stderr)
+    return [cfg.out_path for cfg in jobs]
 
 
-# Every flag default is read from RunConfig, so it is written once.
-def _add_common(sp, *, t_flags: bool = False, q_flags: bool = False) -> None:
-    sp.add_argument("--j", type=float, default=RunConfig.j, help="action label J")
-    sp.add_argument("--mu", type=float, default=RunConfig.mu, help="deformation parameter mu")
-    sp.add_argument("--alpha", type=float, default=RunConfig.alpha, help="angular frequency")
-    sp.add_argument("--tail-tol", type=float, default=RunConfig.tail_tol,
-                    help="weight tail cutoff, in (0, 1e-6]")
-    sp.add_argument("--out", default=RunConfig.out_path, help="output path, '-' for stdout")
-    if t_flags:
-        sp.add_argument("--t-max", type=float, default=RunConfig.t_max,
-                        help="grid end in revival-time units")
-        sp.add_argument("--points", type=int, default=RunConfig.points, help="grid size")
-    if q_flags:
-        sp.add_argument("--q", type=int, default=RunConfig.q, help="revival order")
+def _add_flag(sp, field: str) -> None:
+    # type and default come from RunConfig, so each is written once
+    default = getattr(RunConfig, field)
+    flag = "--out" if field == "out_path" else "--" + field.replace("_", "-")
+    sp.add_argument(flag, type=type(default), default=default, help=_HELP[field])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,68 +353,29 @@ def build_parser() -> argparse.ArgumentParser:
         "e_n = n(n+mu)/mu, as CSV.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("weights", help="number distribution w_n"))
-
-    sp = sub.add_parser("mandel", help="Mandel Q over a J sweep")
-    _add_common(sp)
-    sp.add_argument("--j-max", type=float, default=RunConfig.j_max, help="sweep end (0, j_max]")
-    sp.add_argument("--points", type=int, default=RunConfig.points, help="sweep size")
-
-    _add_common(sub.add_parser("autocorr", help="|A(t)|^2 series"), t_flags=True)
-
-    sp = sub.add_parser("survival", help="one channel P_delta(t)")
-    _add_common(sp, t_flags=True, q_flags=True)
-    sp.add_argument("--delta", type=int, default=RunConfig.delta, help="residue class in [0, q)")
-
-    _add_common(
-        sub.add_parser("survival-intensity", help="|A|^2 split into diagonal + interference"),
-        t_flags=True, q_flags=True,
-    )
-
-    sp = sub.add_parser("unity", help="moment checks of the measure density")
-    _add_common(sp)
-    sp.add_argument("--n-max", type=int, default=RunConfig.n_max, help="check moments 0..n_max")
-    sp.add_argument("--abs-tol", type=float, default=RunConfig.abs_tol)
-    sp.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol)
-
-    sp = sub.add_parser("overlap", help="<J,0|J',0> as J' sweeps (0, 2J]")
-    _add_common(sp)
-    sp.add_argument("--points", type=int, default=RunConfig.points, help="sweep size")
-
-    _add_common(sub.add_parser("timescales", help="classical period and revival time"))
+    for command, (_, help_line, fields) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        for field in _COMMON + ("out_path",) + fields:
+            _add_flag(sp, field)
 
     sp = sub.add_parser("figure", help="write every dataset behind one figure")
     sp.add_argument("--id", type=int, required=True, help="figure number, 1..7")
     sp.add_argument("--out-dir", required=True, help="target directory")
-    sp.add_argument("--tail-tol", type=float, default=RunConfig.tail_tol)
-    sp.add_argument("--points", type=int, default=RunConfig.points)
+    _add_flag(sp, "tail_tol")
+    _add_flag(sp, "points")
     return ap
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    kw = {k: v for k, v in vars(ns).items() if k != "command"}
-    kw["out_path"] = kw.pop("out")
-    return RunConfig(command=ns.command, **kw)
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if ns.command == "figure":
-        try:
-            figure_bundle(ns.id, ns.out_dir, tail_tol=ns.tail_tol, points=ns.points)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        return 0
-    return run(_config_from(ns))
+        return _exit_code(figure_bundle, ns.id, ns.out_dir, ns.tail_tol, ns.points)
+    kw = vars(ns)
+    kw["out_path"] = kw.pop("out")
+    return run(RunConfig(**kw))
 
 
 if __name__ == "__main__":

@@ -82,15 +82,19 @@ def _check_domain(nu: float, x: float, x_positive: bool = False) -> None:
 
 
 def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
+    """ln Gamma(x) for finite x > 0.
 
     Thin wrapper over the platform ``lgamma`` (correct to ~1 ulp, well
     inside the 1e-12 tolerance) with the domain restricted to positive
     arguments: orders and quantum numbers never make it negative here.
+    Raises ValueError where the result overflows (x above about 2.5e305).
     """
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"ln_gamma requires finite x > 0, got {x}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"ln_gamma({x}) overflows") from None
 
 
 def ln_bessel_i(nu: float, x: float) -> float:

@@ -39,10 +39,10 @@ class SpectrumParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,10 @@ def test_overlap_sweep(tmp_path):
         [],
         ["nope"],
         ["weights", "--bogus", "1"],
+        ["unity", "--mu", "1e308", "--n-max", "1"],
+        ["autocorr", "--t-max", "inf"],
+        ["mandel", "--j-max", "inf"],
+        ["unity", "--abs-tol", "inf"],
     ],
 )
 def test_validation_exit_2(args, capsys):
@@ -112,6 +116,37 @@ def test_validation_exit_2(args, capsys):
     captured = capsys.readouterr()
     # diagnostics never land on stdout
     assert "error" not in captured.out.lower()
+
+
+@pytest.mark.parametrize("flags", [["--points", "1"], ["--tail-tol", "0.5"]])
+def test_figure_validation_exit_2(flags, tmp_path, capsys):
+    # a bad flag is reported before the output directory is created
+    d = tmp_path / "figs"
+    assert main(["figure", "--id", "3", "--out-dir", str(d)] + flags) == 2
+    assert not d.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+_PREAMBLE_KEYS = {
+    "weights": {"alpha", "command", "j", "mu", "tail_tol"},
+    "mandel": {"alpha", "command", "j", "j_max", "mu", "points", "tail_tol"},
+    "autocorr": {"alpha", "command", "j", "mu", "points", "t_max", "tail_tol"},
+    "survival": {"alpha", "command", "delta", "j", "mu", "points", "q", "t_max", "tail_tol"},
+    "survival-intensity": {"alpha", "command", "j", "mu", "points", "q", "t_max", "tail_tol"},
+    "unity": {"abs_tol", "alpha", "command", "j", "mu", "n_max", "rel_tol", "tail_tol"},
+    "overlap": {"alpha", "command", "j", "mu", "points", "tail_tol"},
+    "timescales": {"alpha", "command", "j", "mu", "tail_tol"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PREAMBLE_KEYS))
+def test_preamble_keys(command, tmp_path):
+    out = tmp_path / "d.csv"
+    assert run(RunConfig(command=command, points=3, n_max=0, out_path=str(out))) == 0
+    params, _, _ = read_dataset(str(out))
+    assert set(params) == _PREAMBLE_KEYS[command]
+    assert params["command"] == command
 
 
 def test_nonconvergence_exit_3(capsys):

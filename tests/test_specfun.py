@@ -34,7 +34,8 @@ def test_ln_gamma_trivials():
     assert math.isclose(ln_gamma(11.0), math.log(3628800.0), rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+# nan, inf and arguments whose lgamma overflows are rejected too
+@pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan, math.inf, -math.inf, 1e306, 1e308])
 def test_ln_gamma_domain(x):
     with pytest.raises(ValueError):
         ln_gamma(x)
@@ -220,3 +221,20 @@ def test_kernel_matches_scipy_ive(nu, log_x):
     assert abs(ln_bessel_i(nu, x) - ref) <= 1e-12 * max(1.0, abs(ref))
     if i1 >= 1e-300:
         assert math.isclose(bessel_i_ratio(nu, x), i1 / i0, rel_tol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.floats(min_value=0.0, max_value=100.0),
+    log_x=st.floats(min_value=math.log(1e-3), max_value=math.log(2e4)),
+)
+def test_ln_bessel_k_matches_scipy_kve(nu, log_x):
+    # wherever SciPy's scaled K is finite and positive
+    from scipy.special import kve
+
+    x = math.exp(log_x)
+    k = float(kve(nu, x))
+    if not (math.isfinite(k) and k > 0.0):
+        return
+    ref = math.log(k)
+    assert abs(ln_bessel_k(nu, x) + x - ref) <= 1e-12 * max(1.0, abs(ref))

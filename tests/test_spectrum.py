@@ -28,6 +28,21 @@ def test_params_validation():
     assert p.alpha == 1.0
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(mu=math.inf), dict(mu=math.nan), dict(mu=2.0, alpha=math.inf),
+           dict(mu=2.0, alpha=math.nan)],
+)
+def test_params_reject_non_finite(kw):
+    # an infinite mu would make build_state walk all 10^6 levels before failing
+    with pytest.raises(ValueError, match="finite"):
+        SpectrumParams(**kw)
+
+
+def test_moment_rho_overflow_is_value_error():
+    with pytest.raises(ValueError):
+        moment_rho(3, SpectrumParams(mu=1e308))
+
+
 def test_level_examples():
     p = SpectrumParams(mu=2.0)
     assert energy_level(0, p) == 0.0
