@@ -23,7 +23,7 @@ import numpy as np
 
 from ._dd import phase_factors, quadratic_in_n
 from .specfun import ConvergenceError, bessel_i_ratio, ln_bessel_i, ln_gamma
-from .spectrum import SpectrumParams
+from .spectrum import SpectrumParams, moment_rho_array
 
 __all__ = [
     "CoherentState",
@@ -124,26 +124,22 @@ def build_state(
 
     n_max = _truncation_index(J, mu, tail_tol)
     n = np.arange(n_max + 1, dtype=float)
-    ln_rho = _ln_rho_vec(n, mu)
-    ln_a = n * math.log(J) - ln_rho
+    ln_a = n * math.log(J) - moment_rho_array(n, params)
+    # Normalise against the peak term, not ln N^2 itself: at J = 1e8 that
+    # is ~2e4, and its rounding would scale every weight alike and leave
+    # their sum ~1e-12 off 1.
     c = float(ln_a.max())
-    ln_norm_sq = c + math.log(float(np.exp(ln_a - c).sum()))
+    shifted = ln_a - c
+    ln_sum = math.log(float(np.exp(shifted).sum()))
     return CoherentState(
         J=J,
         gamma=gamma,
         params=params,
         n_max=n_max,
-        ln_weights=ln_a - ln_norm_sq,
-        ln_norm_sq=ln_norm_sq,
+        ln_weights=shifted - ln_sum,
+        ln_norm_sq=c + ln_sum,
         tail_tol=tail_tol,
     )
-
-
-def _ln_rho_vec(n: np.ndarray, mu: float) -> np.ndarray:
-    # Same gamma-function form as spectrum.moment_rho, vectorized.
-    from scipy.special import gammaln
-
-    return gammaln(n + 1.0) + gammaln(n + 1.0 + mu) - n * math.log(mu) - ln_gamma(1.0 + mu)
 
 
 def normalization_sq(J: float, p: SpectrumParams) -> float:

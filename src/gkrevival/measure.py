@@ -18,8 +18,6 @@ tolerance is meaningful for every n and mu.
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .specfun import ConvergenceError, bessel_i_scaled, bessel_k_scaled, ln_bessel_k, ln_gamma
 from .spectrum import SpectrumParams, moment_rho
 
@@ -120,6 +118,9 @@ def _u_window(n: int, mu: float, ln_shift: float, cfg: QuadratureConfig) -> tupl
 
 
 def _run_quad(f, a: float, b: float, points, cfg: QuadratureConfig) -> float:
+    # Imported here: SciPy's start-up cost is paid only by the quadrature.
+    from scipy.integrate import quad
+
     out = quad(
         f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200, points=points,
         full_output=1,

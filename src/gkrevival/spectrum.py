@@ -16,6 +16,8 @@ identically, so there is no superrevival scale.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import ln_gamma
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "TimeScales",
     "energy_level",
     "moment_rho",
+    "moment_rho_array",
     "revival_time",
     "classical_period",
     "time_scales",
@@ -68,8 +71,20 @@ def moment_rho(n: int, p: SpectrumParams) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    return float(moment_rho_array(np.array([n], dtype=float), p)[0])
+
+
+def moment_rho_array(n: np.ndarray, p: SpectrumParams) -> np.ndarray:
+    """ln rho_n of :func:`moment_rho` for a 1-D float array of levels
+    n >= 0.  ``math.lgamma`` per element gives the scalar form and state
+    construction one rounding, and needs no SciPy."""
     mu = p.mu
-    return ln_gamma(n + 1.0) + ln_gamma(n + 1.0 + mu) - n * math.log(mu) - ln_gamma(1.0 + mu)
+    try:
+        ln_fact = np.fromiter(map(math.lgamma, (n + 1.0).tolist()), float, len(n))
+        ln_rise = np.fromiter(map(math.lgamma, (n + 1.0 + mu).tolist()), float, len(n))
+    except OverflowError:
+        raise ValueError(f"ln rho_n overflows for mu={mu}") from None
+    return ln_fact + ln_rise - n * math.log(mu) - ln_gamma(1.0 + mu)
 
 
 def revival_time(p: SpectrumParams) -> float:

@@ -64,6 +64,14 @@ def test_normalization(J, mu):
     assert 1.0 - 1e-10 <= total <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("J,mu", [(1e8, 1.0), (1e6, 40.5), (1e5, 80.0)])
+def test_normalization_large_j(J, mu):
+    # weights are normalised against the peak term, not against ln N^2
+    # (~2e4 at J = 1e8), so the sum stays at 1 to rounding
+    s = _state(J, mu)
+    assert abs(float(np.exp(s.ln_weights).sum()) - 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("J", [0.1, 1.0, 10.0, 100.0])
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_action_identity(J, mu):

@@ -1,0 +1,50 @@
+"""Start-up tests: every command but `unity` runs on NumPy alone, so
+SciPy is never imported by the package or by those commands."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gkrevival
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(gkrevival.__file__)))
+
+# Prints the sorted scipy modules loaded after the given commands ran.
+_PROBE = """
+import sys
+import gkrevival, gkrevival.cli
+for args in {commands!r}:
+    assert gkrevival.cli.main(args) == 0, args
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _scipy_modules(tmp_path, commands):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(commands=commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules(tmp_path, []) == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["timescales"],
+    ["weights", "--mu", "63.7"],
+    ["autocorr", "--points", "101"],
+])
+def test_commands_load_no_scipy(tmp_path, command):
+    assert _scipy_modules(tmp_path, [command + ["--out", "out.csv"]]) == "[]"
+
+
+def test_unity_loads_quadrature(tmp_path):
+    loaded = _scipy_modules(tmp_path, [["unity", "--n-max", "3", "--out", "out.csv"]])
+    assert "'scipy.integrate'" in loaded
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + 4

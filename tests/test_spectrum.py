@@ -12,6 +12,7 @@ from gkrevival.spectrum import (
     classical_period,
     energy_level,
     moment_rho,
+    moment_rho_array,
     revival_time,
     time_scales,
 )
@@ -41,6 +42,35 @@ def test_params_reject_non_finite(kw):
 def test_moment_rho_overflow_is_value_error():
     with pytest.raises(ValueError):
         moment_rho(3, SpectrumParams(mu=1e308))
+    with pytest.raises(ValueError):
+        moment_rho_array(np.arange(4.0), SpectrumParams(mu=1e308))
+
+
+@pytest.mark.parametrize("mu", [1.0, 28.0, 28.5, 80.0])
+def test_moment_rho_array_equals_scalar(mu):
+    # one ln rho_n path, and the scalar lgamma form's rounding, which the
+    # unity datasets were written with
+    p = SpectrumParams(mu=mu)
+    vec = moment_rho_array(np.arange(501, dtype=float), p).tolist()
+    assert vec == [moment_rho(n, p) for n in range(501)]
+    lg = math.lgamma
+    assert vec == [lg(n + 1.0) + lg(n + 1.0 + mu) - n * math.log(mu) - lg(1.0 + mu)
+                   for n in range(501)]
+
+
+@pytest.mark.parametrize("mu", [1.0, 28.0, 28.5, 80.0])
+def test_moment_rho_array_matches_scipy_gammaln(mu):
+    # Relative to the size of the four gamma-form terms: at n = 1,
+    # mu = 80, ln rho_1 = 0.012 is the difference of terms near 273, and
+    # the last-ulp gap between lgamma and gammaln is ~1e-13 absolute.
+    from scipy.special import gammaln
+
+    p = SpectrumParams(mu=mu)
+    n = np.arange(501, dtype=float)
+    terms = (gammaln(n + 1.0), gammaln(n + 1.0 + mu), n * math.log(mu), gammaln(1.0 + mu))
+    ref = terms[0] + terms[1] - terms[2] - terms[3]
+    scale = sum(np.abs(t) for t in terms)
+    assert np.all(np.abs(moment_rho_array(n, p) - ref) <= 1e-13 * np.maximum(scale, 1.0))
 
 
 def test_level_examples():
