@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .gkstate import build_state, mandel_q, mean_n, overlap
-from .measure import QuadratureConfig, moment_check
+from .measure import QuadratureConfig, moment_checks
 from .revival import _diagonal, _intensities, _interference, channel_amplitudes
 from .specfun import ConvergenceError
 from .spectrum import SpectrumParams, time_scales
@@ -164,10 +164,8 @@ def _rows_survival_intensity(cfg: RunConfig):
 def _rows_unity(cfg: RunConfig):
     p = _params(cfg)
     qc = QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-    rows = []
-    for n in range(cfg.n_max + 1):
-        rep = moment_check(n, p, qc)
-        rows.append((n, rep.integral, rep.rho_n, rep.rel_err))
+    reps = moment_checks(range(cfg.n_max + 1), p, qc)
+    rows = [(r.n, r.integral, r.rho_n, r.rel_err) for r in reps]
     return ["n", "integral", "rho_n", "rel_err"], rows
 
 

@@ -21,7 +21,9 @@ an accuracy knob:
   with the trapezoidal rule.  The integrand is even, entire, and decays
   double-exponentially in ``t`` -- the textbook setting in which the
   trapezoidal rule converges geometrically in ``1/h`` -- so the step is
-  simply halved until two sweeps agree.
+  simply halved until two sweeps agree.  ``ln_bessel_k`` takes arrays
+  and sweeps all their elements together; a scalar is a one-element
+  array.
 * ``bessel_i_ratio`` evaluates :math:`I_{\nu+1}(x)/I_\nu(x)` with the
   Gauss continued fraction (modified Lentz), never by dividing two
   separately computed, possibly huge, values.
@@ -49,6 +51,13 @@ __all__ = [
 
 # relative tolerance of every returned value
 _REL_TOL = 1e-12
+# trapezoid nodes evaluated at once by the array K path (bounds its
+# memory; at least 128, NumPy's pairwise block, so that _long_sum splits a
+# sum only where NumPy does), and the most one element's sweep may take before it counts as
+# not converging: rounding in L(t) - L(t_peak) grows like nu*t_peak, and
+# past about 1e5 two sweeps agree to _REL_TOL only after millions of nodes
+_BLOCK_NODES = 1 << 16
+_MAX_NODES = 1 << 24
 
 
 class ConvergenceError(RuntimeError):
@@ -151,46 +160,123 @@ def _ln_cosh(a: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def ln_bessel_k(nu: float, x: float) -> float:
-    r"""ln :math:`K_\nu(x)` for ``nu >= 0``, ``x > 0``.
+def _ln_k_integrand(t: np.ndarray, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    # L(t) = -x (cosh t - 1) + ln cosh(nu t), element by element;
+    # cosh t - 1 = 2 sinh^2(t/2), exact near 0
+    shifted = -x * 2.0 * np.sinh(0.5 * t) ** 2
+    return np.where(nu > 0.0, shifted + _ln_cosh(nu * t), shifted)
+
+
+def ln_bessel_k(nu, x):
+    r"""ln :math:`K_\nu(x)` for ``nu >= 0``, ``x > 0``; ``nu`` and ``x``
+    may be arrays (broadcast together), and a scalar pair gives a float.
 
     Trapezoidal refinement of DLMF 10.32.9.  Working with the shifted
     log-integrand ``L(t) = -x(cosh t - 1) + ln cosh(nu t)`` and factoring
     out its maximum keeps the node values in range even where
     :math:`e^{x}K_\nu(x)` itself would overflow (large order, small
     argument).
+
+    Every element keeps its own step and domain and is summed on its own,
+    so an element of an array call equals the scalar call bit for bit;
+    what the elements share is one pass per refinement sweep: the nodes
+    of all unconverged elements are evaluated together, and an element
+    leaves the sweep once two of its sweeps agree.
     """
-    _check_domain(nu, x, x_positive=True)
+    nu_a, x_a = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
+    shape = nu_a.shape
+    nu_a, x_a = nu_a.ravel(), x_a.ravel()
+    ok = np.isfinite(nu_a) & np.isfinite(x_a) & (nu_a >= 0.0) & (x_a > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _check_domain(float(nu_a[i]), float(x_a[i]), x_positive=True)
+    out = _ln_k_trapezoid(nu_a, x_a).reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
-    def ln_f(t: np.ndarray) -> np.ndarray:
-        # cosh t - 1 = 2 sinh^2(t/2), exact near 0
-        shifted = -x * 2.0 * np.sinh(0.5 * t) ** 2
-        if nu > 0.0:
-            shifted = shifted + _ln_cosh(nu * t)
-        return shifted
 
-    t_peak = math.asinh(nu / x) if nu > 0.0 else 0.0
-    ln_peak = float(ln_f(np.array(t_peak)))
-
-    # extend the domain until the integrand is ~e^-50 below its peak
-    t_hi = t_peak + 1.0
-    while float(ln_f(np.array(t_hi))) > ln_peak - 50.0:
-        t_hi += 1.0
-
-    h = min(0.5, 1.5 / (x * x + nu * nu) ** 0.25)
-    previous = None
-    for _ in range(24):
-        t = np.arange(0.0, t_hi + h, h)
-        vals = np.exp(ln_f(t) - ln_peak)
+def _long_sum(x, nu, ln_peak, h, lo: int, n: int) -> float:
+    # One element's node values lo..lo+n-1, summed as ndarray.sum() sums
+    # them (NumPy's pairwise summation halves a run at n//2 rounded down
+    # to a multiple of 8), but built _BLOCK_NODES at a time.
+    if n > _BLOCK_NODES:
+        half = n // 2
+        half -= half % 8
+        return (_long_sum(x, nu, ln_peak, h, lo, half)
+                + _long_sum(x, nu, ln_peak, h, lo + half, n - half))
+    vals = np.exp(_ln_k_integrand(np.arange(lo, lo + n) * h, x, nu) - ln_peak)
+    if lo == 0:
         vals[0] *= 0.5
-        total = h * float(vals.sum())
-        if previous is not None and abs(total - previous) <= _REL_TOL * abs(total):
-            # K_nu(x) = e^{-x} * exp(ln_peak) * total
-            return ln_peak + math.log(total) - x
-        previous = total
-        h *= 0.5
+    return vals.sum()
+
+
+def _node_sums(x, nu, ln_peak, h, counts) -> np.ndarray:
+    # Per element, the trapezoid sum of exp(L - ln_peak) over its nodes
+    # i*h, i < counts, the first node halved.  Elements are laid end to
+    # end in blocks of about _BLOCK_NODES nodes, and each is summed on its
+    # own, with the pairwise sum a one-element call makes; an element
+    # longer than a block is summed by _long_sum.
+    ends = np.cumsum(counts)
+    sums = np.empty(x.size)
+    first = 0
+    while first < x.size:
+        if counts[first] > _BLOCK_NODES:
+            sums[first] = _long_sum(x[first], nu[first], ln_peak[first], h[first],
+                                    0, int(counts[first]))
+            first += 1
+            continue
+        stop = ends[first] - counts[first] + _BLOCK_NODES
+        last = int(np.searchsorted(ends, stop, side="right"))
+        c = counts[first:last]
+        starts = np.cumsum(c) - c
+        seg = np.repeat(np.arange(first, last), c)
+        t = (np.arange(seg.size) - starts[seg - first]) * h[seg]
+        vals = np.exp(_ln_k_integrand(t, x[seg], nu[seg]) - ln_peak[seg])
+        vals[starts] *= 0.5
+        sums[first:last] = [vals[i:i + n].sum() for i, n in zip(starts.tolist(), c.tolist())]
+        first = last
+    return sums
+
+
+def _ln_k_trapezoid(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Scalar steps (asinh, the power, log) run in Python per element, so
+    # each element does the IEEE operations of a one-element call.
+    nu_l, x_l = nu.tolist(), x.tolist()
+    t_peak = np.array([math.asinh(a / b) if a > 0.0 else 0.0 for a, b in zip(nu_l, x_l)])
+    ln_peak = _ln_k_integrand(t_peak, x, nu)
+
+    # extend each domain until its integrand is ~e^-50 below its peak
+    t_hi = t_peak + 1.0
+    rising = np.arange(x.size)
+    while rising.size:
+        more = _ln_k_integrand(t_hi[rising], x[rising], nu[rising]) > ln_peak[rising] - 50.0
+        rising = rising[more]
+        t_hi[rising] += 1.0
+
+    h = np.array([min(0.5, 1.5 / (b * b + a * a) ** 0.25) for a, b in zip(nu_l, x_l)])
+    out = np.empty(x.size)
+    idx = np.arange(x.size)  # elements still refining; the arrays below follow it
+    previous = np.full(x.size, np.nan)  # the first sweep never converges
+    for _ in range(24):
+        # len(np.arange(0, t_hi + h, h)), the node count of a one-element call
+        counts = np.ceil((t_hi + h) / h).astype(np.intp)
+        if counts.max(initial=0) > _MAX_NODES:
+            i = int(np.argmax(counts))
+            raise ConvergenceError(
+                f"K quadrature for nu={float(nu[i])}, x={float(x[i])} did not converge "
+                f"within {_MAX_NODES} nodes"
+            )
+        total = h * _node_sums(x, nu, ln_peak, h, counts)
+        done = np.abs(total - previous) <= _REL_TOL * np.abs(total)
+        # K_nu(x) = e^{-x} * exp(ln_peak) * total
+        ln_total = np.array([math.log(v) for v in total[done].tolist()])
+        out[idx[done]] = ln_peak[done] + ln_total - x[done]
+        keep = ~done
+        idx, x, nu, ln_peak, t_hi, previous, h = (
+            a[keep] for a in (idx, x, nu, ln_peak, t_hi, total, 0.5 * h))
+        if not idx.size:
+            return out
     raise ConvergenceError(
-        f"K quadrature for nu={nu}, x={x} did not converge"
+        f"K quadrature for nu={float(nu[0])}, x={float(x[0])} did not converge"
     )
 
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from gkrevival import specfun
 from gkrevival.cli import RunConfig, figure_bundle, main, read_dataset, run
 
 
@@ -109,6 +110,7 @@ def test_overlap_sweep(tmp_path):
         ["autocorr", "--t-max", "inf"],
         ["mandel", "--j-max", "inf"],
         ["unity", "--abs-tol", "inf"],
+        ["unity", "--mu", "1e-200", "--n-max", "2"],
     ],
 )
 def test_validation_exit_2(args, capsys):
@@ -156,6 +158,16 @@ def test_nonconvergence_exit_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "converge" in captured.err
+
+
+def test_large_mu_unity_exit_3(monkeypatch, capsys):
+    # ln K at large order and tiny argument reaches the kernel's node cap
+    # (lowered here to keep the test short): a loud failure rather than
+    # gigabytes of trapezoid nodes
+    monkeypatch.setattr(specfun, "_MAX_NODES", 1 << 20)
+    assert main(["unity", "--mu", "1e5", "--n-max", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "did not converge" in captured.err
 
 
 def test_run_config_direct(tmp_path):

@@ -1,23 +1,28 @@
 """Measure tests: density positivity and normalization, the k = N^2 rho
 identity, moment quadrature against the ladder products, and the
-substitution cross-check."""
+substitution cross-check against SciPy's adaptive quadrature."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkrevival import measure
+from gkrevival.cli import main
 from gkrevival.gkstate import build_state
 from gkrevival.measure import (
     MomentReport,
     QuadratureConfig,
-    _run_quad,
     _u_window,
     density_rho,
     measure_k,
     moment_check,
+    moment_checks,
     moment_integral,
 )
+from gkrevival.specfun import ConvergenceError
 from gkrevival.spectrum import SpectrumParams, moment_rho
 
 # 30-digit oracle: 4 K_2(2 sqrt 2) by integral-representation quadrature
@@ -116,11 +121,15 @@ def test_high_moment():
 
 
 def _moment_integral_in_j(n, p, cfg=QuadratureConfig()):
-    # Oracle: the same moment integrated directly in J over the window
-    # the library uses in u = 2 sqrt(J mu) (slower, root-type endpoint).
+    # Oracle: SciPy's adaptive quadrature of the same moment directly in J
+    # over the window the library uses in u = 2 sqrt(J mu) (slower,
+    # root-type endpoint), with the peak as a break point.
+    from scipy.integrate import quad
+
     mu = p.mu
     ln_shift = moment_rho(n, p)
-    u_peak, u_max = _u_window(n, mu, ln_shift, cfg)
+    u_max = _u_window(np.array([float(n)]), mu, np.array([ln_shift]), cfg)
+    u_peak = 2.0 * n + mu + 0.5
 
     def f(J):
         if J <= 0.0:
@@ -130,7 +139,10 @@ def _moment_integral_in_j(n, p, cfg=QuadratureConfig()):
 
     j_peak = u_peak * u_peak / (4.0 * mu)
     j_max = u_max * u_max / (4.0 * mu)
-    return _run_quad(f, 0.0, j_max, [j_peak], cfg) * math.exp(ln_shift)
+    out = quad(f, 0.0, j_max, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200,
+               points=[j_peak], full_output=1)
+    assert len(out) == 3, out[3]
+    return out[0] * math.exp(ln_shift)
 
 
 @pytest.mark.parametrize("mu", [2.0, 28.0])
@@ -140,3 +152,40 @@ def test_substitution_consistency(mu, n):
     a = moment_integral(n, p)
     b = _moment_integral_in_j(n, p)
     assert math.isclose(a, b, rel_tol=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mu=st.floats(min_value=0.5, max_value=80.0), n_max=st.integers(0, 20))
+def test_moments_meet_1e12(mu, n_max):
+    reps = moment_checks(range(n_max + 1), SpectrumParams(mu=mu))
+    assert [r.n for r in reps] == list(range(n_max + 1))
+    assert max(r.rel_err for r in reps) <= 1e-12
+
+
+def test_moment_checks_match_single_rho():
+    # the batch shares one window, so its integrals may differ from the
+    # single-moment calls in the last digits, but rho_n is the same number
+    p = SpectrumParams(mu=28.0)
+    batch = moment_checks(range(6), p)
+    for n, rep in enumerate(batch):
+        single = moment_check(n, p)
+        assert rep.rho_n == single.rho_n
+        assert math.isclose(rep.integral, single.integral, rel_tol=1e-12)
+
+
+def test_rho_overflow_is_value_error():
+    # rho_2 = 2 Gamma(3 + mu) / (mu^2 Gamma(1 + mu)) ~ 4e400 at mu = 1e-200
+    with pytest.raises(ValueError, match="overflows"):
+        moment_checks(range(3), SpectrumParams(mu=1e-200))
+
+
+def test_level_cap_exits_3(monkeypatch, tmp_path, capsys):
+    # with one halving the two levels cannot agree: a loud failure, no rows
+    monkeypatch.setattr(measure, "_MAX_LEVELS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        moment_check(3, SpectrumParams(mu=28.0))
+    out = tmp_path / "u.csv"
+    assert main(["unity", "--mu", "28", "--n-max", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "converge" in captured.err

@@ -164,6 +164,17 @@ def test_series_cap_error(monkeypatch):
         ln_bessel_i(0.0, 600.0)
 
 
+def test_k_node_cap_error(monkeypatch):
+    # at nu = 1e5, x = 1e-9 rounding in L(t) - L(t_peak) (nu * t_peak is
+    # about 2.8e6) keeps sweeps from agreeing; the node cap turns what
+    # would be gigabytes of nodes into a loud error, for an array too
+    monkeypatch.setattr(specfun, "_MAX_NODES", 1 << 14)
+    with pytest.raises(ConvergenceError, match="within 16384 nodes"):
+        ln_bessel_k(1e5, 1e-9)
+    with pytest.raises(ConvergenceError, match="nu=100000.0, x=1e-09"):
+        ln_bessel_k(1e5, np.array([1e5, 1e-9]))
+
+
 def test_k_domain_error():
     with pytest.raises(ValueError):
         bessel_k_scaled(1.0, 0.0)
@@ -238,3 +249,86 @@ def test_ln_bessel_k_matches_scipy_kve(nu, log_x):
         return
     ref = math.log(k)
     assert abs(ln_bessel_k(nu, x) + x - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _ln_bessel_k_scalar_reference(nu, x):
+    # The one-element trapezoid exactly as it was written before the array
+    # form: the bit-level reference for scalar ln_bessel_k.
+    def ln_f(t):
+        shifted = -x * 2.0 * np.sinh(0.5 * t) ** 2
+        if nu > 0.0:
+            a = np.abs(nu * t)
+            shifted = shifted + (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
+        return shifted
+
+    t_peak = math.asinh(nu / x) if nu > 0.0 else 0.0
+    ln_peak = float(ln_f(np.array(t_peak)))
+    t_hi = t_peak + 1.0
+    while float(ln_f(np.array(t_hi))) > ln_peak - 50.0:
+        t_hi += 1.0
+    h = min(0.5, 1.5 / (x * x + nu * nu) ** 0.25)
+    previous = None
+    for _ in range(24):
+        t = np.arange(0.0, t_hi + h, h)
+        vals = np.exp(ln_f(t) - ln_peak)
+        vals[0] *= 0.5
+        total = h * float(vals.sum())
+        if previous is not None and abs(total - previous) <= 1e-12 * abs(total):
+            return ln_peak + math.log(total) - x
+        previous = total
+        h *= 0.5
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("nu", [0.0, 1e-200, 0.5, 2.5, 28.0, 80.0, 100.0])
+def test_ln_bessel_k_scalar_bit_identical(nu):
+    for x in (1e-12, 1e-3, 0.3, 5.0, 56.6, 130.0, 1e3, 2e4):
+        assert ln_bessel_k(nu, x) == _ln_bessel_k_scalar_reference(nu, x)
+
+
+def test_ln_bessel_k_blocks_do_not_change_bits(monkeypatch):
+    # with NumPy's smallest pairwise block, long elements go through the
+    # split sum and arrays through many blocks; no value may move
+    nu = np.repeat([0.0, 2.5, 80.0, 100.0], 4)
+    x = np.tile([1e-3, 0.3, 56.6, 2e4], 4)
+    ref = [_ln_bessel_k_scalar_reference(a, b) for a, b in zip(nu, x)]
+    monkeypatch.setattr(specfun, "_BLOCK_NODES", 128)
+    assert ln_bessel_k(nu, x).tolist() == ref
+    assert [ln_bessel_k(a, b) for a, b in zip(nu, x)] == ref
+
+
+_K_POINT = st.tuples(
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=math.log(1e-3), max_value=math.log(2e4)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(_K_POINT, min_size=1, max_size=50))
+def test_ln_bessel_k_array_equals_scalar(points):
+    from scipy.special import kve
+
+    nu = np.array([p[0] for p in points])
+    x = np.exp(np.array([p[1] for p in points]))
+    got = ln_bessel_k(nu, x)
+    assert got.shape == x.shape
+    for a, b, v in zip(nu.tolist(), x.tolist(), got.tolist()):
+        assert v == ln_bessel_k(a, b)
+        k = float(kve(a, b))
+        if math.isfinite(k) and k > 0.0:
+            ref = math.log(k) - b
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_ln_bessel_k_array_forms():
+    x = np.array([[0.5, 5.0], [50.0, 500.0]])
+    got = ln_bessel_k(2.5, x)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 2)
+    assert got[1, 0] == ln_bessel_k(2.5, 50.0)
+    assert isinstance(ln_bessel_k(2.5, 5.0), float)
+    assert ln_bessel_k(2.5, np.array([])).shape == (0,)
+    # the first element out of the domain is the one reported
+    with pytest.raises(ValueError, match=r"argument must be > 0, got -2\.0"):
+        ln_bessel_k(1.0, np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        ln_bessel_k(np.array([1.0, math.nan]), 3.0)
