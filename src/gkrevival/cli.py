@@ -17,6 +17,10 @@ place a dataset command's flags are declared; the parser and the
 preamble are read from it, and `_FIGURES` lists each figure's datasets.
 Times are given and reported in revival-time units; `timescales`
 reports the physical conversion.
+
+`mandel` and `timescales` evaluate their closed forms in (J, mu)
+directly and build no state: `--tail-tol` is still validated and
+recorded in their preamble, but it does not change their rows.
 """
 
 import argparse
@@ -28,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gkstate import build_state, mandel_q, mean_n, overlap
+from .gkstate import _mandel_q, _mean_n, build_state, overlap
 from .measure import QuadratureConfig, moment_checks
 from .revival import _diagonal, _intensities, _interference, channel_amplitudes
 from .specfun import ConvergenceError
@@ -73,12 +77,30 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+def _lines(rows: list) -> list:
+    # A table of equal-length rows is formatted a column at a time: an
+    # all-float column becomes one "%.17g" field of a per-row template,
+    # which prints what _fmt prints without its per-cell type dispatch;
+    # any other column goes through _fmt cell by cell.
+    if len({len(r) for r in rows}) != 1 or len(rows[0]) == 0:
+        return [",".join(map(_fmt, r)) + "\n" for r in rows]
+    cols, fields = [], []
+    for cells in zip(*rows):
+        if all(isinstance(v, (float, np.floating)) for v in cells):
+            cols.append(np.array(cells, dtype=float).tolist())
+            fields.append("%.17g")
+        else:
+            cols.append([_fmt(v) for v in cells])
+            fields.append("%s")
+    line = ",".join(fields) + "\n"
+    return [line % cells for cells in zip(*cols)]
+
+
 def write_dataset(stream, params: dict, header: list, rows) -> None:
     """Comment preamble, header, rows; keys sorted for determinism."""
     stream.write("# " + " ".join(f"{k}={_fmt(params[k])}" for k in sorted(params)) + "\n")
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    stream.write("".join(_lines(list(rows))))
 
 
 def read_dataset(path: str):
@@ -127,11 +149,8 @@ def _rows_weights(cfg: RunConfig):
 
 
 def _rows_mandel(cfg: RunConfig):
-    p = _params(cfg)
-    rows = []
-    for j in _sweep_grid(cfg.j_max, cfg.points):
-        s = build_state(float(j), 0.0, p, cfg.tail_tol)
-        rows.append((j, mandel_q(s)))
+    # the closed form in (J, mu): no state per sweep point
+    rows = [(j, _mandel_q(float(j), cfg.mu)) for j in _sweep_grid(cfg.j_max, cfg.points)]
     return ["j", "mandel_q"], rows
 
 
@@ -183,8 +202,7 @@ def _rows_overlap(cfg: RunConfig):
 
 def _rows_timescales(cfg: RunConfig):
     p = _params(cfg)
-    s = build_state(cfg.j, 0.0, p, cfg.tail_tol)
-    n_bar = mean_n(s)
+    n_bar = _mean_n(cfg.j, cfg.mu)
     ts = time_scales(n_bar, p)
     ratio = ts.t_revival / ts.t_classical
     return (

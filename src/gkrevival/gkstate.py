@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dd import phase_factors, quadratic_in_n
+from ._dd import _check_cycles, phase_factors, quadratic_in_n
 from .specfun import ConvergenceError, bessel_i_ratio, ln_bessel_i, ln_gamma
 from .spectrum import SpectrumParams, moment_rho_array
 
@@ -40,6 +40,11 @@ __all__ = [
 
 _HARD_CAP = 10**6
 _TWO_PI = 2.0 * math.pi
+# Q = sqrt(J mu) (r2 - r1) subtracts two Bessel ratios near 1.  Against
+# 40-digit arithmetic its absolute error is about 2e-8 at J mu = 1e12,
+# 8e-8 at 1e14 and 7e-6 at 1e16; truncated states end near J mu = 1e12
+# too, where n_max reaches _HARD_CAP.
+_MANDEL_JMU_MAX = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,17 +178,23 @@ def weight(n: int, state: CoherentState) -> float:
     return float(math.exp(state.ln_weights[n]))
 
 
+def _mean_n(J: float, mu: float) -> float:
+    # the one evaluation of <n>; J = 0 is the ground state
+    if J == 0.0:
+        return 0.0
+    y = 2.0 * math.sqrt(J * mu)
+    return 0.5 * y * bessel_i_ratio(mu, y)
+
+
 def mean_n(state: CoherentState) -> float:
     """<n> in closed form, sqrt(J mu) I_{mu+1}/I_mu at 2 sqrt(J mu);
 
-    always below sqrt(J mu) since the ratio is below one.  The direct
-    sum over the weights is the oracle this must agree with.
+    always below sqrt(J mu) since the ratio is below one.  Evaluated by
+    ``_mean_n(J, mu)``, the single path (the CLI calls it without a
+    state); the direct sum over the weights is the oracle this must
+    agree with.
     """
-    if state.J == 0.0:
-        return 0.0
-    mu = state.params.mu
-    y = 2.0 * math.sqrt(state.J * mu)
-    return 0.5 * y * bessel_i_ratio(mu, y)
+    return _mean_n(state.J, state.params.mu)
 
 
 def mean_energy(state: CoherentState) -> float:
@@ -193,21 +204,36 @@ def mean_energy(state: CoherentState) -> float:
     return float(np.exp(state.ln_weights) @ (n * (n + mu) / mu))
 
 
+def _mandel_q(J: float, mu: float) -> float:
+    # the one evaluation of Q; raises for the ground state and past the
+    # cancellation bound
+    if J == 0.0:
+        raise ValueError("Mandel Q is undefined for the ground state (J = 0)")
+    if J * mu > _MANDEL_JMU_MAX:
+        raise ConvergenceError(
+            f"Mandel Q is served for J*mu <= {_MANDEL_JMU_MAX:g}, where cancellation "
+            f"stays below 1e-7; got J*mu = {J * mu:.3g}"
+        )
+    y = 2.0 * math.sqrt(J * mu)
+    r1 = bessel_i_ratio(mu, y)
+    r2 = bessel_i_ratio(mu + 1.0, y)
+    return 0.5 * y * (r2 - r1)
+
+
 def mandel_q(state: CoherentState) -> float:
     """Mandel parameter Q = <(dn)^2>/<n> - 1 in closed form,
 
     Q = sqrt(J mu) * (I_{mu+2}/I_{mu+1} - I_{mu+1}/I_mu)(2 sqrt(J mu)),
 
     independent of the truncation.  Negative for all J > 0 on this
-    ladder (sub-Poissonian statistics).  Undefined at J = 0.
+    ladder (sub-Poissonian statistics).  Undefined at J = 0 (ValueError);
+    raises ConvergenceError past J mu = 1e12, where cancellation in the
+    ratio difference would exceed 1e-7 (no state is built that far).
+    Evaluated
+    by ``_mandel_q(J, mu)``, the single path (the CLI's J sweeps call it
+    without building states).
     """
-    if state.J == 0.0:
-        raise ValueError("Mandel Q is undefined for the ground state (J = 0)")
-    mu = state.params.mu
-    y = 2.0 * math.sqrt(state.J * mu)
-    r1 = bessel_i_ratio(mu, y)
-    r2 = bessel_i_ratio(mu + 1.0, y)
-    return 0.5 * y * (r2 - r1)
+    return _mandel_q(state.J, state.params.mu)
 
 
 def evolve(state: CoherentState, t: float) -> CoherentState:
@@ -223,6 +249,8 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     The series runs to the larger of the two truncation indices; since
     each term is the geometric mean of the two weight sequences, the
     neglected tail is no larger than the mean of the two state tails.
+    Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
+    the phase reduction bound of ``_dd`` (1e20).
     """
     if s1.params != s2.params:
         raise ValueError("overlap requires both states on the same ladder parameters")
@@ -237,7 +265,9 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     # reduced mod 1 against dgamma / (2 pi mu) before the 2 pi multiply.
     mu = s1.params.mu
     m_hi, m_lo = quadratic_in_n(np.arange(n_up + 1, dtype=float), mu)
-    phases = phase_factors(m_hi, m_lo, (s2.gamma - s1.gamma) / (_TWO_PI * mu))
+    t = (s2.gamma - s1.gamma) / (_TWO_PI * mu)
+    _check_cycles(m_hi[-1], abs(t))
+    phases = phase_factors(m_hi, m_lo, t)
     terms = np.exp(ln_a - c) * phases
     scale = math.exp(c - 0.5 * (s1.ln_norm_sq + s2.ln_norm_sq))
     return complex(terms.sum() * scale)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dd import mul_frac, phase_factors, quadratic_in_n
+from ._dd import _check_cycles, mul_frac, phase_factors, quadratic_in_n
 from .gkstate import CoherentState
 
 __all__ = [
@@ -112,13 +112,16 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     """(T, q) complex matrix: column Delta holds P_Delta(t_k).
 
     q = 1 gives A(t_k) in the single column.  The grid is evaluated in
-    blocks of _BLOCK_LEVEL_POINTS grid-point x level terms.
+    blocks of _BLOCK_LEVEL_POINTS grid-point x level terms.  Raises
+    ValueError when (mu n_max + n_max^2) max|t| exceeds the phase
+    reduction bound of ``_dd`` (1e20).
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"q must be an integer >= 1, got {q}")
     t = _grid(t_grid)
     n = np.arange(state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
+    _check_cycles(m_hi[-1], np.abs(t).max(initial=0.0))
     w = np.exp(state.ln_weights)
     out = np.empty((len(t), q), dtype=complex)
     rows = max(1, _BLOCK_LEVEL_POINTS // len(n))

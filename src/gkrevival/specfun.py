@@ -292,6 +292,12 @@ def bessel_k_scaled(nu: float, x: float) -> float:
     return math.exp(ln_scaled)
 
 
+# The modified-Lentz start below (tiny = 1e-300) overflows to inf once
+# 2(nu+1)/x falls under about 5.6e-9, past x = 3.6e8 (nu+1); the ratio is
+# served up to x = 1e8 (nu+1), at most about 5e5 steps for nu <= 80.
+_RATIO_X_PER_ORDER = 1e8
+
+
 def bessel_i_ratio(nu: float, x: float) -> float:
     r"""The consecutive-order ratio :math:`I_{\nu+1}(x)/I_\nu(x)`.
 
@@ -303,11 +309,17 @@ def bessel_i_ratio(nu: float, x: float) -> float:
 
     evaluated with the modified Lentz algorithm.  The ratio lies in
     ``(0, 1)`` for every ``x > 0`` and tends to ``x / (2(nu+1))`` as
-    ``x -> 0``.
+    ``x -> 0``.  Raises ConvergenceError past ``x = 1e8 (nu + 1)``, where
+    the first Lentz step would overflow.
     """
     _check_domain(nu, x)
     if x == 0.0:
         return 0.0
+    if x > _RATIO_X_PER_ORDER * (nu + 1.0):
+        raise ConvergenceError(
+            f"ratio continued fraction for nu={nu} serves x <= "
+            f"{_RATIO_X_PER_ORDER * (nu + 1.0):.3g}, got x={x}"
+        )
 
     tiny = 1e-300
     f = tiny

@@ -1,13 +1,30 @@
 """CLI tests: dataset schema, determinism, exit codes, figure bundles,
-and round-tripping through the bundled reader."""
+the state-free sweep rows against the state path, the column-wise CSV
+writer against a per-cell oracle, and round-tripping through the bundled
+reader."""
 
+import io
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkrevival import specfun
-from gkrevival.cli import RunConfig, figure_bundle, main, read_dataset, run
+from gkrevival import _dd, specfun
+from gkrevival.cli import (
+    RunConfig,
+    _rows_mandel,
+    _rows_timescales,
+    figure_bundle,
+    main,
+    read_dataset,
+    run,
+    write_dataset,
+)
+from gkrevival.gkstate import build_state, mandel_q, mean_n
+from gkrevival.spectrum import SpectrumParams, time_scales
 
 
 def _lines(path):
@@ -233,3 +250,148 @@ def test_figure_command(tmp_path, capsys):
         "fig3_autocorr_mu28.csv",
         "fig3_autocorr_mu80.csv",
     ]
+
+
+# mu from integers and non-integers in [0.5, 80]
+_mu = st.one_of(
+    st.integers(min_value=1, max_value=80).map(float),
+    st.floats(min_value=0.5, max_value=80.0).filter(lambda m: not m.is_integer()),
+)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mu=_mu, j_max=_log_uniform(1e-3, 1e4), points=st.integers(min_value=2, max_value=300))
+def test_mandel_rows_equal_state_path(mu, j_max, points):
+    cfg = RunConfig(command="mandel", mu=mu, j_max=j_max, points=points)
+    header, rows = _rows_mandel(cfg)
+    p = SpectrumParams(mu=mu)
+    grid = np.linspace(j_max / points, j_max, points)
+    ref = [(j, mandel_q(build_state(float(j), 0.0, p, cfg.tail_tol))) for j in grid]
+    assert header == ["j", "mandel_q"]
+    assert rows == ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=_mu, j=st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)))
+def test_timescales_rows_equal_state_path(mu, j):
+    cfg = RunConfig(command="timescales", j=j, mu=mu)
+    p = SpectrumParams(mu=mu)
+    n_bar = mean_n(build_state(j, 0.0, p, cfg.tail_tol))
+    ts = time_scales(n_bar, p)
+    ref = (j, mu, 1.0, n_bar, ts.t_classical, ts.t_revival, ts.t_revival / ts.t_classical)
+    assert _rows_timescales(cfg)[1] == [ref]
+
+
+def test_timescales_without_state(tmp_path):
+    # no state is built, so a J whose weight tail the truncation walk
+    # cannot close within its level cap still has its closed form
+    out = tmp_path / "t.csv"
+    assert main(["timescales", "--j", "1e12", "--mu", "80", "--out", str(out)]) == 0
+    _, _, rows = read_dataset(str(out))
+    j, mu, _, n_bar, _, _, ratio = rows[0]
+    assert j == 1e12 and n_bar < math.sqrt(j * mu)
+    assert math.isclose(ratio, 2.0 * n_bar + mu, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    # past the ratio continued fraction's range (x = 1e8 (mu + 1)) and past
+    # Q's cancellation bound (J mu = 1e12): exit 3 at once, as a state
+    # walk would at its level cap, only later
+    ["timescales", "--j", "1e300"],
+    ["timescales", "--j", "1e20", "--mu", "80"],
+    ["mandel", "--j-max", "1e11", "--mu", "80", "--points", "3"],
+])
+def test_closed_form_range_exit_3(args, capsys):
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+def test_phase_bound_exit_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["autocorr", "--mu", "28.3", "--t-max", "1e25", "--out", str(out)]) == 2
+    assert not out.exists() and "1e+20" in capsys.readouterr().err
+    # just inside the bound the rows are those computed without it
+    s = build_state(10.0, 0.0, SpectrumParams(mu=28.3))
+    n = float(s.n_max)
+    t_in = repr(0.999 * _dd._MAX_CYCLES / (28.3 * n + n * n))
+    args = ["autocorr", "--mu", "28.3", "--t-max", t_in, "--points", "9", "--out"]
+    assert main(args + [str(out)]) == 0
+    monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
+    free = tmp_path / "free.csv"
+    assert main(args + [str(free)]) == 0
+    assert out.read_bytes() == free.read_bytes()
+
+
+def _fmt_cell(v):
+    if isinstance(v, (bool, str)):
+        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def _write_per_cell(stream, params, header, rows):
+    # the writer before column-wise formatting: the byte oracle
+    stream.write("# " + " ".join(f"{k}={_fmt_cell(params[k])}" for k in sorted(params)) + "\n")
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(_fmt_cell(v) for v in row) + "\n")
+
+
+_SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1, 1e16]
+_TABLES = {
+    "int": [(k,) for k in (0, -3, 2**70)],
+    "np.int64": [(np.int64(k),) for k in (0, -3, 2**62)],
+    "float": [(v,) for v in _SPECIAL],
+    "np.float64": [(np.float64(v),) for v in _SPECIAL],
+    "np.float32": [(np.float32(v),) for v in (0.1, -0.0, math.inf)],
+    "mixed int/float": [(1,), (1.5,), (np.int64(2),), (np.float64(-0.0),)],
+    "bool cell": [(1.0, True), (2.0, 0.5)],
+    "str cell": [(0.5, "x%s"), (1.5, "y")],
+    "columns": [(n, np.float64(v), v, np.int64(n)) for n, v in enumerate(_SPECIAL)],
+    "ragged": [(1.0, 2.0), (3.0,)],
+    "zero width": [(), ()],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_write_dataset_matches_per_cell(kind):
+    rows = _TABLES[kind]
+    params = {"command": "x", "mu": 28.5, "points": 3, "flag": True}
+    header = ["a", "b", "c", "d"][: len(rows[0]) if rows else 1]
+    got, want = io.StringIO(), io.StringIO()
+    write_dataset(got, params, header, rows)
+    _write_per_cell(want, params, header, rows)
+    assert got.getvalue() == want.getvalue()
+    # a generator of rows writes the same bytes
+    again = io.StringIO()
+    write_dataset(again, params, header, iter(rows))
+    assert again.getvalue() == want.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.integers()), max_size=20))
+def test_write_dataset_matches_per_cell_random(rows):
+    rows = [(a, np.float32(b), k) for a, b, k in rows]
+    got, want = io.StringIO(), io.StringIO()
+    write_dataset(got, {"k": 1}, ["a", "b", "k"], rows)
+    _write_per_cell(want, {"k": 1}, ["a", "b", "k"], rows)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_write_dataset_round_trip(tmp_path):
+    rows = _TABLES["columns"]
+    path = tmp_path / "d.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_dataset(fh, {"command": "x", "mu": 28.5}, ["n", "a", "b", "m"], rows)
+    params, header, back = read_dataset(str(path))
+    assert params == {"command": "x", "mu": 28.5}
+    assert header == ["n", "a", "b", "m"]
+    assert [[repr(float(v)) for v in r] for r in back] == \
+        [[repr(float(v)) for v in r] for r in rows]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkrevival import gkstate
 from gkrevival.gkstate import (
     CoherentState,
     build_state,
@@ -20,7 +21,7 @@ from gkrevival.gkstate import (
     weight,
     weights,
 )
-from gkrevival.specfun import ln_bessel_i
+from gkrevival.specfun import ConvergenceError, ln_bessel_i
 from gkrevival.spectrum import SpectrumParams, moment_rho
 
 J_GRID = [0.1, 1.0, 10.0]
@@ -163,6 +164,16 @@ def test_mandel_closed_vs_moments(J, mu):
 def test_sub_poissonian_sweep(mu):
     for J in np.linspace(0.5, 50.0, 100):
         assert mandel_q(_state(float(J), mu)) < 0.0
+
+
+def test_mandel_q_cancellation_bound():
+    # served up to J mu = 1e12; past it Q's ratio difference would lose
+    # more than 1e-7 to cancellation
+    mu = 80.0
+    assert -0.5 < gkstate._mandel_q(1e12 / mu, mu) < -0.49
+    with pytest.raises(ConvergenceError, match="J\\*mu <= 1e\\+12"):
+        gkstate._mandel_q(1.01e12 / mu, mu)
+    assert gkstate._mean_n(1e14, mu) < math.sqrt(1e14 * mu)
 
 
 def test_mandel_small_j_limit():

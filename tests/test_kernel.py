@@ -1,6 +1,7 @@
 """Channel-amplitude kernel tests: the block-vectorised kernel against a
 per-grid-point reference loop, block boundaries, the channel sum rule,
-and exact agreement wherever the CSV datasets depend on it."""
+exact agreement wherever the CSV datasets depend on it, and the phase
+reduction bound."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkrevival import revival
+from gkrevival import _dd, revival
 from gkrevival._dd import mul_frac, quadratic_in_n
 from gkrevival.gkstate import build_state, evolve, overlap
 from gkrevival.revival import channel_amplitudes
@@ -136,3 +137,34 @@ def test_ground_state_and_physical_time():
     for k, tk in enumerate(tau):
         assert abs(overlap(s, evolve(s, tk * t_rev)) - a[k]) < 1e-12
 
+
+
+def _bound_t(s):
+    # the largest |t| the reduction accepts for this state's top level
+    n = float(s.n_max)
+    return _dd._MAX_CYCLES / (s.params.mu * n + n * n)
+
+
+def test_phase_bound_kernel(monkeypatch):
+    s = _state(10.0, 28.3)
+    t_in = _bound_t(s) * (1.0 - 1e-9)
+    grid = np.linspace(0.0, t_in, 7)
+    inside = channel_amplitudes(s, 3, -grid)
+    with pytest.raises(ValueError, match="1e\\+20"):
+        channel_amplitudes(s, 3, [0.0, 1.1 * _bound_t(s)])
+    with pytest.raises(ValueError):
+        channel_amplitudes(s, 1, [-1e25])
+    # inside the bound the check changes nothing
+    monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
+    assert np.array_equal(channel_amplitudes(s, 3, -grid), inside)
+
+
+def test_phase_bound_overlap(monkeypatch):
+    # physical time: revival units times t_rev
+    s = _state(10.0, 28.3)
+    t = _bound_t(s) * revival_time(s.params)
+    inside = overlap(s, evolve(s, -0.999 * t))
+    with pytest.raises(ValueError):
+        overlap(s, evolve(s, 1.001 * t))
+    monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
+    assert overlap(s, evolve(s, -0.999 * t)) == inside

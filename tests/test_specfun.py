@@ -215,6 +215,17 @@ def test_far_past_a_fixed_budget():
     assert math.isclose(bessel_i_ratio(80.0, 2e6), ratio, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [0.0, 2.0])
+def test_ratio_lentz_range(nu):
+    # served up to x = 1e8 (nu + 1), against 1 - (nu + 1/2)/x whose next
+    # term is O(1/x^2); past about 3.6e8 (nu + 1) the first Lentz step
+    # would overflow and the fraction would come back as inf
+    x = 1e8 * (nu + 1.0)
+    assert math.isclose(bessel_i_ratio(nu, x), 1.0 - (nu + 0.5) / x, rel_tol=1e-12)
+    with pytest.raises(ConvergenceError, match="serves x <="):
+        bessel_i_ratio(nu, 3.7e8 * (nu + 1.0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     nu=st.floats(min_value=0.0, max_value=100.0),
