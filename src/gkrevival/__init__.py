@@ -1,112 +1,18 @@
 """Coherent states on the quadratic energy ladder e_n = n(n+mu)/mu and
 their revival dynamics: state construction, time-domain analysis,
-measure verification, and a CSV-producing command line."""
+measure verification, and a CSV-producing command line.
 
-from .specfun import (
-    ConvergenceError,
-    bessel_i_ratio,
-    bessel_i_scaled,
-    bessel_k_scaled,
-    ln_bessel_i,
-    ln_bessel_k,
-    ln_gamma,
-    wronskian_residual,
-)
-from .spectrum import (
-    SpectrumParams,
-    TimeScales,
-    classical_period,
-    energy_level,
-    moment_rho,
-    moment_rho_array,
-    revival_time,
-    time_scales,
-)
-from .gkstate import (
-    CoherentState,
-    build_state,
-    evolve,
-    mandel_q,
-    mean_energy,
-    mean_n,
-    normalization_sq,
-    overlap,
-    weight,
-    weights,
-)
-from .revival import (
-    FractionalDecomposition,
-    PhaseGroupReport,
-    TimeSeries,
-    autocorrelation,
-    autocorrelation_series,
-    channel_amplitudes,
-    diagonal_term,
-    fractional_decomposition,
-    interference_term,
-    phase,
-    phase_group_check,
-    survival_fraction,
-    survival_fraction_series,
-)
-from .measure import (
-    MomentReport,
-    QuadratureConfig,
-    density_rho,
-    measure_k,
-    moment_check,
-    moment_checks,
-    moment_integral,
-)
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports exactly their union."""
+
+from . import specfun, spectrum, gkstate, revival, measure
+from .specfun import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
+from .gkstate import *  # noqa: F401,F403
+from .revival import *  # noqa: F401,F403
+from .measure import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "bessel_i_ratio",
-    "bessel_i_scaled",
-    "bessel_k_scaled",
-    "ln_bessel_i",
-    "ln_bessel_k",
-    "ln_gamma",
-    "wronskian_residual",
-    "SpectrumParams",
-    "TimeScales",
-    "classical_period",
-    "energy_level",
-    "moment_rho",
-    "moment_rho_array",
-    "revival_time",
-    "time_scales",
-    "CoherentState",
-    "build_state",
-    "evolve",
-    "mandel_q",
-    "mean_energy",
-    "mean_n",
-    "normalization_sq",
-    "overlap",
-    "weight",
-    "weights",
-    "FractionalDecomposition",
-    "PhaseGroupReport",
-    "TimeSeries",
-    "autocorrelation",
-    "autocorrelation_series",
-    "channel_amplitudes",
-    "diagonal_term",
-    "fractional_decomposition",
-    "interference_term",
-    "phase",
-    "phase_group_check",
-    "survival_fraction",
-    "survival_fraction_series",
-    "MomentReport",
-    "QuadratureConfig",
-    "density_rho",
-    "measure_k",
-    "moment_check",
-    "moment_checks",
-    "moment_integral",
-    "__version__",
-]
+__all__ = [*specfun.__all__, *spectrum.__all__, *gkstate.__all__, *revival.__all__,
+           *measure.__all__, "__version__"]

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gkstate import _mandel_q, _mean_n, build_state, overlap
-from .measure import QuadratureConfig, moment_checks
+from .gkstate import _TAIL_TOL, _TAIL_TOL_MAX, _mandel_q, _mean_n, build_state, overlap
+from .measure import _MAX_N, QuadratureConfig, moment_checks
 from .revival import _diagonal, _intensities, _interference, channel_amplitudes
 from .specfun import ConvergenceError
 from .spectrum import SpectrumParams, time_scales
@@ -62,9 +62,9 @@ class RunConfig:
     points: int = 2001
     n_max: int = 5
     j_max: float = 20.0
-    tail_tol: float = 1e-14
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
+    tail_tol: float = _TAIL_TOL
+    abs_tol: float = QuadratureConfig.abs_tol
+    rel_tol: float = QuadratureConfig.rel_tol
     out_path: str = "-"
     figure: Optional[int] = None
 
@@ -264,11 +264,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError(f"--q must be >= 2, got {cfg.q}")
     if not 0 <= cfg.delta < cfg.q:
         raise ValueError(f"--delta must lie in [0, q), got {cfg.delta}")
-    if not 0 <= cfg.n_max <= 20:
-        raise ValueError(f"--n-max must lie in [0, 20], got {cfg.n_max}")
+    if not 0 <= cfg.n_max <= _MAX_N:
+        raise ValueError(f"--n-max must lie in [0, {_MAX_N}], got {cfg.n_max}")
     if not 0.0 < cfg.j_max < math.inf:
         raise ValueError(f"--j-max must be finite and > 0, got {cfg.j_max}")
-    if not 0.0 < cfg.tail_tol <= 1e-6:
+    if not 0.0 < cfg.tail_tol <= _TAIL_TOL_MAX:
         raise ValueError(f"--tail-tol must lie in (0, 1e-6], got {cfg.tail_tol}")
     if not (0.0 < cfg.abs_tol < math.inf and 0.0 < cfg.rel_tol < math.inf):
         raise ValueError("--abs-tol and --rel-tol must be finite and > 0")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dd import _check_cycles, phase_factors, quadratic_in_n
+from ._dd import _TWO_PI, _check_cycles, phase_factors, quadratic_in_n
 from .specfun import ConvergenceError, bessel_i_ratio, ln_bessel_i, ln_gamma
 from .spectrum import SpectrumParams, moment_rho_array
 
@@ -39,7 +39,9 @@ __all__ = [
 ]
 
 _HARD_CAP = 10**6
-_TWO_PI = 2.0 * math.pi
+# build_state's default tail tolerance and the largest it accepts
+_TAIL_TOL = 1e-14
+_TAIL_TOL_MAX = 1e-6
 # Q = sqrt(J mu) (r2 - r1) subtracts two Bessel ratios near 1.  Against
 # 40-digit arithmetic its absolute error is about 2e-8 at J mu = 1e12,
 # 8e-8 at 1e14 and 7e-6 at 1e16; truncated states end near J mu = 1e12
@@ -67,11 +69,13 @@ class CoherentState:
 
 def _truncation_index(J: float, mu: float, tail_tol: float) -> int:
     # Walk the term ratio r_n = J mu / ((n+1)(n+1+mu)) past the weight
-    # peak until both geometric tail bounds fall below tail_tol of the
-    # largest term (a lower bound on the full sum): the plain mass tail
-    # a_n r/(1-r) and the energy-weighted tail a_n e_{n+1} r/(1-rg),
-    # g the energy growth ratio.  The second keeps the action identity
-    # accurate to O(tail_tol) even though e_n grows like n^2/mu.
+    # peak until the energy-weighted geometric tail bound
+    # a_n e_{n+1} r/(1-s), s = r g with g the energy growth ratio, falls
+    # below tail_tol of the largest term (a lower bound on the full sum).
+    # It keeps the action identity accurate to O(tail_tol) even though
+    # e_n grows like n^2/mu, and it also bounds the plain mass tail
+    # a_n r/(1-r): e_{n+1} = d1/mu > 1 and s >= r, and both still hold
+    # after rounding, so s < 1 implies r < 1 as well.
     ln_a = 0.0
     ln_peak = 0.0
     ln_tol = math.log(tail_tol)
@@ -80,16 +84,9 @@ def _truncation_index(J: float, mu: float, tail_tol: float) -> int:
     while True:
         d1 = (n + 1.0) * (n + 1.0 + mu)
         r = jmu / d1
-        if r < 1.0:
-            g = (n + 2.0) * (n + 2.0 + mu) / d1
-            s = r * g
-            if (
-                s < 1.0
-                and ln_a + math.log(r) - math.log1p(-r) < ln_peak + ln_tol
-                and ln_a + math.log(r) + math.log(max(1.0, d1 / mu)) - math.log1p(-s)
-                < ln_peak + ln_tol
-            ):
-                return n
+        s = r * ((n + 2.0) * (n + 2.0 + mu) / d1)
+        if s < 1.0 and ln_a + math.log(r) + math.log(d1 / mu) - math.log1p(-s) < ln_peak + ln_tol:
+            return n
         if n >= _HARD_CAP:
             raise ConvergenceError(
                 f"weight tail did not close within {_HARD_CAP} levels (J={J}, mu={mu})"
@@ -101,7 +98,7 @@ def _truncation_index(J: float, mu: float, tail_tol: float) -> int:
 
 
 def build_state(
-    J: float, gamma: float, params: SpectrumParams, tail_tol: float = 1e-14
+    J: float, gamma: float, params: SpectrumParams, tail_tol: float = _TAIL_TOL
 ) -> CoherentState:
     """Construct the state |J, gamma> on the ladder given by ``params``.
 
@@ -112,7 +109,7 @@ def build_state(
         raise ValueError(f"J must be finite and >= 0, got {J}")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if not 0.0 < tail_tol <= 1e-6:
+    if not 0.0 < tail_tol <= _TAIL_TOL_MAX:
         raise ValueError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
 
     mu = params.mu
@@ -240,7 +237,10 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
     """Time evolution: |J, gamma> -> |J, gamma + alpha t>."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return dataclasses.replace(state, gamma=state.gamma + state.params.alpha * t)
+    gamma = state.gamma + state.params.alpha * t
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma + alpha t must be finite, got {gamma} at t = {t}")
+    return dataclasses.replace(state, gamma=gamma)
 
 
 def overlap(s1: CoherentState, s2: CoherentState) -> complex:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dd import _check_cycles, mul_frac, phase_factors, quadratic_in_n
+from ._dd import _TWO_PI, _check_cycles, mul_frac, phase_factors, quadratic_in_n
 from .gkstate import CoherentState
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "phase_group_check",
 ]
 
-_TWO_PI = 2.0 * math.pi
 # Grid-point x level terms per kernel block: bounds the temporaries at any
 # n_max (one grid row per block once n_max + 1 exceeds it).
 _BLOCK_LEVEL_POINTS = 8192
@@ -98,6 +97,7 @@ class PhaseGroupReport:
 
 def phase(n: int, t: float, mu: float) -> float:
     """Raw (unreduced) phase phi_n(t) = 2 pi (mu n + n^2) t."""
+    _grid([t])  # rejects a non-finite t
     return _TWO_PI * (mu * n + n * n) * t
 
 
@@ -105,6 +105,9 @@ def _grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
         raise ValueError("t_grid must be one dimensional")
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise ValueError(f"times must be finite, got t = {t[bad][0]}")
     return t
 
 

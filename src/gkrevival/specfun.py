@@ -321,6 +321,8 @@ def bessel_i_ratio(nu: float, x: float) -> float:
             f"{_RATIO_X_PER_ORDER * (nu + 1.0):.3g}, got x={x}"
         )
 
+    # every b = 2(nu+k)/x is at least 2e-8 under the guard above, so c
+    # and d stay positive and no Lentz step divides by zero
     tiny = 1e-300
     f = tiny
     c = f
@@ -328,11 +330,7 @@ def bessel_i_ratio(nu: float, x: float) -> float:
     for k in range(1, _term_budget(x) + 1):
         b = 2.0 * (nu + k) / x
         d = b + d
-        if d == 0.0:
-            d = tiny
         c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
         d = 1.0 / d
         delta = c * d
         f *= delta

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import gkstate
@@ -132,6 +132,47 @@ def test_norm_closed_vs_series_large_j(mu, frac):
     assert abs(normalization_sq(J, p) - series) <= 1e-12 * max(1.0, abs(series))
 
 
+def _two_bound_truncation_index(J, mu, tail_tol):
+    # reference walk that tests both tail bounds: the plain mass tail
+    # a_n r/(1-r) and the energy-weighted tail a_n e_{n+1} r/(1-s)
+    ln_a = ln_peak = 0.0
+    ln_tol = math.log(tail_tol)
+    jmu = J * mu
+    n = 0
+    while True:
+        d1 = (n + 1.0) * (n + 1.0 + mu)
+        r = jmu / d1
+        if r < 1.0:
+            g = (n + 2.0) * (n + 2.0 + mu) / d1
+            s = r * g
+            if (
+                s < 1.0
+                and ln_a + math.log(r) - math.log1p(-r) < ln_peak + ln_tol
+                and ln_a + math.log(r) + math.log(max(1.0, d1 / mu)) - math.log1p(-s)
+                < ln_peak + ln_tol
+            ):
+                return n
+        ln_a += math.log(r)
+        ln_peak = max(ln_peak, ln_a)
+        n += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_j=st.floats(min_value=-8.0, max_value=6.0),
+    mu=st.one_of(st.integers(min_value=1, max_value=10**4).map(float),
+                 st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e)),
+    log_tol=st.floats(min_value=-300.0, max_value=-6.0),
+)
+def test_truncation_single_bound_matches_two_bounds(log_j, mu, log_tol):
+    # the energy-weighted bound implies the mass bound, so testing it
+    # alone gives the same n_max
+    J = 10.0**log_j
+    assume(J * mu <= 2e7)
+    tail_tol = 10.0**log_tol
+    assert gkstate._truncation_index(J, mu, tail_tol) == _two_bound_truncation_index(J, mu, tail_tol)
+
+
 def test_norm_small_series_oracle():
     # 60-term direct series at J=1, mu=2
     p = SpectrumParams(mu=2.0)
@@ -198,6 +239,8 @@ def test_evolve():
     assert np.array_equal(s2.ln_weights, s.ln_weights)
     with pytest.raises(ValueError):
         evolve(s, math.nan)
+    with pytest.raises(ValueError, match="gamma \\+ alpha t"):
+        evolve(s, 1.7e308)
 
 
 def test_overlap_self_and_hermitian():

@@ -1,5 +1,6 @@
-"""Start-up tests: every command runs on NumPy alone, so SciPy is never
-imported by the package or by any command."""
+"""Import tests: the package exports exactly its modules' public names,
+and every command runs on NumPy alone, so SciPy is never imported by the
+package or by any command."""
 
 import os
 import subprocess
@@ -8,6 +9,22 @@ import sys
 import pytest
 
 import gkrevival
+from gkrevival import gkstate, measure, revival, specfun, spectrum
+
+_MODULES = (specfun, spectrum, gkstate, revival, measure)
+
+
+def test_export_list_is_the_module_lists():
+    names = [name for mod in _MODULES for name in mod.__all__]
+    assert gkrevival.__all__ == names + ["__version__"]
+    assert len(set(gkrevival.__all__)) == len(gkrevival.__all__)
+    for mod in _MODULES:
+        for name in mod.__all__:
+            assert getattr(gkrevival, name) is getattr(mod, name), name
+    star = {}
+    exec("from gkrevival import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(gkrevival.__all__)
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gkrevival.__file__)))
 

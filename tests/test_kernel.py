@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gkrevival import _dd, revival
 from gkrevival._dd import mul_frac, quadratic_in_n
-from gkrevival.gkstate import build_state, evolve, overlap
+from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
 from gkrevival.revival import channel_amplitudes
 from gkrevival.spectrum import SpectrumParams, revival_time
 
@@ -126,17 +126,24 @@ def test_kernel_validation():
     assert channel_amplitudes(s, 3, []).shape == (0, 3)
 
 
-def test_ground_state_and_physical_time():
-    s0 = _state(0.0, 28.0)
-    assert np.array_equal(channel_amplitudes(s0, 2, [0.0, 0.3])[:, 1], [0.0, 0.0])
-    # revival units against physical time through evolve/overlap
-    s = _state(10.0, 2.5)
-    tau = np.array([0.1, 0.37, 0.5])
-    a = channel_amplitudes(s, 1, tau)[:, 0]
-    t_rev = revival_time(s.params)
-    for k, tk in enumerate(tau):
-        assert abs(overlap(s, evolve(s, tk * t_rev)) - a[k]) < 1e-12
-
+@settings(max_examples=40, deadline=None)
+@given(
+    log_j=st.floats(min_value=math.log(0.5), max_value=math.log(1e4)),
+    mu=_mu,
+    tau=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_ground_state_and_physical_time(log_j, mu, tau):
+    s0 = _state(0.0, mu)
+    assert np.array_equal(channel_amplitudes(s0, 2, [0.0, tau])[:, 1], [0.0, 0.0])
+    # revival units against physical time through evolve/overlap.  The
+    # round trip tau -> tau t_rev -> gamma / (2 pi mu) rounds tau by up
+    # to 2 eps tau, which moves the phase of level n by 2 pi m_n times
+    # that (m_n = mu n + n^2, sum_n w_n m_n = mu <e_n>): about 1e-10 at
+    # J = 1e4, so it is added to the 1e-12.
+    s = _state(math.exp(log_j), mu)
+    a = channel_amplitudes(s, 1, [tau])[0, 0]
+    rounding = 2.0 * math.pi * (2.0 * np.finfo(float).eps * tau) * mu * mean_energy(s)
+    assert abs(overlap(s, evolve(s, tau * revival_time(s.params))) - a) <= 1e-12 + rounding
 
 
 def _bound_t(s):

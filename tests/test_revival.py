@@ -13,6 +13,7 @@ from gkrevival.revival import (
     TimeSeries,
     autocorrelation,
     autocorrelation_series,
+    channel_amplitudes,
     diagonal_term,
     fractional_decomposition,
     interference_term,
@@ -44,6 +45,31 @@ def test_phase_trivials():
     assert phase(0, 0.37, 28.0) == 0.0
     assert math.isclose(phase(1, 1.0, 28.0), TWO_PI * 29.0, rel_tol=1e-15)
     assert math.isclose(phase(3, 0.5, 2.0), TWO_PI * 7.5, rel_tol=1e-15)
+
+
+# every entry point that takes a time, called with the time t
+_TIME_ENTRY_POINTS = {
+    "phase": lambda s, t: phase(1, t, 28.0),
+    "channel_amplitudes": lambda s, t: channel_amplitudes(s, 1, [0.0, t]),
+    "autocorrelation": lambda s, t: autocorrelation(s, t),
+    "autocorrelation_series": lambda s, t: autocorrelation_series(s, [0.0, t]),
+    "survival_fraction": lambda s, t: survival_fraction(s, 2, 1, t),
+    "survival_fraction_series": lambda s, t: survival_fraction_series(s, 2, 0, [0.0, 0.5, t]),
+    "fractional_decomposition": lambda s, t: fractional_decomposition(s, 3, [t]),
+    "diagonal_term": lambda s, t: diagonal_term(s, 2, t),
+    "interference_term": lambda s, t: interference_term(s, 2, t),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TIME_ENTRY_POINTS))
+@pytest.mark.parametrize("J", [0.0, 10.0])
+def test_non_finite_times_rejected(entry, J):
+    # a NaN or infinite time raises, on the ground state too (where the
+    # phase bound would see 0 * inf), and names the time
+    s = _state(J, 28.0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"times must be finite, got t = {t}"):
+            _TIME_ENTRY_POINTS[entry](s, t)
 
 
 def test_autocorr_at_zero_and_one():
