@@ -6,8 +6,12 @@ weights
     w_n = (1 / N^2(J)) J^n / rho_n,      rho_n = prod_{i<=n} e_i,
 
 held in the log domain so that large J and large mu never overflow.  The
-basis expansion is truncated where the geometric tail bound drops below
-``tail_tol`` of the total weight; ``n_max`` is the last retained level.
+basis expansion is truncated at both ends of the weight peak, wherever a
+geometric tail bound drops below ``tail_tol`` of the peak weight:
+``n_min`` is the first retained level and ``n_max`` the last.  Near J = 0
+the weights fall from n = 0 and ``n_min`` is 0; at large J they peak
+near sqrt(J mu) with a spread below sqrt(<n>), so most levels below the
+peak are dropped.
 
 Phase evolution is exact by construction: evolving by t only shifts
 gamma -> gamma + alpha t, and overlaps reduce the accumulated phase
@@ -53,14 +57,19 @@ _MANDEL_JMU_MAX = 1e12
 class CoherentState:
     """Truncated number-basis representation of one coherent state.
 
-    ``ln_weights[n]`` is ln w_n for n = 0 .. n_max (normalized over the
-    retained levels); ``ln_norm_sq`` is ln N^2(J) from the same partial
-    sum.  Instances are immutable; build them with :func:`build_state`.
+    The retained levels are the window n_min .. n_max.  ``ln_weights[n]``
+    is ln w_n for n = 0 .. n_max (normalized over the window) and is
+    -inf (weight 0) below ``n_min``, so weights stay indexed by level;
+    ``ln_norm_sq`` is ln N^2(J) from the same partial sum.  ``n_min`` is
+    the largest level whose geometric lower-tail bound is below
+    ``tail_tol`` of the peak weight, or 0.  Instances are immutable;
+    build them with :func:`build_state`.
     """
 
     J: float
     gamma: float
     params: SpectrumParams
+    n_min: int
     n_max: int
     ln_weights: np.ndarray
     ln_norm_sq: float
@@ -97,6 +106,23 @@ def _truncation_index(J: float, mu: float, tail_tol: float) -> int:
         n += 1
 
 
+def _lower_index(rel: np.ndarray, J: float, mu: float, tail_tol: float) -> int:
+    # rel[k] = a_k / a_peak for k = 0 .. peak.  Below the peak the ratio
+    # a_{k-1}/a_k = r_k = k(k+mu)/(J mu) falls as k falls, so
+    # sum_{k<n} a_k <= a_n r_n/(1-r_n) at any n with r_n < 1, monotone or
+    # not; the window starts at the largest n >= 1 whose bound is below
+    # tail_tol a_peak, else at 0.  That bound is a_{n-1}/(1-r_n) >= a_0
+    # (the terms rise to the peak), so none qualifies while a_0 is not
+    # negligible, as at small J.
+    if rel[0] >= tail_tol:
+        return 0
+    k = np.arange(1, len(rel), dtype=float)
+    r = k * (k + mu) / (J * mu)
+    m = int(np.searchsorted(r, 1.0))  # r rises with k: r < 1 on k = 1 .. m
+    hits = np.flatnonzero(rel[1 : m + 1] * r[:m] / (1.0 - r[:m]) < tail_tol)
+    return int(hits[-1]) + 1 if len(hits) else 0
+
+
 def build_state(
     J: float, gamma: float, params: SpectrumParams, tail_tol: float = _TAIL_TOL
 ) -> CoherentState:
@@ -118,6 +144,7 @@ def build_state(
             J=0.0,
             gamma=gamma,
             params=params,
+            n_min=0,
             n_max=0,
             ln_weights=np.zeros(1),
             ln_norm_sq=0.0,
@@ -130,15 +157,21 @@ def build_state(
     # Normalise against the peak term, not ln N^2 itself: at J = 1e8 that
     # is ~2e4, and its rounding would scale every weight alike and leave
     # their sum ~1e-12 off 1.
-    c = float(ln_a.max())
+    peak = int(ln_a.argmax())
+    c = float(ln_a[peak])
     shifted = ln_a - c
-    ln_sum = math.log(float(np.exp(shifted).sum()))
+    rel = np.exp(shifted)
+    n_min = _lower_index(rel[: peak + 1], J, mu, tail_tol)
+    ln_sum = math.log(float(rel[n_min:].sum()))
+    ln_weights = shifted - ln_sum
+    ln_weights[:n_min] = -math.inf
     return CoherentState(
         J=J,
         gamma=gamma,
         params=params,
+        n_min=n_min,
         n_max=n_max,
-        ln_weights=shifted - ln_sum,
+        ln_weights=ln_weights,
         ln_norm_sq=c + ln_sum,
         tail_tol=tail_tol,
     )
@@ -162,12 +195,12 @@ def normalization_sq(J: float, p: SpectrumParams) -> float:
 
 
 def weights(state: CoherentState) -> np.ndarray:
-    """Number distribution w_n over the retained levels 0 .. n_max."""
+    """Number distribution w_n for n = 0 .. n_max; 0 below n_min."""
     return np.exp(state.ln_weights)
 
 
 def weight(n: int, state: CoherentState) -> float:
-    """Single weight w_n; zero beyond the truncation index."""
+    """Single weight w_n; zero outside the window n_min .. n_max."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > state.n_max:
@@ -197,8 +230,8 @@ def mean_n(state: CoherentState) -> float:
 def mean_energy(state: CoherentState) -> float:
     """<e_n>; equals the action J up to the truncation tail."""
     mu = state.params.mu
-    n = np.arange(state.n_max + 1, dtype=float)
-    return float(np.exp(state.ln_weights) @ (n * (n + mu) / mu))
+    n = np.arange(state.n_min, state.n_max + 1, dtype=float)
+    return float(np.exp(state.ln_weights[state.n_min :]) @ (n * (n + mu) / mu))
 
 
 def _mandel_q(J: float, mu: float) -> float:
@@ -243,28 +276,43 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
     return dataclasses.replace(state, gamma=gamma)
 
 
+def _ln_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
+    # ln of the unnormalised terms J^n / rho_n on levels n_lo .. n_up: the
+    # state's own window, -inf above n_max, and below n_min the terms its
+    # window dropped, recomputed, so a second state's weights there meet
+    # their true partners
+    ln = np.full(n_up + 1 - n_lo, -math.inf)
+    ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:] + s.ln_norm_sq
+    if s.n_min > n_lo:
+        k = np.arange(n_lo, s.n_min, dtype=float)
+        ln[: s.n_min - n_lo] = k * math.log(s.J) - moment_rho_array(k, s.params)
+    return ln
+
+
 def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     """Inner product <s1|s2> of two states on the same ladder.
 
-    The series runs to the larger of the two truncation indices; since
-    each term is the geometric mean of the two weight sequences, the
-    neglected tail is no larger than the mean of the two state tails.
+    The series runs over levels min(n_min) .. max(n_max) of the two
+    windows.  Below its own n_min a state's terms are recomputed, so the
+    lower truncation costs only the normalisation of each state, at most
+    ``tail_tol`` each.  Above a state's n_max its terms are 0; each term
+    is the geometric mean of the two weight sequences, so by
+    Cauchy-Schwarz that neglects at most sqrt(tail) of the other state.
     Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
     the phase reduction bound of ``_dd`` (1e20).
     """
     if s1.params != s2.params:
         raise ValueError("overlap requires both states on the same ladder parameters")
+    n_lo = min(s1.n_min, s2.n_min)
     n_up = max(s1.n_max, s2.n_max)
-    ln1 = np.full(n_up + 1, -math.inf)
-    ln2 = np.full(n_up + 1, -math.inf)
-    ln1[: s1.n_max + 1] = s1.ln_weights + s1.ln_norm_sq
-    ln2[: s2.n_max + 1] = s2.ln_weights + s2.ln_norm_sq
+    ln1 = _ln_terms(s1, n_lo, n_up)
+    ln2 = _ln_terms(s2, n_lo, n_up)
     ln_a = 0.5 * (ln1 + ln2)
     c = float(ln_a.max())
     # exp(-i dgamma e_n) with e_n = (mu n + n^2) / mu: the quadratic is
     # reduced mod 1 against dgamma / (2 pi mu) before the 2 pi multiply.
     mu = s1.params.mu
-    m_hi, m_lo = quadratic_in_n(np.arange(n_up + 1, dtype=float), mu)
+    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu)
     t = (s2.gamma - s1.gamma) / (_TWO_PI * mu)
     _check_cycles(m_hi[-1], abs(t))
     phases = phase_factors(m_hi, m_lo, t)

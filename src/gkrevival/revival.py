@@ -19,11 +19,12 @@ interference part.
 
 Every time series and every single-time value here comes from one
 kernel, ``channel_amplitudes``, which returns the (T, q) matrix of
-P_Delta(t_k) (q = 1 gives A).  It forms the hi/lo quadratic once and
-evaluates the terms w_n exp(-i phi_n(t_k)) on 2-D blocks of grid rows x
-levels holding at most _BLOCK_LEVEL_POINTS terms, so its temporaries stay
-at a few hundred kB whatever n_max is; each channel is the strided row
-sum over n = Delta, Delta + q, ...  A single time is a 1-point grid.
+P_Delta(t_k) (q = 1 gives A).  It sums over the state's level window
+n_min .. n_max only, forms the hi/lo quadratic once and evaluates the
+terms w_n exp(-i phi_n(t_k)) on 2-D blocks of grid rows x levels holding
+at most _BLOCK_LEVEL_POINTS terms, so its temporaries stay at a few
+hundred kB whatever the window is; each channel is the strided row sum
+over n = Delta (mod q) in the window.  A single time is a 1-point grid.
 """
 
 import math
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 # Grid-point x level terms per kernel block: bounds the temporaries at any
-# n_max (one grid row per block once n_max + 1 exceeds it).
+# window size (one grid row per block once the window exceeds it).
 _BLOCK_LEVEL_POINTS = 8192
 
 
@@ -114,24 +115,26 @@ def _grid(t_grid) -> np.ndarray:
 def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     """(T, q) complex matrix: column Delta holds P_Delta(t_k).
 
-    q = 1 gives A(t_k) in the single column.  The grid is evaluated in
-    blocks of _BLOCK_LEVEL_POINTS grid-point x level terms.  Raises
+    q = 1 gives A(t_k) in the single column.  The sums run over the
+    state's levels n_min .. n_max, and the grid is evaluated in blocks of
+    _BLOCK_LEVEL_POINTS grid-point x level terms.  Raises
     ValueError when (mu n_max + n_max^2) max|t| exceeds the phase
     reduction bound of ``_dd`` (1e20).
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"q must be an integer >= 1, got {q}")
     t = _grid(t_grid)
-    n = np.arange(state.n_max + 1, dtype=float)
+    n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
     _check_cycles(m_hi[-1], np.abs(t).max(initial=0.0))
-    w = np.exp(state.ln_weights)
+    w = np.exp(state.ln_weights[state.n_min :])
     out = np.empty((len(t), q), dtype=complex)
     rows = max(1, _BLOCK_LEVEL_POINTS // len(n))
     for i in range(0, len(t), rows):
         terms = w * phase_factors(m_hi, m_lo, t[i : i + rows, None])
         for d in range(q):
-            out[i : i + rows, d] = terms[:, d::q].sum(axis=1)
+            # column j is level n_min + j: channel d starts at (d - n_min) mod q
+            out[i : i + rows, d] = terms[:, (d - state.n_min) % q :: q].sum(axis=1)
     return out
 
 

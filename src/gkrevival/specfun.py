@@ -296,6 +296,10 @@ def bessel_k_scaled(nu: float, x: float) -> float:
 # 2(nu+1)/x falls under about 5.6e-9, past x = 3.6e8 (nu+1); the ratio is
 # served up to x = 1e8 (nu+1), at most about 5e5 steps for nu <= 80.
 _RATIO_X_PER_ORDER = 1e8
+# Below x^2 / (4 (nu+1)(nu+2)) = 1e-17 the ratio is x / (2(nu+1)) to
+# below one rounding (its next term has that relative size), while the
+# Lentz seed is no longer negligible once the ratio nears 1e-300.
+_RATIO_SERIES_X2 = 4e-17
 
 
 def bessel_i_ratio(nu: float, x: float) -> float:
@@ -309,12 +313,14 @@ def bessel_i_ratio(nu: float, x: float) -> float:
 
     evaluated with the modified Lentz algorithm.  The ratio lies in
     ``(0, 1)`` for every ``x > 0`` and tends to ``x / (2(nu+1))`` as
-    ``x -> 0``.  Raises ConvergenceError past ``x = 1e8 (nu + 1)``, where
-    the first Lentz step would overflow.
+    ``x -> 0``; that limit is returned wherever the next term,
+    ``x^2 / (4(nu+1)(nu+2))``, is below 1e-17.  Raises ConvergenceError
+    past ``x = 1e8 (nu + 1)``, where the first Lentz step would overflow.
     """
     _check_domain(nu, x)
-    if x == 0.0:
-        return 0.0
+    # ratios, not a product, so a huge order cannot overflow the test
+    if (x / (nu + 1.0)) * (x / (nu + 2.0)) < _RATIO_SERIES_X2:
+        return 0.5 * x / (nu + 1.0)
     if x > _RATIO_X_PER_ORDER * (nu + 1.0):
         raise ConvergenceError(
             f"ratio continued fraction for nu={nu} serves x <= "

@@ -201,6 +201,59 @@ def test_mandel_closed_vs_moments(J, mu):
     assert math.isclose(mandel_q(s), q_direct, rel_tol=1e-9)
 
 
+_WINDOW_MU = st.one_of(
+    st.integers(min_value=1, max_value=100).map(float),
+    st.floats(min_value=0.5, max_value=100.0).filter(lambda m: not m.is_integer()),
+)
+
+
+def _window_j(mu, frac):
+    # log-uniform in [0.5, 1e6] with J mu <= 1e7, where n_min reaches
+    # thousands of levels
+    hi = min(1e6, 1e7 / mu)
+    return math.exp(math.log(0.5) + frac * (math.log(hi) - math.log(0.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=_WINDOW_MU, frac=st.floats(min_value=0.0, max_value=1.0))
+def test_mean_and_mandel_closed_vs_window_sums(mu, frac):
+    """<n> and Q in closed form against their sums over the window
+    n_min .. n_max: <n> within 1e-9 relative, Q within 1e-8 absolute (the
+    tolerances of the large-J benchmark check)."""
+    s = _state(_window_j(mu, frac), mu)
+    n = np.arange(s.n_min, s.n_max + 1, dtype=float)
+    w = np.exp(s.ln_weights[s.n_min :])
+    mean = float(w @ n) / float(w.sum())
+    q = float(w @ (n - mean) ** 2) / float(w.sum()) / mean - 1.0
+    assert abs(mean_n(s) - mean) <= 1e-9 * mean
+    assert abs(mandel_q(s) - q) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=_WINDOW_MU,
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    ratio=st.floats(min_value=0.5, max_value=2.0),
+)
+def test_overlap_equal_gamma_closed_form_property(mu, frac, ratio):
+    """Equal-angle overlap I_mu(y12) / sqrt(I_mu(y1) I_mu(y2)) against the
+    series, within 1e-9 absolute.  The smaller state's upper cut drops
+    terms where the larger state still has weight (at most the square
+    root of its dropped mass, by Cauchy-Schwarz); the largest gap seen
+    over 1500 draws at J ratio <= 2 was 1.4e-10."""
+    J1 = _window_j(mu, frac)
+    J2 = min(J1 * ratio, 1e6, 1e7 / mu)
+    v = overlap(_state(J1, mu), _state(J2, mu))
+    y12 = 2.0 * math.sqrt(mu) * (J1 * J2) ** 0.25
+    y1 = 2.0 * math.sqrt(J1 * mu)
+    y2 = 2.0 * math.sqrt(J2 * mu)
+    closed = math.exp(
+        ln_bessel_i(mu, y12) - 0.5 * (ln_bessel_i(mu, y1) + ln_bessel_i(mu, y2))
+    )
+    assert abs(v.imag) < 1e-13
+    assert abs(v.real - closed) <= 1e-9
+
+
 @pytest.mark.parametrize("mu", [1.0, 2.0, 28.0, 80.0])
 def test_sub_poissonian_sweep(mu):
     for J in np.linspace(0.5, 50.0, 100):

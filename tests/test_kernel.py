@@ -1,7 +1,7 @@
 """Channel-amplitude kernel tests: the block-vectorised kernel against a
 per-grid-point reference loop, block boundaries, the channel sum rule,
-exact agreement wherever the CSV datasets depend on it, and the phase
-reduction bound."""
+exact agreement wherever the CSV datasets depend on it, the level window
+against un-windowed sums, and the phase reduction bound."""
 
 import math
 
@@ -14,7 +14,7 @@ from gkrevival import _dd, revival
 from gkrevival._dd import mul_frac, quadratic_in_n
 from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
 from gkrevival.revival import channel_amplitudes
-from gkrevival.spectrum import SpectrumParams, revival_time
+from gkrevival.spectrum import SpectrumParams, moment_rho_array, revival_time
 
 TWO_PI = 2.0 * math.pi
 FIGURE_GRID = np.linspace(0.0, 1.0, 2001)
@@ -25,16 +25,17 @@ def _state(J, mu):
 
 
 def _reference(state, q, t_grid):
-    # One grid point at a time: terms w_n exp(-i phi_n(t)), channel Delta
-    # summed over n = Delta, Delta + q, ...
-    n = np.arange(state.n_max + 1, dtype=float)
+    # One grid point at a time: terms w_n exp(-i phi_n(t)) over the
+    # state's window n_min .. n_max, channel Delta summed over the levels
+    # n = Delta (mod q) in it.
+    n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
-    w = np.exp(state.ln_weights)
+    w = np.exp(state.ln_weights[state.n_min :])
     out = np.empty((len(t_grid), q), dtype=complex)
     for i, ti in enumerate(t_grid):
         terms = w * np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, float(ti))))
         for d in range(q):
-            out[i, d] = terms[d::q].sum()
+            out[i, d] = terms[(d - state.n_min) % q :: q].sum()
     return out
 
 
@@ -144,6 +145,69 @@ def test_ground_state_and_physical_time(log_j, mu, tau):
     a = channel_amplitudes(s, 1, [tau])[0, 0]
     rounding = 2.0 * math.pi * (2.0 * np.finfo(float).eps * tau) * mu * mean_energy(s)
     assert abs(overlap(s, evolve(s, tau * revival_time(s.params))) - a) <= 1e-12 + rounding
+
+
+def _unwindowed_ln_weights(s):
+    # the weights without the lower cut: n ln J - ln rho_n, normalised
+    # over every level 0 .. n_max
+    n = np.arange(s.n_max + 1, dtype=float)
+    ln_a = n * math.log(s.J) - moment_rho_array(n, s.params)
+    ln_a -= ln_a.max()
+    return ln_a - math.log(float(np.exp(ln_a).sum()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=_mu,
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    ratio=st.floats(min_value=0.5, max_value=2.0),
+    gamma=st.floats(min_value=-3.0, max_value=3.0),
+    tail_tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
+    grid=_grid,
+)
+def test_window_matches_unwindowed_sums(mu, frac, ratio, gamma, tail_tol, grid):
+    # J log-uniform from 0.5 up to J mu = 1e7.  The window drops at most
+    # tail_tol of the mass, so A(t) and overlaps move by at most twice that.
+    J = math.exp(math.log(0.5) + frac * (math.log(1e7 / mu) - math.log(0.5)))
+    p = SpectrumParams(mu=mu)
+    s = build_state(J, 0.0, p, tail_tol)
+    assert len(s.ln_weights) == s.n_max + 1
+    assert np.all(s.ln_weights[: s.n_min] == -math.inf)
+    assert np.all(np.isfinite(s.ln_weights[s.n_min :]))
+    ln_full = _unwindowed_ln_weights(s)
+    w_full = np.exp(ln_full)
+    assert w_full[: s.n_min].sum() <= tail_tol
+    tol = 2.0 * tail_tol + 1e-13
+
+    t = np.array(grid)
+    n = np.arange(s.n_max + 1, dtype=float)
+    m_hi, m_lo = quadratic_in_n(n, mu)
+    a_full = np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, t[:, None]))) @ w_full
+    assert np.max(np.abs(channel_amplitudes(s, 1, t)[:, 0] - a_full)) <= tol
+
+    # <s|s2> against the same sum over both states' un-windowed weights
+    s2 = build_state(min(J * ratio, 1e7 / mu), gamma, p, tail_tol)
+    ln_full2 = _unwindowed_ln_weights(s2)
+    n_up = max(s.n_max, s2.n_max)
+    ln1 = np.full(n_up + 1, -math.inf)
+    ln2 = np.full(n_up + 1, -math.inf)
+    ln1[: s.n_max + 1] = ln_full
+    ln2[: s2.n_max + 1] = ln_full2
+    n = np.arange(n_up + 1, dtype=float)
+    m_hi, m_lo = quadratic_in_n(n, mu)
+    phases = np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, gamma / (TWO_PI * mu))))
+    ov_full = (np.exp(0.5 * (ln1 + ln2)) * phases).sum()
+    assert abs(overlap(s, s2) - ov_full) <= tol
+
+
+@pytest.mark.parametrize("J,mu,n_min,n_max", [
+    # the figure states keep every level
+    (10.0, 1.0, 0, 18), (10.0, 28.0, 0, 35), (10.0, 80.0, 0, 41),
+    (1e3, 28.0, 86, 242), (1e6, 16.0, 3629, 4437),
+])
+def test_window_bounds(J, mu, n_min, n_max):
+    s = _state(J, mu)
+    assert (s.n_min, s.n_max) == (n_min, n_max)
 
 
 def _bound_t(s):

@@ -118,6 +118,41 @@ def test_ratio_at_zero_and_small_x():
         assert math.isclose(bessel_i_ratio(nu, x), lead, rel_tol=1e-8)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    nu=st.sampled_from([0.0, 1.0, 28.0]),
+    log_x=st.floats(min_value=math.log(1e-300), max_value=math.log(1e-5)),
+)
+def test_ratio_tiny_argument(nu, log_x):
+    # against the first two terms of the small-x series; the third is
+    # O(x^4), below 1e-20 relative at x = 1e-5.  The modified-Lentz seed
+    # (1e-300) used to leak into the answer once it neared 1e-300.
+    x = math.exp(log_x)
+    series = x / (2.0 * (nu + 1.0)) * (1.0 - x * x / (4.0 * (nu + 1.0) * (nu + 2.0)))
+    assert math.isclose(bessel_i_ratio(nu, x), series, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 28.0])
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 2e-310, 2.2e-308])
+def test_ratio_subnormal_argument(nu, x):
+    r = bessel_i_ratio(nu, x)
+    assert math.isfinite(r) and 0.0 <= r <= x
+
+
+@pytest.mark.parametrize("nu,x,value", [
+    # just above the small-x cut, x = 1.01 sqrt(4e-17 (nu+1)(nu+2)), and
+    # further out: the continued fraction's values, pinned bit for bit
+    (0.0, 9.03371462909915e-09, 4.516857314549575e-09),
+    (0.0, 1e-05, 4.999999999937501e-06),
+    (1.0, 1.5646852718677965e-08, 3.911713179669491e-09),
+    (1.0, 1e-06, 2.499999999999896e-07),
+    (28.0, 1.8841305687239407e-07, 3.248500980558518e-09),
+    (28.0, 0.3, 0.005172280030476711),
+])
+def test_ratio_above_small_x_cut_unchanged(nu, x, value):
+    assert bessel_i_ratio(nu, x) == value
+
+
 @pytest.mark.parametrize("nu", [0.0, 1.0, 28.0, 80.0])
 def test_ratio_monotone_in_x(nu):
     xs = np.linspace(0.1, 120.0, 240)
