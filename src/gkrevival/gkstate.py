@@ -106,18 +106,19 @@ def _truncation_index(J: float, mu: float, tail_tol: float) -> int:
         n += 1
 
 
+def _down_ratio(k: np.ndarray, J: float, mu: float) -> np.ndarray:
+    # r_k = a_{k-1} / a_k = k (k + mu) / (J mu), the term ratio one level down
+    return k * (k + mu) / (J * mu)
+
+
 def _lower_index(rel: np.ndarray, J: float, mu: float, tail_tol: float) -> int:
     # rel[k] = a_k / a_peak for k = 0 .. peak.  Below the peak the ratio
     # a_{k-1}/a_k = r_k = k(k+mu)/(J mu) falls as k falls, so
     # sum_{k<n} a_k <= a_n r_n/(1-r_n) at any n with r_n < 1, monotone or
     # not; the window starts at the largest n >= 1 whose bound is below
-    # tail_tol a_peak, else at 0.  That bound is a_{n-1}/(1-r_n) >= a_0
-    # (the terms rise to the peak), so none qualifies while a_0 is not
-    # negligible, as at small J.
-    if rel[0] >= tail_tol:
-        return 0
+    # tail_tol a_peak, else at 0.
     k = np.arange(1, len(rel), dtype=float)
-    r = k * (k + mu) / (J * mu)
+    r = _down_ratio(k, J, mu)
     m = int(np.searchsorted(r, 1.0))  # r rises with k: r < 1 on k = 1 .. m
     hits = np.flatnonzero(rel[1 : m + 1] * r[:m] / (1.0 - r[:m]) < tail_tol)
     return int(hits[-1]) + 1 if len(hits) else 0
@@ -276,16 +277,17 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
     return dataclasses.replace(state, gamma=gamma)
 
 
-def _ln_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
-    # ln of the unnormalised terms J^n / rho_n on levels n_lo .. n_up: the
-    # state's own window, -inf above n_max, and below n_min the terms its
-    # window dropped, recomputed, so a second state's weights there meet
-    # their true partners
+def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
+    # ln J^n / rho_n on levels n_lo .. n_up: the state's own window, -inf
+    # above n_max, and below n_min the terms its window dropped, stepped
+    # down from a_{n_min} by the ratios r_k, so that the partner's weights
+    # there meet their true terms
     ln = np.full(n_up + 1 - n_lo, -math.inf)
     ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:] + s.ln_norm_sq
     if s.n_min > n_lo:
-        k = np.arange(n_lo, s.n_min, dtype=float)
-        ln[: s.n_min - n_lo] = k * math.log(s.J) - moment_rho_array(k, s.params)
+        k = np.arange(n_lo + 1, s.n_min + 1, dtype=float)
+        steps = np.log(_down_ratio(k, s.J, s.params.mu))
+        ln[: s.n_min - n_lo] = ln[s.n_min - n_lo] + np.cumsum(steps[::-1])[::-1]
     return ln
 
 
@@ -293,11 +295,12 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     """Inner product <s1|s2> of two states on the same ladder.
 
     The series runs over levels min(n_min) .. max(n_max) of the two
-    windows.  Below its own n_min a state's terms are recomputed, so the
-    lower truncation costs only the normalisation of each state, at most
-    ``tail_tol`` each.  Above a state's n_max its terms are 0; each term
-    is the geometric mean of the two weight sequences, so by
-    Cauchy-Schwarz that neglects at most sqrt(tail) of the other state.
+    windows.  Below its own n_min a state's terms are rebuilt from its
+    first retained one by the term ratio, so the lower truncation costs
+    only the normalisation of each state, at most ``tail_tol`` each.
+    Above a state's n_max its terms are 0; each term is the geometric
+    mean of the two weight sequences, so by Cauchy-Schwarz that neglects
+    at most sqrt(tail) of the other state.
     Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
     the phase reduction bound of ``_dd`` (1e20).
     """
@@ -305,8 +308,8 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
         raise ValueError("overlap requires both states on the same ladder parameters")
     n_lo = min(s1.n_min, s2.n_min)
     n_up = max(s1.n_max, s2.n_max)
-    ln1 = _ln_terms(s1, n_lo, n_up)
-    ln2 = _ln_terms(s2, n_lo, n_up)
+    ln1 = _overlap_terms(s1, n_lo, n_up)
+    ln2 = _overlap_terms(s2, n_lo, n_up)
     ln_a = 0.5 * (ln1 + ln2)
     c = float(ln_a.max())
     # exp(-i dgamma e_n) with e_n = (mu n + n^2) / mu: the quadratic is

@@ -163,11 +163,13 @@ def _unwindowed_ln_weights(s):
     ratio=st.floats(min_value=0.5, max_value=2.0),
     gamma=st.floats(min_value=-3.0, max_value=3.0),
     tail_tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
+    q=st.integers(min_value=2, max_value=6),
     grid=_grid,
 )
-def test_window_matches_unwindowed_sums(mu, frac, ratio, gamma, tail_tol, grid):
+def test_window_matches_unwindowed_sums(mu, frac, ratio, gamma, tail_tol, q, grid):
     # J log-uniform from 0.5 up to J mu = 1e7.  The window drops at most
-    # tail_tol of the mass, so A(t) and overlaps move by at most twice that.
+    # tail_tol of the mass, so A(t), every channel P_Delta(t) and overlaps
+    # move by at most twice that.
     J = math.exp(math.log(0.5) + frac * (math.log(1e7 / mu) - math.log(0.5)))
     p = SpectrumParams(mu=mu)
     s = build_state(J, 0.0, p, tail_tol)
@@ -182,8 +184,12 @@ def test_window_matches_unwindowed_sums(mu, frac, ratio, gamma, tail_tol, grid):
     t = np.array(grid)
     n = np.arange(s.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, mu)
-    a_full = np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, t[:, None]))) @ w_full
-    assert np.max(np.abs(channel_amplitudes(s, 1, t)[:, 0] - a_full)) <= tol
+    terms = np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, t[:, None]))) * w_full
+    assert np.max(np.abs(channel_amplitudes(s, 1, t)[:, 0] - terms.sum(axis=1))) <= tol
+    # channel Delta sums the levels n = Delta (mod q) counted from 0
+    p_q = channel_amplitudes(s, q, t)
+    for d in range(q):
+        assert np.max(np.abs(p_q[:, d] - terms[:, d::q].sum(axis=1))) <= tol
 
     # <s|s2> against the same sum over both states' un-windowed weights
     s2 = build_state(min(J * ratio, 1e7 / mu), gamma, p, tail_tol)
