@@ -34,7 +34,7 @@ import numpy as np
 
 from .gkstate import _TAIL_TOL, _TAIL_TOL_MAX, _mandel_q, _mean_n, build_state, overlap
 from .measure import _MAX_N, QuadratureConfig, moment_checks
-from .revival import _diagonal, _intensities, _interference, channel_amplitudes
+from .revival import _channels, _diagonal, _intensities, _interference, channel_amplitudes
 from .specfun import ConvergenceError
 from .spectrum import SpectrumParams, time_scales
 
@@ -174,8 +174,9 @@ def _rows_survival(cfg: RunConfig):
 def _rows_survival_intensity(cfg: RunConfig):
     s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     t = _t_grid(cfg)
-    abs2 = _intensities(channel_amplitudes(s, 1, t)[:, 0])
-    p = channel_amplitudes(s, cfg.q, t)
+    ch = _channels(s, [1, cfg.q], t)  # one kernel pass for both moduli
+    abs2 = _intensities(ch[1][:, 0])
+    p = ch[cfg.q]
     rows = list(zip(t, abs2, _diagonal(p), _interference(p)))
     return ["t", "abs2", "diagonal", "interference"], rows
 

@@ -1,9 +1,13 @@
 """Channel-amplitude kernel tests: the block-vectorised kernel against a
 per-grid-point reference loop, block boundaries, the channel sum rule,
 exact agreement wherever the CSV datasets depend on it, the level window
-against un-windowed sums, and the phase reduction bound."""
+against un-windowed sums, the phase reduction bound, and the kernel's
+memo (hits bit-identical to fresh evaluations, never stale, validation
+before lookup, evaluations counted)."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,12 +16,25 @@ from hypothesis import strategies as st
 
 from gkrevival import _dd, revival
 from gkrevival._dd import mul_frac, quadratic_in_n
+from gkrevival.cli import RunConfig, _rows_survival_intensity
 from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
-from gkrevival.revival import channel_amplitudes
+from gkrevival.revival import (
+    autocorrelation_series,
+    channel_amplitudes,
+    fractional_decomposition,
+    survival_fraction_series,
+)
 from gkrevival.spectrum import SpectrumParams, moment_rho_array, revival_time
 
 TWO_PI = 2.0 * math.pi
 FIGURE_GRID = np.linspace(0.0, 1.0, 2001)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo(monkeypatch):
+    # every test starts from an empty kernel memo, so the block-boundary
+    # tests exercise a fresh evaluation
+    monkeypatch.setattr(revival, "_memo", None)
 
 
 def _state(J, mu):
@@ -231,8 +248,9 @@ def test_phase_bound_kernel(monkeypatch):
         channel_amplitudes(s, 3, [0.0, 1.1 * _bound_t(s)])
     with pytest.raises(ValueError):
         channel_amplitudes(s, 1, [-1e25])
-    # inside the bound the check changes nothing
+    # inside the bound the check changes nothing (evaluated afresh)
     monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
+    monkeypatch.setattr(revival, "_memo", None)
     assert np.array_equal(channel_amplitudes(s, 3, -grid), inside)
 
 
@@ -245,3 +263,180 @@ def test_phase_bound_overlap(monkeypatch):
         overlap(s, evolve(s, 1.001 * t))
     monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
     assert overlap(s, evolve(s, -0.999 * t)) == inside
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and bool(np.all(a.view(float) == b.view(float)))
+
+
+def _fresh(state, q, t):
+    revival._memo = None
+    return channel_amplitudes(state, q, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=_mu,
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    first=st.integers(min_value=1, max_value=7),
+    q=st.integers(min_value=1, max_value=7),
+    grid=_grid,
+)
+def test_memo_hit_equals_fresh_evaluation(mu, frac, first, q, grid):
+    # J log-uniform from 0.5 up to J mu = 1e7
+    J = math.exp(math.log(0.5) + frac * (math.log(1e7 / mu) - math.log(0.5)))
+    s = _state(J, mu)
+    t = np.array(grid)
+    revival._memo = None
+    p_first = channel_amplitudes(s, first, t)
+    p_q = channel_amplitudes(s, q, t)  # a hit, or the scan that fills 1..6
+    if q != first:
+        assert set(range(1, 7)) <= set(revival._memo[1])
+    hit = channel_amplitudes(s, q, t)
+    assert _same_bits(hit, p_q)
+    assert _same_bits(hit, _fresh(s, q, t))
+    assert _same_bits(p_first, _fresh(s, first, t))
+
+
+def test_memo_never_stale():
+    s = _state(1e3, 28.3)
+    t = np.linspace(0.0, 1.0, 50)
+    p = channel_amplitudes(s, 3, t)
+    kept = p.copy()
+    p[:] = 0.0  # the caller's copy, not the memo's
+    assert _same_bits(channel_amplitudes(s, 3, t), kept)
+
+    t[5] += 0.01  # the grid changed in place
+    moved = channel_amplitudes(s, 3, t)
+    assert not np.array_equal(moved[5], kept[5])
+    assert np.array_equal(np.delete(moved, 5, axis=0), np.delete(kept, 5, axis=0))
+    assert _same_bits(moved, _fresh(s, 3, t))
+
+    channel_amplitudes(s, 3, t)
+    s.ln_weights[s.n_min + 3] -= 1.0  # the weights changed in place
+    reweighted = channel_amplitudes(s, 3, t)
+    assert not np.array_equal(reweighted, moved)
+    assert _same_bits(reweighted, _fresh(s, 3, t))
+
+
+def _count_rows(monkeypatch):
+    # grid rows passed to the kernel's phase factors; one evaluation
+    # covers every grid row once, whatever its block size
+    rows = []
+    real = revival.phase_factors
+
+    def counted(m_hi, m_lo, t):
+        rows.append(t.shape[0])
+        return real(m_hi, m_lo, t)
+
+    monkeypatch.setattr(revival, "phase_factors", counted)
+    return rows
+
+
+def test_revival_scan_costs_two_evaluations(monkeypatch):
+    # q = 1, then the fractional-revival scan q = 2..5, as large_j asks
+    s = _state(1e4, 16.1)
+    t = np.linspace(0.0, 1.0, 267)
+    rows = _count_rows(monkeypatch)
+    channel_amplitudes(s, 1, t)
+    blocks = len(rows)
+    assert blocks > 1
+    autocorrelation_series(s, t)
+    for q in (2, 3, 4, 5):
+        fractional_decomposition(s, q, t)
+    assert len(rows) == 2 * blocks and sum(rows) == 2 * len(t)
+
+
+def test_rebuilt_states_share_one_evaluation(monkeypatch):
+    # figure 4: one identically rebuilt state per channel
+    rows = _count_rows(monkeypatch)
+    series = [survival_fraction_series(_state(10.0, 28.0), 4, d, FIGURE_GRID) for d in range(4)]
+    assert sum(rows) == len(FIGURE_GRID)
+    p = _fresh(_state(10.0, 28.0), 4, FIGURE_GRID)
+    for d, ts in enumerate(series):
+        assert np.array_equal(ts.values, revival._intensities(p[:, d]))
+
+
+def test_survival_intensity_rows_one_evaluation(monkeypatch):
+    rows = _count_rows(monkeypatch)
+    _, table = _rows_survival_intensity(RunConfig("survival-intensity", points=301))
+    assert sum(rows) == len(table) == 301
+
+
+def test_validation_precedes_memo(monkeypatch):
+    s = _state(10.0, 28.3)
+    t = np.array([0.0, 0.5])
+    channel_amplitudes(s, 2, t)
+    with pytest.raises(ValueError):
+        channel_amplitudes(s, 0, t)
+
+    # a planted entry is served on its key, but a non-finite time on
+    # the key still raises
+    key = (s.params.mu, s.n_min, s.ln_weights[s.n_min :].tobytes())
+    planted = np.full((2, 1), 7.0 + 0j)
+    revival._memo = (key + (t.tobytes(),), {1: planted})
+    assert _same_bits(channel_amplitudes(s, 1, t), planted)
+    bad = np.array([0.0, math.nan])
+    revival._memo = (key + (bad.tobytes(),), {1: planted[:2]})
+    with pytest.raises(ValueError, match="finite"):
+        channel_amplitudes(s, 1, bad)
+
+    # past the phase bound: evaluated with the bound lifted, then asked
+    # again on the same key with the bound back
+    far = np.array([0.0, 1.1 * _bound_t(s)])
+    monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
+    channel_amplitudes(s, 3, far)
+    monkeypatch.setattr(_dd, "_MAX_CYCLES", 1e20)
+    with pytest.raises(ValueError, match="1e\\+20"):
+        channel_amplitudes(s, 3, far)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.25, 0.0], [0.0, 0.5, 0.5, 1.0]])
+def test_series_reject_unordered_grid_before_kernel(monkeypatch, grid):
+    s = _state(1e6, 16.1)
+    ordered = np.linspace(0.0, 1.0, 5)
+    channel_amplitudes(s, 2, ordered)
+    memo = revival._memo
+    rows = _count_rows(monkeypatch)
+    for call in (
+        lambda: autocorrelation_series(s, grid),
+        lambda: survival_fraction_series(s, 2, 1, grid),
+        lambda: fractional_decomposition(s, 3, grid),
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            call()
+    assert rows == [] and revival._memo is memo
+    # the kernel itself takes any order
+    assert channel_amplitudes(s, 2, ordered[::-1]).shape == (5, 2)
+
+
+def test_memo_shared_by_threads():
+    # threads racing on the one memo entry, each with its own states,
+    # grids and moduli, get exactly the values of a fresh evaluation
+    cases = [
+        (_state(J, mu), np.linspace(0.0, t_max, 40), q)
+        for J, mu, t_max in [(10.0, 28.0, 1.0), (1e3, 28.3, 0.5), (1e4, 16.1, 1.0)]
+        for q in (1, 3, 5)
+    ]
+    expected = [_fresh(s, q, t) for s, t, q in cases]
+    wrong = []
+
+    def work(offset):
+        for k in range(60):
+            i = (offset + 5 * k) % len(cases)
+            s, t, q = cases[i]
+            if not _same_bits(channel_amplitudes(s, q, t), expected[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []

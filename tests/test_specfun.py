@@ -87,6 +87,22 @@ def test_wronskian_sweep():
     assert worst < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    mu=st.one_of(
+        st.integers(min_value=1, max_value=100).map(float),
+        st.floats(min_value=0.5, max_value=100.0).filter(lambda m: not m.is_integer()),
+    ),
+)
+def test_wronskian_at_state_arguments(frac, mu):
+    # nu = mu at the argument 2 sqrt(J mu) of a state's weights, J
+    # log-uniform in [0.5, 1e6] with J mu <= 1e7
+    j_max = min(1e6, 1e7 / mu)
+    J = math.exp(math.log(0.5) + frac * (math.log(j_max) - math.log(0.5)))
+    assert wronskian_residual(mu, 2.0 * math.sqrt(J * mu)) < 1e-10
+
+
 @pytest.mark.parametrize("nu", [1.0, 2.5, 28.0, 80.0])
 @pytest.mark.parametrize("x", [0.3, 5.0, 56.6, 150.0])
 def test_recurrence(nu, x):
