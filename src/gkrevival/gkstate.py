@@ -278,12 +278,12 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
 
 
 def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
-    # ln J^n / rho_n on levels n_lo .. n_up: the state's own window, -inf
-    # above n_max, and below n_min the terms its window dropped, stepped
-    # down from a_{n_min} by the ratios r_k, so that the partner's weights
+    # ln w_n on levels n_lo .. n_up: the state's own window, -inf above
+    # n_max, and below n_min the terms its window dropped, stepped down
+    # from w_{n_min} by the ratios r_k, so that the partner's weights
     # there meet their true terms
     ln = np.full(n_up + 1 - n_lo, -math.inf)
-    ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:] + s.ln_norm_sq
+    ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:]
     if s.n_min > n_lo:
         k = np.arange(n_lo + 1, s.n_min + 1, dtype=float)
         steps = np.log(_down_ratio(k, s.J, s.params.mu))
@@ -320,5 +320,4 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     _check_cycles(m_hi[-1], abs(t))
     phases = phase_factors(m_hi, m_lo, t)
     terms = np.exp(ln_a - c) * phases
-    scale = math.exp(c - 0.5 * (s1.ln_norm_sq + s2.ln_norm_sq))
-    return complex(terms.sum() * scale)
+    return complex(terms.sum() * math.exp(c))

@@ -32,14 +32,13 @@ The kernel keeps one memo entry: the matrices of the last (state, grid)
 it evaluated, keyed on exactly what the sums read, (mu, n_min,
 ln_weights[n_min:] as bytes, grid as bytes).  The key is content, not
 object identity, so an array changed in place is never served stale
-values and a state rebuilt identically hits.  A call on a new key
-evaluates only the moduli it asks for.  A call on the memo's key that
-asks for a modulus the entry lacks is a fractional-revival scan: the
-same pass also fills every q = 1 .. 6 the entry lacks, so the scan costs
-two evaluations in all.  The entry then holds 21 complex values per grid
-point (90 kB at 267 points, 0.67 MB at 2001), plus q per point for any
-larger modulus asked.  Validation runs before the lookup, every result
-is a copy, and a new entry is published whole, never changed in place.
+values and a state rebuilt identically hits.  Every evaluation fills the
+moduli asked plus q = 1 .. 6 in one pass, so a fractional-revival scan
+over q <= 6 costs one evaluation per (state, grid).  An entry holds 21
+complex values per grid point (90 kB at 267 points, 0.67 MB at 2001),
+plus q per point for each larger modulus asked.  Validation runs before
+the lookup, every result is a copy, and a new entry is published whole,
+never changed in place.
 """
 
 import math
@@ -138,7 +137,8 @@ def _series_grid(t_grid) -> np.ndarray:
     return t
 
 
-# Moduli a fractional-revival scan fills in one pass (module docstring).
+# Moduli every evaluation fills besides those asked: 21 complex values per
+# grid point, so a scan over q <= 6 costs one pass (module docstring).
 _SCAN_Q = range(1, 7)
 # The memo entry (key, {q: (T, q) matrix}), or None.
 _memo = None
@@ -156,11 +156,9 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
     key = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes(), t.tobytes())
     memo = _memo
     have = memo[1] if memo is not None and memo[0] == key else {}
-    todo = {q for q in qs if q not in have}
+    todo = set(qs) - have.keys()
     if todo:
-        if have:
-            todo.update(q for q in _SCAN_Q if q not in have)
-        have = {**have, **_evaluate(state, sorted(todo), t)}
+        have = {**have, **_evaluate(state, sorted(todo.union(_SCAN_Q) - have.keys()), t)}
         _memo = (key, have)
     return {q: have[q].copy() for q in qs}
 
@@ -190,11 +188,11 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     reduction bound of ``_dd`` (1e20).  The grid may be in any order.
 
     Served from the kernel's one memo entry, keyed on (mu, n_min,
-    ln_weights[n_min:], grid) by content: asking for a second modulus on
-    the same state and grid also evaluates every q = 1 .. 6 the entry
-    lacks, in the same pass, so a scan over q costs two evaluations.  An
-    entry holds at most 21 complex values per grid point for q <= 6.
-    The result is a copy, safe to modify.
+    ln_weights[n_min:], grid) by content: every evaluation fills q plus
+    q = 1 .. 6 in one pass, so a scan over q <= 6 on one state and grid
+    costs one evaluation.  An entry holds 21 complex values per grid
+    point, plus q for a larger modulus.  The result is a copy, safe to
+    modify.
     """
     return _channels(state, [q], t_grid)[q]
 

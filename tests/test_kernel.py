@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, revival
@@ -183,6 +183,8 @@ def _unwindowed_ln_weights(s):
     q=st.integers(min_value=2, max_value=6),
     grid=_grid,
 )
+# overlap(s, s) at J = 1e7 once carried ~4e-13 of rounding from ln N^2
+@example(mu=1.0, frac=1.0, ratio=1.0, gamma=0.0, tail_tol=1e-14, q=2, grid=[0.0])
 def test_window_matches_unwindowed_sums(mu, frac, ratio, gamma, tail_tol, q, grid):
     # J log-uniform from 0.5 up to J mu = 1e7.  The window drops at most
     # tail_tol of the mass, so A(t), every channel P_Delta(t) and overlaps
@@ -289,9 +291,8 @@ def test_memo_hit_equals_fresh_evaluation(mu, frac, first, q, grid):
     t = np.array(grid)
     revival._memo = None
     p_first = channel_amplitudes(s, first, t)
-    p_q = channel_amplitudes(s, q, t)  # a hit, or the scan that fills 1..6
-    if q != first:
-        assert set(range(1, 7)) <= set(revival._memo[1])
+    assert set(range(1, 7)) | {first} == set(revival._memo[1])
+    p_q = channel_amplitudes(s, q, t)  # a hit, or q = 7 added to the entry
     hit = channel_amplitudes(s, q, t)
     assert _same_bits(hit, p_q)
     assert _same_bits(hit, _fresh(s, q, t))
@@ -333,18 +334,31 @@ def _count_rows(monkeypatch):
     return rows
 
 
-def test_revival_scan_costs_two_evaluations(monkeypatch):
+def test_revival_scan_costs_one_evaluation(monkeypatch):
     # q = 1, then the fractional-revival scan q = 2..5, as large_j asks
     s = _state(1e4, 16.1)
     t = np.linspace(0.0, 1.0, 267)
     rows = _count_rows(monkeypatch)
-    channel_amplitudes(s, 1, t)
-    blocks = len(rows)
-    assert blocks > 1
     autocorrelation_series(s, t)
+    assert len(rows) > 1
     for q in (2, 3, 4, 5):
         fractional_decomposition(s, q, t)
-    assert len(rows) == 2 * blocks and sum(rows) == 2 * len(t)
+    assert sum(rows) == len(t)
+
+
+def test_large_modulus_fills_scan_moduli(monkeypatch):
+    # a first call with q = 7 fills q = 1..7; a later q = 3 is served
+    s = _state(1e3, 28.3)
+    t = np.linspace(0.0, 1.0, 101)
+    rows = _count_rows(monkeypatch)
+    p7 = channel_amplitudes(s, 7, t)
+    assert set(revival._memo[1]) == set(range(1, 8))
+    assert sum(rows) == len(t)
+    del rows[:]
+    p3 = channel_amplitudes(s, 3, t)
+    assert rows == []
+    assert _same_bits(p3, _fresh(s, 3, t))
+    assert _same_bits(p7, _fresh(s, 7, t))
 
 
 def test_rebuilt_states_share_one_evaluation(monkeypatch):
