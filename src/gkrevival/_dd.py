@@ -20,8 +20,6 @@ a cycle, and raises ValueError past it.
 
 import math
 
-import numpy as np
-
 _SPLITTER = 134217729.0  # 2**27 + 1
 _TWO_PI = 2.0 * math.pi
 _MAX_CYCLES = 1e20
@@ -55,6 +53,7 @@ def quadratic_in_n(n, mu):
     Exact whenever n < 2**26 (n*n representable) and mu*n fits a double,
     which covers every quantum number this package touches.
     """
+    import numpy as np
     p, e = two_prod(np.asarray(mu, dtype=float), np.asarray(n, dtype=float))
     hi, lo = two_sum(n * n, p)
     return hi, lo + e
@@ -75,6 +74,7 @@ def _check_cycles(m_top: float, t_max: float) -> None:
 
 def frac(hi, lo):
     """Fractional part of hi + lo, to the cycle error stated above."""
+    import numpy as np
     f = hi - np.floor(hi)  # exact: the low bits of hi are representable
     f = f + lo
     return f - np.floor(f)
@@ -88,4 +88,5 @@ def mul_frac(m_hi, m_lo, t):
 
 def phase_factors(m_hi, m_lo, t):
     """exp(-2 pi i (m_hi + m_lo) t), reduced mod 1 before the 2 pi multiply."""
+    import numpy as np
     return np.exp(-1j * (_TWO_PI * mul_frac(m_hi, m_lo, t)))

@@ -21,16 +21,22 @@ reports the physical conversion.
 `mandel` and `timescales` evaluate their closed forms in (J, mu)
 directly and build no state: `--tail-tol` is still validated and
 recorded in their preamble, but it does not change their rows.
+
+`timescales`, `mandel` and `figure --id 2` (two `mandel` sweeps) run on
+the standard library alone and never load NumPy.  No module of the
+package imports NumPy when it is imported; each function that builds or
+reads an array imports it itself, and the time and sweep grids come from
+`_linspace`, which reproduces np.linspace bit for bit.  Every other
+command loads NumPy at its first array.
 """
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .gkstate import _TAIL_TOL, _TAIL_TOL_MAX, _mandel_q, _mean_n, build_state, overlap
 from .measure import _MAX_N, QuadratureConfig, moment_checks
@@ -72,7 +78,7 @@ class RunConfig:
 def _fmt(v) -> str:
     if isinstance(v, (bool, str)):
         return str(v)
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
     return format(float(v), ".17g")
 
@@ -80,14 +86,15 @@ def _fmt(v) -> str:
 def _lines(rows: list) -> list:
     # A table of equal-length rows is formatted a column at a time: an
     # all-float column becomes one "%.17g" field of a per-row template,
-    # which prints what _fmt prints without its per-cell type dispatch;
-    # any other column goes through _fmt cell by cell.
+    # which prints what _fmt prints without its per-cell type dispatch
+    # (np.float64 is a float); any other column goes through _fmt cell by
+    # cell.
     if len({len(r) for r in rows}) != 1 or len(rows[0]) == 0:
         return [",".join(map(_fmt, r)) + "\n" for r in rows]
     cols, fields = [], []
     for cells in zip(*rows):
-        if all(isinstance(v, (float, np.floating)) for v in cells):
-            cols.append(np.array(cells, dtype=float).tolist())
+        if all(isinstance(v, float) for v in cells):
+            cols.append(cells)
             fields.append("%.17g")
         else:
             cols.append([_fmt(v) for v in cells])
@@ -133,29 +140,45 @@ def _params(cfg: RunConfig) -> SpectrumParams:
     return SpectrumParams(mu=cfg.mu, alpha=cfg.alpha)
 
 
-def _t_grid(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.t_max, cfg.points)
+def _linspace(start: float, stop: float, num: int) -> list:
+    """np.linspace(start, stop, num) for num >= 2, bit for bit, as floats:
+    point i is i * step + start, or (i / div) * delta + start where the
+    step underflows to 0, and the last point is stop."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
 
 
-def _sweep_grid(upper: float, points: int) -> np.ndarray:
+def _t_grid(cfg: RunConfig) -> list:
+    return _linspace(0.0, cfg.t_max, cfg.points)
+
+
+def _sweep_grid(upper: float, points: int) -> list:
     # points samples on (0, upper], excluding the singular origin
-    return np.linspace(upper / points, upper, points)
+    return _linspace(upper / points, upper, points)
 
 
 def _rows_weights(cfg: RunConfig):
+    import numpy as np
     s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
-    w = np.exp(s.ln_weights)
-    return ["n", "weight"], [(n, w[n]) for n in range(s.n_max + 1)]
+    return ["n", "weight"], list(enumerate(np.exp(s.ln_weights).tolist()))
 
 
 def _rows_mandel(cfg: RunConfig):
     # the closed form in (J, mu): no state per sweep point
-    rows = [(j, _mandel_q(float(j), cfg.mu)) for j in _sweep_grid(cfg.j_max, cfg.points)]
+    rows = [(j, _mandel_q(j, cfg.mu)) for j in _sweep_grid(cfg.j_max, cfg.points)]
     return ["j", "mandel_q"], rows
 
 
 def _amplitude_rows(t, amplitudes):
-    return list(zip(t, amplitudes.real, amplitudes.imag, _intensities(amplitudes)))
+    return list(zip(t, amplitudes.real.tolist(), amplitudes.imag.tolist(),
+                    _intensities(amplitudes).tolist()))
 
 
 def _rows_autocorr(cfg: RunConfig):
@@ -177,7 +200,7 @@ def _rows_survival_intensity(cfg: RunConfig):
     ch = _channels(s, [1, cfg.q], t)  # one kernel pass for both moduli
     abs2 = _intensities(ch[1][:, 0])
     p = ch[cfg.q]
-    rows = list(zip(t, abs2, _diagonal(p), _interference(p)))
+    rows = list(zip(t, abs2.tolist(), _diagonal(p).tolist(), _interference(p).tolist()))
     return ["t", "abs2", "diagonal", "interference"], rows
 
 
@@ -195,7 +218,7 @@ def _rows_overlap(cfg: RunConfig):
     s1 = build_state(cfg.j, 0.0, p, cfg.tail_tol)
     rows = []
     for j2 in _sweep_grid(2.0 * cfg.j, cfg.points):
-        s2 = build_state(float(j2), 0.0, p, cfg.tail_tol)
+        s2 = build_state(j2, 0.0, p, cfg.tail_tol)
         v = overlap(s1, s2)
         rows.append((j2, v.real, v.imag, abs(v) ** 2))
     return ["j2", "re", "im", "abs2"], rows

@@ -19,11 +19,11 @@ gamma * e_n with compensated (double length) arithmetic so that phase
 errors stay near machine level even after many revival periods.
 """
 
+from __future__ import annotations
+
 import dataclasses
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._dd import _TWO_PI, _check_cycles, phase_factors, quadratic_in_n
 from .specfun import ConvergenceError, bessel_i_ratio, ln_bessel_i, ln_gamma
@@ -117,6 +117,7 @@ def _lower_index(rel: np.ndarray, J: float, mu: float, tail_tol: float) -> int:
     # sum_{k<n} a_k <= a_n r_n/(1-r_n) at any n with r_n < 1, monotone or
     # not; the window starts at the largest n >= 1 whose bound is below
     # tail_tol a_peak, else at 0.
+    import numpy as np
     k = np.arange(1, len(rel), dtype=float)
     r = _down_ratio(k, J, mu)
     m = int(np.searchsorted(r, 1.0))  # r rises with k: r < 1 on k = 1 .. m
@@ -132,6 +133,7 @@ def build_state(
     Raises ValueError for J < 0, non-finite labels, or a tail_tol outside
     (0, 1e-6].  J = 0 yields the ground state with a single retained level.
     """
+    import numpy as np
     if not (math.isfinite(J) and J >= 0.0):
         raise ValueError(f"J must be finite and >= 0, got {J}")
     if not math.isfinite(gamma):
@@ -197,6 +199,7 @@ def normalization_sq(J: float, p: SpectrumParams) -> float:
 
 def weights(state: CoherentState) -> np.ndarray:
     """Number distribution w_n for n = 0 .. n_max; 0 below n_min."""
+    import numpy as np
     return np.exp(state.ln_weights)
 
 
@@ -230,6 +233,7 @@ def mean_n(state: CoherentState) -> float:
 
 def mean_energy(state: CoherentState) -> float:
     """<e_n>; equals the action J up to the truncation tail."""
+    import numpy as np
     mu = state.params.mu
     n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     return float(np.exp(state.ln_weights[state.n_min :]) @ (n * (n + mu) / mu))
@@ -282,6 +286,7 @@ def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
     # n_max, and below n_min the terms its window dropped, stepped down
     # from w_{n_min} by the ratios r_k, so that the partner's weights
     # there meet their true terms
+    import numpy as np
     ln = np.full(n_up + 1 - n_lo, -math.inf)
     ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:]
     if s.n_min > n_lo:
@@ -304,6 +309,7 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
     the phase reduction bound of ``_dd`` (1e20).
     """
+    import numpy as np
     if s1.params != s2.params:
         raise ValueError("overlap requires both states on the same ladder parameters")
     n_lo = min(s1.n_min, s2.n_min)

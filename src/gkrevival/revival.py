@@ -36,15 +36,18 @@ values and a state rebuilt identically hits.  Every evaluation fills the
 moduli asked plus q = 1 .. 6 in one pass, so a fractional-revival scan
 over q <= 6 costs one evaluation per (state, grid).  An entry holds 21
 complex values per grid point (90 kB at 267 points, 0.67 MB at 2001),
-plus q per point for each larger modulus asked.  Validation runs before
+plus q per point for each larger modulus asked by the call that last
+evaluated on its key; moduli above 6 from earlier calls are dropped, so
+a scan over large q holds one of them at a time.  Validation runs before
 the lookup, every result is a copy, and a new entry is published whole,
 never changed in place.
 """
 
-import math
-from dataclasses import dataclass, field
+from __future__ import annotations
 
-import numpy as np
+import math
+import numbers
+from dataclasses import dataclass, field
 
 from ._dd import _TWO_PI, _check_cycles, mul_frac, phase_factors, quadratic_in_n
 from .gkstate import CoherentState
@@ -79,6 +82,7 @@ class TimeSeries:
     label: str
 
     def __post_init__(self):
+        import numpy as np
         t = np.asarray(self.t_grid, dtype=float)
         v = np.asarray(self.values)
         if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
@@ -116,6 +120,7 @@ def phase(n: int, t: float, mu: float) -> float:
 
 
 def _grid(t_grid) -> np.ndarray:
+    import numpy as np
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
         raise ValueError("t_grid must be one dimensional")
@@ -126,6 +131,7 @@ def _grid(t_grid) -> np.ndarray:
 
 
 def _check_increasing(t: np.ndarray) -> None:
+    import numpy as np
     if len(t) > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
@@ -148,22 +154,26 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
     """{q: (T, q) complex matrix of P_Delta(t_k)} for every q in qs."""
     global _memo
     for q in qs:
-        if not (isinstance(q, (int, np.integer)) and q >= 1):
+        if not (isinstance(q, numbers.Integral) and q >= 1):
             raise ValueError(f"q must be an integer >= 1, got {q}")
     t = _grid(t_grid)
     mu = state.params.mu
-    _check_cycles(quadratic_in_n(float(state.n_max), mu)[0], np.abs(t).max(initial=0.0))
+    _check_cycles(quadratic_in_n(float(state.n_max), mu)[0], abs(t).max(initial=0.0))
     key = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes(), t.tobytes())
     memo = _memo
     have = memo[1] if memo is not None and memo[0] == key else {}
-    todo = set(qs) - have.keys()
+    asked = set(qs)
+    todo = asked - have.keys()
     if todo:
-        have = {**have, **_evaluate(state, sorted(todo.union(_SCAN_Q) - have.keys()), t)}
+        merged = {**have, **_evaluate(state, sorted(todo.union(_SCAN_Q) - have.keys()), t)}
+        # past q = 6 the new entry keeps only the moduli of this call
+        have = {q: p for q, p in merged.items() if q in _SCAN_Q or q in asked}
         _memo = (key, have)
     return {q: have[q].copy() for q in qs}
 
 
 def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
+    import numpy as np
     n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
     w = np.exp(state.ln_weights[state.n_min :])
@@ -191,14 +201,15 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     ln_weights[n_min:], grid) by content: every evaluation fills q plus
     q = 1 .. 6 in one pass, so a scan over q <= 6 on one state and grid
     costs one evaluation.  An entry holds 21 complex values per grid
-    point, plus q for a larger modulus.  The result is a copy, safe to
-    modify.
+    point, plus q for a larger modulus asked by the call that last
+    evaluated on it.  The result is a copy, safe to modify.
     """
     return _channels(state, [q], t_grid)[q]
 
 
 def _intensities(amplitudes: np.ndarray) -> np.ndarray:
     # |z|^2 through Python's abs (hypot), which np.abs can miss by an ulp.
+    import numpy as np
     return np.array([abs(z) ** 2 for z in amplitudes.tolist()])
 
 
@@ -215,9 +226,9 @@ def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
 
 
 def _check_residue(q: int, delta: int):
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
+    if not (isinstance(q, numbers.Integral) and q >= 2):
         raise ValueError(f"q must be an integer >= 2, got {q}")
-    if not (isinstance(delta, (int, np.integer)) and 0 <= delta < q):
+    if not (isinstance(delta, numbers.Integral) and 0 <= delta < q):
         raise ValueError(f"delta must lie in [0, {q}), got {delta}")
 
 
@@ -248,11 +259,13 @@ def fractional_decomposition(state: CoherentState, q: int, t_grid) -> Fractional
 
 def _diagonal(p: np.ndarray) -> np.ndarray:
     # sum_Delta |P_Delta|^2 for each row of a (T, q) channel matrix
+    import numpy as np
     return (np.abs(p) ** 2).sum(axis=1)
 
 
 def _interference(p: np.ndarray) -> np.ndarray:
     # twice the real part over ordered pairs Delta > Gamma, row by row
+    import numpy as np
     acc = np.zeros(len(p))
     for d in range(1, p.shape[1]):
         acc += np.real(p[:, d, None] * np.conj(p[:, :d])).sum(axis=1)
@@ -283,10 +296,11 @@ def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
     over all k <= k_max.  Non-integer mu breaks the collapse and is
     rejected.
     """
+    import numpy as np
     _check_residue(q, 0)
     if not (math.isfinite(mu) and mu > 0.0 and float(mu).is_integer()):
         raise ValueError(f"phase grouping requires a positive integer mu, got {mu}")
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+    if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
 
     mu_i = int(mu)

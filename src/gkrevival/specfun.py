@@ -34,9 +34,9 @@ logarithms for quantities (normalizations, weight tails) that overflow
 any linear representation.
 """
 
-import math
+from __future__ import annotations
 
-import numpy as np
+import math
 
 __all__ = [
     "ConvergenceError",
@@ -138,6 +138,7 @@ def ln_bessel_i(nu: float, x: float) -> float:
             # bounded by t_k * r / (1 - r)
             r = q / ((k + 1.0) * (nu + k + 1.0))
             if ln_t + math.log(r) - math.log1p(-r) < peak + math.log(_REL_TOL) - 3.0:
+                import numpy as np
                 arr = np.array(terms)
                 return peak + math.log(np.exp(arr - peak).sum())
     raise ConvergenceError(
@@ -156,6 +157,7 @@ def bessel_i_scaled(nu: float, x: float) -> float:
 
 
 def _ln_cosh(a: np.ndarray) -> np.ndarray:
+    import numpy as np
     a = np.abs(a)
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
@@ -163,6 +165,7 @@ def _ln_cosh(a: np.ndarray) -> np.ndarray:
 def _ln_k_integrand(t: np.ndarray, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
     # L(t) = -x (cosh t - 1) + ln cosh(nu t), element by element;
     # cosh t - 1 = 2 sinh^2(t/2), exact near 0
+    import numpy as np
     shifted = -x * 2.0 * np.sinh(0.5 * t) ** 2
     return np.where(nu > 0.0, shifted + _ln_cosh(nu * t), shifted)
 
@@ -183,6 +186,7 @@ def ln_bessel_k(nu, x):
     of all unconverged elements are evaluated together, and an element
     leaves the sweep once two of its sweeps agree.
     """
+    import numpy as np
     nu_a, x_a = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
     shape = nu_a.shape
     nu_a, x_a = nu_a.ravel(), x_a.ravel()
@@ -198,6 +202,7 @@ def _long_sum(x, nu, ln_peak, h, lo: int, n: int) -> float:
     # One element's node values lo..lo+n-1, summed as ndarray.sum() sums
     # them (NumPy's pairwise summation halves a run at n//2 rounded down
     # to a multiple of 8), but built _BLOCK_NODES at a time.
+    import numpy as np
     if n > _BLOCK_NODES:
         half = n // 2
         half -= half % 8
@@ -215,6 +220,7 @@ def _node_sums(x, nu, ln_peak, h, counts) -> np.ndarray:
     # end in blocks of about _BLOCK_NODES nodes, and each is summed on its
     # own, with the pairwise sum a one-element call makes; an element
     # longer than a block is summed by _long_sum.
+    import numpy as np
     ends = np.cumsum(counts)
     sums = np.empty(x.size)
     first = 0
@@ -240,6 +246,7 @@ def _node_sums(x, nu, ln_peak, h, counts) -> np.ndarray:
 def _ln_k_trapezoid(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Scalar steps (asinh, the power, log) run in Python per element, so
     # each element does the IEEE operations of a one-element call.
+    import numpy as np
     nu_l, x_l = nu.tolist(), x.tolist()
     t_peak = np.array([math.asinh(a / b) if a > 0.0 else 0.0 for a, b in zip(nu_l, x_l)])
     ln_peak = _ln_k_integrand(t_peak, x, nu)

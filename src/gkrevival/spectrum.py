@@ -13,10 +13,10 @@ excited level sets the classical period.  The cubic term vanishes
 identically, so there is no superrevival scale.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .specfun import ln_gamma
 
@@ -69,6 +69,7 @@ def moment_rho(n: int, p: SpectrumParams) -> float:
     Gamma form: rho_n = n! Gamma(n+1+mu) / (mu^n Gamma(1+mu)), evaluated
     in the log domain so it cannot overflow for any realistic n.
     """
+    import numpy as np
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return float(moment_rho_array(np.array([n], dtype=float), p)[0])
@@ -78,6 +79,7 @@ def moment_rho_array(n: np.ndarray, p: SpectrumParams) -> np.ndarray:
     """ln rho_n of :func:`moment_rho` for a 1-D float array of levels
     n >= 0.  ``math.lgamma`` per element gives the scalar form and state
     construction one rounding, and needs no SciPy."""
+    import numpy as np
     mu = p.mu
     try:
         ln_fact = np.fromiter(map(math.lgamma, (n + 1.0).tolist()), float, len(n))

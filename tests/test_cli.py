@@ -1,7 +1,7 @@
 """CLI tests: dataset schema, determinism, exit codes, figure bundles,
-the state-free sweep rows against the state path, the column-wise CSV
-writer against a per-cell oracle, and round-tripping through the bundled
-reader."""
+the state-free sweep rows against the state path, the pure-Python grids
+against np.linspace, the column-wise CSV writer against a per-cell
+oracle, and round-tripping through the bundled reader."""
 
 import io
 import math
@@ -17,6 +17,8 @@ from gkrevival.cli import (
     RunConfig,
     _rows_mandel,
     _rows_timescales,
+    _sweep_grid,
+    _t_grid,
     figure_bundle,
     main,
     read_dataset,
@@ -284,6 +286,44 @@ def test_timescales_rows_equal_state_path(mu, j):
     ts = time_scales(n_bar, p)
     ref = (j, mu, 1.0, n_bar, ts.t_classical, ts.t_revival, ts.t_revival / ts.t_classical)
     assert _rows_timescales(cfg)[1] == [ref]
+
+
+# _t_grid and _sweep_grid are the two calls of cli._linspace
+def _assert_linspace_bits(got, start, stop, num):
+    want = np.linspace(start, stop, num)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+_num = st.integers(min_value=2, max_value=5000)
+# every positive finite double, and the smallest subnormals, where the
+# step (upper - start) / (num - 1) underflows to 0
+_upper = st.one_of(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                   st.floats(min_value=5e-324, max_value=1e-318))
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_max=_upper, points=_num)
+def test_t_grid_matches_numpy(t_max, points):
+    got = _t_grid(RunConfig(command="autocorr", t_max=t_max, points=points))
+    _assert_linspace_bits(got, 0.0, t_max, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(upper=_upper, points=_num)
+def test_sweep_grid_matches_numpy(upper, points):
+    _assert_linspace_bits(_sweep_grid(upper, points), upper / points, upper, points)
+
+
+def test_sweep_grid_step_underflow(capsys):
+    upper, points = 5e-324, RunConfig.points
+    assert (upper - upper / points) / (points - 1) == 0.0
+    _assert_linspace_bits(_sweep_grid(upper, points), upper / points, upper, points)
+    # the sweep starts at J = 0, where Q is undefined
+    assert main(["mandel", "--j-max", "5e-324", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: Mandel Q is undefined for the ground state (J = 0)" in captured.err
 
 
 def test_timescales_without_state(tmp_path):

@@ -1,6 +1,7 @@
-"""Import tests: the package exports exactly its modules' public names,
-and every command runs on NumPy alone, so SciPy is never imported by the
-package or by any command."""
+"""Import tests: the package exports exactly its modules' public names;
+every command runs on NumPy alone, so SciPy is never imported by the
+package or by any command; and NumPy is imported only where an array is
+built, so the package import and the closed-form commands load none."""
 
 import os
 import subprocess
@@ -28,28 +29,48 @@ def test_export_list_is_the_module_lists():
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gkrevival.__file__)))
 
-# Prints the sorted scipy modules loaded after the given commands ran.
+# Prints the sorted modules of the given package loaded after the
+# given commands ran.
 _PROBE = """
 import sys
 import gkrevival, gkrevival.cli
 for args in {commands!r}:
     assert gkrevival.cli.main(args) == 0, args
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + ".")))
 """
 
 
-def _scipy_modules(tmp_path, commands):
+def _loaded(tmp_path, commands, package):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(commands=commands)],
+        [sys.executable, "-c", _PROBE.format(commands=commands, package=package)],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     return out.stdout.strip().splitlines()[-1]
 
 
 def test_import_loads_no_scipy(tmp_path):
-    assert _scipy_modules(tmp_path, []) == "[]"
+    assert _loaded(tmp_path, [], "scipy") == "[]"
+
+
+def test_import_loads_no_numpy(tmp_path):
+    # import gkrevival and import gkrevival.cli
+    assert _loaded(tmp_path, [], "numpy") == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["timescales", "--out", "out.csv"],
+    ["mandel", "--points", "50", "--out", "out.csv"],
+    ["figure", "--id", "2", "--out-dir", "figs"],
+])
+def test_closed_forms_load_no_numpy(tmp_path, command):
+    assert _loaded(tmp_path, [command], "numpy") == "[]"
+
+
+def test_weights_loads_numpy(tmp_path):
+    # an array command does load it, so the probe above can see NumPy
+    assert "'numpy'" in _loaded(tmp_path, [["weights", "--out", "out.csv"]], "numpy")
 
 
 @pytest.mark.parametrize("command", [
@@ -59,11 +80,11 @@ def test_import_loads_no_scipy(tmp_path):
     ["unity", "--n-max", "3"],
 ])
 def test_commands_load_no_scipy(tmp_path, command):
-    assert _scipy_modules(tmp_path, [command + ["--out", "out.csv"]]) == "[]"
+    assert _loaded(tmp_path, [command + ["--out", "out.csv"]], "scipy") == "[]"
 
 
 def test_unity_loads_quadrature(tmp_path):
     # unity runs its own NumPy quadrature and writes every row
-    loaded = _scipy_modules(tmp_path, [["unity", "--n-max", "3", "--out", "out.csv"]])
+    loaded = _loaded(tmp_path, [["unity", "--n-max", "3", "--out", "out.csv"]], "scipy")
     assert loaded == "[]"
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + 4

@@ -361,6 +361,21 @@ def test_large_modulus_fills_scan_moduli(monkeypatch):
     assert _same_bits(p7, _fresh(s, 7, t))
 
 
+def test_large_modulus_scan_bounds_memo():
+    # a library scan over q = 7..60 on one state and grid keeps q = 1..6
+    # and the latest modulus, not every modulus it asked
+    s = _state(10.0, 28.0)
+    for q in range(7, 61):
+        p = channel_amplitudes(s, q, FIGURE_GRID)
+        assert set(revival._memo[1]) == set(range(1, 7)) | {q}
+    assert len(revival._memo[1]) <= 7
+    assert _same_bits(p, _fresh(s, 60, FIGURE_GRID))
+    # moduli asked together are all kept
+    channel_amplitudes(s, 2, FIGURE_GRID)
+    revival._channels(s, [8, 9], FIGURE_GRID)
+    assert set(revival._memo[1]) == set(range(1, 10)) - {7}
+
+
 def test_rebuilt_states_share_one_evaluation(monkeypatch):
     # figure 4: one identically rebuilt state per channel
     rows = _count_rows(monkeypatch)
