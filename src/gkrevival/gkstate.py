@@ -11,7 +11,11 @@ geometric tail bound drops below ``tail_tol`` of the peak weight:
 ``n_min`` is the first retained level and ``n_max`` the last.  Near J = 0
 the weights fall from n = 0 and ``n_min`` is 0; at large J they peak
 near sqrt(J mu) with a spread below sqrt(<n>), so most levels below the
-peak are dropped.
+peak are dropped.  The weights are the terms of the ascending series of
+N^2 ~ I_mu(2 sqrt(J mu)), and a state is built from its peak outward:
+only a range of levels around the peak, about as wide as the window
+n_min .. n_max, is ever evaluated, so the cost does not grow with n_max
+itself (``ln_weights`` still holds -inf for the levels below n_min).
 
 Phase evolution is exact by construction: evolving by t only shifts
 gamma -> gamma + alpha t, and overlaps reduce the accumulated phase
@@ -76,53 +80,57 @@ class CoherentState:
     tail_tol: float
 
 
-def _truncation_index(J: float, mu: float, tail_tol: float) -> int:
-    # Walk the term ratio r_n = J mu / ((n+1)(n+1+mu)) past the weight
-    # peak until the energy-weighted geometric tail bound
-    # a_n e_{n+1} r/(1-s), s = r g with g the energy growth ratio, falls
-    # below tail_tol of the largest term (a lower bound on the full sum).
-    # It keeps the action identity accurate to O(tail_tol) even though
-    # e_n grows like n^2/mu, and it also bounds the plain mass tail
-    # a_n r/(1-r): e_{n+1} = d1/mu > 1 and s >= r, and both still hold
-    # after rounding, so s < 1 implies r < 1 as well.
-    ln_a = 0.0
-    ln_peak = 0.0
-    ln_tol = math.log(tail_tol)
+def _peak_level(J: float, mu: float) -> int:
+    # p = max{n : n (n + mu) <= J mu}, the level of the largest weight
+    # (a_n / a_{n-1} = J mu / (n (n + mu)) stays >= 1 up to it)
     jmu = J * mu
-    n = 0
-    while True:
-        d1 = (n + 1.0) * (n + 1.0 + mu)
-        r = jmu / d1
-        s = r * ((n + 2.0) * (n + 2.0 + mu) / d1)
-        if s < 1.0 and ln_a + math.log(r) + math.log(d1 / mu) - math.log1p(-s) < ln_peak + ln_tol:
-            return n
-        if n >= _HARD_CAP:
-            raise ConvergenceError(
-                f"weight tail did not close within {_HARD_CAP} levels (J={J}, mu={mu})"
-            )
-        ln_a += math.log(r)
-        if ln_a > ln_peak:
-            ln_peak = ln_a
-        n += 1
+    n0 = 2.0 * jmu / (mu + math.hypot(mu, 2.0 * math.sqrt(jmu)))
+    if not n0 < _HARD_CAP:
+        raise ConvergenceError(
+            f"weight tail did not close within {_HARD_CAP} levels (J={J}, mu={mu})"
+        )
+    p = int(n0)
+    while p > 0 and p * (p + mu) > jmu:
+        p -= 1
+    while (p + 1) * (p + 1 + mu) <= jmu:
+        p += 1
+    return p
+
+
+def _window_guess(J: float, mu: float, p: int, ln_tol: float) -> tuple:
+    # First candidate range (lo, hi) around the peak p.  Each end takes
+    # one Newton step on h(n) = ln a_p - ln a_n, convex in n, from the
+    # Gaussian half-width sqrt(2 var ln(1/tail_tol)) toward the level
+    # where that end's tail bound (see build_state) meets tail_tol; h
+    # changes by about `slope` per level there, and 1 - e^-slope stands
+    # in for the bound's 1 - s or 1 - r.  On convex h the step lands at
+    # or past that level.  build_state checks the exact bounds on the
+    # range and widens it where a guess still falls short, so where the
+    # guess cannot be formed (extreme mu) the range starts as p - 1 .. p + 1.
+    ln_j = math.log(J)
+    ln_jmu = ln_j + math.log(mu)
+    half = math.sqrt(-2.0 * ln_tol * p * (p + mu) / (2.0 * p + mu))
+    try:
+        base = math.lgamma(p + 1.0) + math.lgamma(p + 1.0 + mu) - p * ln_jmu
+        n = p + max(1.0, half)
+        slope = math.log((n + 1.0) * (n + 1.0 + mu)) - ln_jmu
+        h = math.lgamma(n + 1.0) + math.lgamma(n + 1.0 + mu) - n * ln_jmu - base
+        n += (ln_j - ln_tol - math.log(-math.expm1(-slope)) - h) / slope
+        hi = math.ceil(min(n, _HARD_CAP)) + 1 if n > p else p + 1
+        n = p - max(1.0, half)
+        if n > 0.0:
+            slope = ln_jmu - math.log(n * (n + mu))
+            h = math.lgamma(n + 1.0) + math.lgamma(n + 1.0 + mu) - n * ln_jmu - base
+            n -= (-ln_tol - slope - math.log(-math.expm1(-slope)) - h) / slope
+        lo = math.floor(max(n, 0.0)) - 1 if n < p else p - 1
+    except (ArithmeticError, ValueError):
+        lo, hi = p - 1, p + 1
+    return max(0, lo), min(hi, _HARD_CAP)
 
 
 def _down_ratio(k: np.ndarray, J: float, mu: float) -> np.ndarray:
     # r_k = a_{k-1} / a_k = k (k + mu) / (J mu), the term ratio one level down
     return k * (k + mu) / (J * mu)
-
-
-def _lower_index(rel: np.ndarray, J: float, mu: float, tail_tol: float) -> int:
-    # rel[k] = a_k / a_peak for k = 0 .. peak.  Below the peak the ratio
-    # a_{k-1}/a_k = r_k = k(k+mu)/(J mu) falls as k falls, so
-    # sum_{k<n} a_k <= a_n r_n/(1-r_n) at any n with r_n < 1, monotone or
-    # not; the window starts at the largest n >= 1 whose bound is below
-    # tail_tol a_peak, else at 0.
-    import numpy as np
-    k = np.arange(1, len(rel), dtype=float)
-    r = _down_ratio(k, J, mu)
-    m = int(np.searchsorted(r, 1.0))  # r rises with k: r < 1 on k = 1 .. m
-    hits = np.flatnonzero(rel[1 : m + 1] * r[:m] / (1.0 - r[:m]) < tail_tol)
-    return int(hits[-1]) + 1 if len(hits) else 0
 
 
 def build_state(
@@ -131,7 +139,26 @@ def build_state(
     """Construct the state |J, gamma> on the ladder given by ``params``.
 
     Raises ValueError for J < 0, non-finite labels, or a tail_tol outside
-    (0, 1e-6].  J = 0 yields the ground state with a single retained level.
+    (0, 1e-6], and ConvergenceError when n_max would pass 10^6.  J = 0
+    yields the ground state with a single retained level.
+
+    The levels are evaluated on one range around the weight peak p, not
+    from 0: ln a_n = n ln J - ln rho_n and its tail bounds are computed
+    on that range, which is widened, and evaluated again, until both
+    bounds close inside it.
+
+    * ``n_max`` is the first level n >= p whose energy-weighted tail
+      bound a_n e_{n+1} r_n / (1 - s_n) = a_n J / (1 - s_n) is below
+      ``tail_tol`` a_p, with r_n = J mu / ((n+1)(n+1+mu)) and
+      s_n = r_n e_{n+2} / e_{n+1} < 1.  It keeps the action identity
+      accurate to O(tail_tol) even though e_n grows like n^2/mu, and it
+      also bounds the plain mass tail a_n r_n / (1 - r_n), since
+      e_{n+1} > 1 and s_n >= r_n.
+    * ``n_min`` is the largest level k in 1 .. p whose lower tail bound
+      a_k r_k / (1 - r_k) is below ``tail_tol`` a_p, with
+      r_k = k (k + mu) / (J mu) < 1; below the peak r falls as k falls,
+      so the bound holds whether or not the terms are monotone.  It is 0
+      where no level qualifies.
     """
     import numpy as np
     if not (math.isfinite(J) and J >= 0.0):
@@ -154,20 +181,57 @@ def build_state(
             tail_tol=tail_tol,
         )
 
-    n_max = _truncation_index(J, mu, tail_tol)
-    n = np.arange(n_max + 1, dtype=float)
-    ln_a = n * math.log(J) - moment_rho_array(n, params)
-    # Normalise against the peak term, not ln N^2 itself: at J = 1e8 that
-    # is ~2e4, and its rounding would scale every weight alike and leave
-    # their sum ~1e-12 off 1.
-    peak = int(ln_a.argmax())
-    c = float(ln_a[peak])
-    shifted = ln_a - c
-    rel = np.exp(shifted)
-    n_min = _lower_index(rel[: peak + 1], J, mu, tail_tol)
-    ln_sum = math.log(float(rel[n_min:].sum()))
-    ln_weights = shifted - ln_sum
-    ln_weights[:n_min] = -math.inf
+    ln_j = math.log(J)
+    jmu = J * mu
+    p = _peak_level(J, mu)
+    lo, hi = _window_guess(J, mu, p, math.log(tail_tol))
+    while True:
+        k = np.arange(lo, hi + 3, dtype=float)
+        d = k * (k + mu)  # d[i] = k (k + mu) at level k = lo + i
+        n = k[:-2]
+        ln_a = n * ln_j - moment_rho_array(n, params)
+        # Normalise against the peak term, not ln N^2 itself: at J = 1e8
+        # that is ~2e4, and its rounding would scale every weight alike
+        # and leave their sum ~1e-12 off 1.
+        peak = int(ln_a.argmax())
+        c = float(ln_a[peak])
+        shifted = ln_a - c
+        rel = np.exp(shifted)
+
+        # upper end, levels peak .. hi (where s >= 1 the test fails, 1 - s <= 0)
+        d1 = d[peak + 1 : -1]
+        s = jmu / d1 * (d[peak + 2 :] / d1)
+        closed = rel[peak:] * J < tail_tol * (1.0 - s)
+        top = int(closed.argmax())
+        if not closed[top]:
+            top = None
+
+        # lower end, levels max(lo, 1) .. peak: r < 1 on the first `below`
+        if lo + peak == 0:
+            bottom = 0
+        else:
+            k0 = 1 if lo == 0 else 0
+            r = d[k0 : peak + 1] / jmu
+            below = int(np.searchsorted(r, 1.0))
+            hits = np.flatnonzero(rel[k0 : k0 + below] * r[:below] / (1.0 - r[:below]) < tail_tol)
+            bottom = k0 + int(hits[-1]) if len(hits) else (0 if lo == 0 else None)
+
+        if top is not None and bottom is not None:
+            break
+        if top is None:
+            if hi == _HARD_CAP:
+                raise ConvergenceError(
+                    f"weight tail did not close within {_HARD_CAP} levels (J={J}, mu={mu})"
+                )
+            hi = min(_HARD_CAP, p + 2 * (hi - p))
+        if bottom is None:
+            lo = max(0, p - 2 * (p - lo))
+
+    n_min = lo + bottom
+    n_max = lo + peak + top
+    ln_sum = math.log(float(rel[bottom : peak + top + 1].sum()))
+    ln_weights = np.full(n_max + 1, -math.inf)
+    ln_weights[n_min:] = shifted[bottom : peak + top + 1] - ln_sum
     return CoherentState(
         J=J,
         gamma=gamma,

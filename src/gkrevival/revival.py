@@ -92,6 +92,16 @@ class TimeSeries:
         object.__setattr__(self, "values", v)
 
 
+def _series(t: np.ndarray, values: np.ndarray, label: str) -> TimeSeries:
+    # A TimeSeries on a grid that _series_grid has checked, with 1-d
+    # values of its length: the fields are set as __post_init__ would set
+    # them, without checking the grid again.
+    ts = object.__new__(TimeSeries)
+    for name, value in (("t_grid", t), ("values", values), ("label", label)):
+        object.__setattr__(ts, name, value)
+    return ts
+
+
 @dataclass(frozen=True, eq=False)
 class FractionalDecomposition:
     """The q complex channels P_Delta(t), Delta = 0 .. q-1, whose sum
@@ -115,7 +125,8 @@ class PhaseGroupReport:
 
 def phase(n: int, t: float, mu: float) -> float:
     """Raw (unreduced) phase phi_n(t) = 2 pi (mu n + n^2) t."""
-    _grid([t])  # rejects a non-finite t
+    if not math.isfinite(t):
+        raise ValueError(f"times must be finite, got t = {t}")
     return _TWO_PI * (mu * n + n * n) * t
 
 
@@ -158,7 +169,9 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
             raise ValueError(f"q must be an integer >= 1, got {q}")
     t = _grid(t_grid)
     mu = state.params.mu
-    _check_cycles(quadratic_in_n(float(state.n_max), mu)[0], abs(t).max(initial=0.0))
+    # mu n + n^2 at n_max, rounded as the hi part of quadratic_in_n rounds it
+    n = float(state.n_max)
+    _check_cycles(n * n + mu * n, abs(t).max(initial=0.0))
     key = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes(), t.tobytes())
     memo = _memo
     have = memo[1] if memo is not None and memo[0] == key else {}
@@ -222,7 +235,7 @@ def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
     """|A(t)|^2 sampled on the grid (grid in t_rev units)."""
     t = _series_grid(t_grid)
     vals = _intensities(channel_amplitudes(state, 1, t)[:, 0])
-    return TimeSeries(t_grid=t, values=vals, label="|A(t)|^2")
+    return _series(t, vals, "|A(t)|^2")
 
 
 def _check_residue(q: int, delta: int):
@@ -243,7 +256,7 @@ def survival_fraction_series(state: CoherentState, q: int, delta: int, t_grid) -
     _check_residue(q, delta)
     t = _series_grid(t_grid)
     vals = _intensities(channel_amplitudes(state, q, t)[:, delta])
-    return TimeSeries(t_grid=t, values=vals, label=f"|P_{delta}(t)|^2")
+    return _series(t, vals, f"|P_{delta}(t)|^2")
 
 
 def fractional_decomposition(state: CoherentState, q: int, t_grid) -> FractionalDecomposition:
@@ -251,9 +264,7 @@ def fractional_decomposition(state: CoherentState, q: int, t_grid) -> Fractional
     _check_residue(q, 0)
     t = _series_grid(t_grid)
     chans = channel_amplitudes(state, q, t)
-    fractions = [
-        TimeSeries(t_grid=t, values=chans[:, d], label=f"P_{d}(t)") for d in range(q)
-    ]
+    fractions = [_series(t, chans[:, d], f"P_{d}(t)") for d in range(q)]
     return FractionalDecomposition(q=q, fractions=fractions)
 
 

@@ -10,9 +10,12 @@ easy to audit.  The series and the continued fraction run on a term
 budget derived from the argument (``_term_budget``), so no caller sets
 an accuracy knob:
 
-* ``bessel_i_scaled`` sums the ascending series (DLMF 10.25.2) in the log
-  domain.  All terms are positive, so there is no cancellation, and once
-  the term ratio drops below one a geometric bound controls the tail.
+* ``ln_bessel_i`` (and ``bessel_i_scaled`` through it) sums the ascending
+  series (DLMF 10.25.2) in the log domain from its largest term outward.
+  All terms are positive, so there is no cancellation; the terms peak
+  near k = x/2 but carry weight over only about 8.5 sqrt(x) of them, and
+  on each side of the peak a geometric bound controls the tail, so the
+  cost grows like sqrt(x), not x.
 * ``bessel_k_scaled`` integrates the representation (DLMF 10.32.9)
 
   .. math::
@@ -58,6 +61,13 @@ _REL_TOL = 1e-12
 # past about 1e5 two sweeps agree to _REL_TOL only after millions of nodes
 _BLOCK_NODES = 1 << 16
 _MAX_NODES = 1 << 24
+# I series terms evaluated at once on one side of the peak (bounds the
+# memory of ln_bessel_i however wide its window grows), and the largest
+# argument the series serves: past it the peak index x/2 nears 2^53,
+# where float levels stop being exact, and the window's 8.5e8 terms
+# already take seconds
+_SERIES_BLOCK = 1 << 16
+_SERIES_X_MAX = 1e16
 
 
 class ConvergenceError(RuntimeError):
@@ -68,13 +78,13 @@ class ConvergenceError(RuntimeError):
 def _term_budget(x: float) -> int:
     """Series terms / continued-fraction steps allowed at argument x.
 
-    The ascending I series peaks near k = x/2 and closes about 4.1 sqrt(x)
-    terms later; the ratio continued fraction needs about 5.8 sqrt(x)
-    steps.  The budget covers both with room to spare and is never below
-    5000, so reaching it means the input is outside what the algorithms
-    can serve, not that the cap was too tight.
+    The ascending I series is summed on a window around its peak term
+    that spans about 8.5 sqrt(x) terms; the ratio continued fraction needs
+    at most about 5.8 sqrt(x) steps.  The budget covers both with room to
+    spare and is never below 5000, so reaching it means the input is
+    outside what the algorithms can serve, not that the cap was too tight.
     """
-    return 5000 + int(0.5 * x + 12.0 * math.sqrt(x))
+    return 5000 + int(12.0 * math.sqrt(x))
 
 
 def _check_domain(nu: float, x: float, x_positive: bool = False) -> None:
@@ -115,35 +125,60 @@ def ln_bessel_i(nu: float, x: float) -> float:
         I_\nu(x) = (x/2)^\nu \sum_{k\ge 0}
                    \frac{(x^2/4)^k}{k!\,\Gamma(\nu+k+1)}
 
-    summed in the log domain (every term positive).  Returns ``-inf`` at
-    ``x = 0`` for ``nu > 0``.  The cost grows like ``x/2`` terms.
+    summed in the log domain (every term positive) from its largest
+    term outward.  The terms peak at k* = max{k : k(nu + k) <= x^2/4};
+    one ``lgamma`` pair gives that term, and the log-ratio recurrence
+    ln(t_k / t_{k-1}) = ln(x^2/4) - ln(k(nu + k)) gives the others, a
+    block at a time, up from k* and down toward 0, until each side's
+    geometric tail bound is below ``_REL_TOL`` e^-3 of the peak term.
+    The window spans about 8.5 sqrt(x) terms, so the cost grows like
+    sqrt(x), and ``_term_budget`` caps its length.  Returns ``-inf`` at
+    ``x = 0`` for ``nu > 0``; raises ConvergenceError past ``x = 1e16``.
     """
     _check_domain(nu, x)
     if x == 0.0:
         return 0.0 if nu == 0.0 else -math.inf
+    if x > _SERIES_X_MAX:
+        raise ConvergenceError(f"I series serves x <= {_SERIES_X_MAX:g}, got x={x}")
+    import numpy as np
 
-    q = 0.25 * x * x
-    ln_q = math.log(q)
-    ln_t = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
-    terms = [ln_t]
-    peak = ln_t
-    budget = _term_budget(x)
-    for k in range(1, budget + 1):
-        ln_t += ln_q - math.log(k * (nu + k))
-        terms.append(ln_t)
-        if ln_t > peak:
-            peak = ln_t
-        elif k * (nu + k) > q:
-            # past the maximum: ratios r_j < r < 1, so the tail is
-            # bounded by t_k * r / (1 - r)
-            r = q / ((k + 1.0) * (nu + k + 1.0))
-            if ln_t + math.log(r) - math.log1p(-r) < peak + math.log(_REL_TOL) - 3.0:
-                import numpy as np
-                arr = np.array(terms)
-                return peak + math.log(np.exp(arr - peak).sum())
-    raise ConvergenceError(
-        f"I series for nu={nu}, x={x} did not converge in {budget} terms"
-    )
+    ln_half = math.log(0.5 * x)
+    ln_q = 2.0 * ln_half
+    # the positive root of k^2 + nu k = x^2/4, written so x^2 cannot overflow
+    peak = int(x * (0.5 * x / (nu + math.hypot(nu, x))))
+    ln_peak = ((nu + 2.0 * peak) * ln_half - math.lgamma(peak + 1.0)
+               - math.lgamma(nu + peak + 1.0))
+    ln_stop = math.log(_REL_TOL) - 3.0
+    # first block per side: 1.1 times the Gaussian half-width at which the
+    # terms fall to ln_stop, which a side rarely outgrows
+    var = peak * (nu + peak) / (2.0 * peak + nu) if peak else 0.0
+    first = 16 + int(1.1 * math.sqrt(-2.0 * ln_stop * var))
+    budget = _term_budget(x) - 1
+    total = 1.0  # sum of t_k / t_peak over the window
+    for sign in (1, -1):  # up from the peak, then down toward k = 0
+        end, ln_end, size = peak, 0.0, first  # last level summed, ln(t_end / t_peak)
+        while sign > 0 or end > 0:
+            # the next term beyond `end` is t_end r with ln r = sign ln(q / (k (nu + k))),
+            # and once r < 1 the rest of the side is below t_end r / (1 - r),
+            # since the ratio falls further outward
+            k = end + 1 if sign > 0 else end
+            ln_r = sign * (ln_q - math.log(k * (nu + k)))
+            r = math.exp(ln_r)
+            if r < 1.0 and ln_end + ln_r - math.log1p(-r) < ln_stop:
+                break
+            size = min(size, budget, _SERIES_BLOCK, math.inf if sign > 0 else end)
+            if size <= 0:
+                raise ConvergenceError(
+                    f"I series for nu={nu}, x={x} did not converge in {_term_budget(x)} terms"
+                )
+            budget -= size
+            ks = k + sign * np.arange(size, dtype=float)
+            ln_t = ln_end + np.cumsum(sign * (ln_q - np.log(ks * (nu + ks))))
+            total += float(np.exp(ln_t).sum())
+            ln_end = float(ln_t[-1])
+            end += sign * size
+            size *= 2
+    return ln_peak + math.log(total)
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:

@@ -166,11 +166,57 @@ def _two_bound_truncation_index(J, mu, tail_tol):
 )
 def test_truncation_single_bound_matches_two_bounds(log_j, mu, log_tol):
     # the energy-weighted bound implies the mass bound, so testing it
-    # alone gives the same n_max
+    # alone gives the same n_max; and the window grown around the peak
+    # ends where the walk up from n = 0 does
     J = 10.0**log_j
     assume(J * mu <= 2e7)
     tail_tol = 10.0**log_tol
-    assert gkstate._truncation_index(J, mu, tail_tol) == _two_bound_truncation_index(J, mu, tail_tol)
+    s = build_state(J, 0.0, SpectrumParams(mu=mu), tail_tol)
+    assert s.n_max == _two_bound_truncation_index(J, mu, tail_tol)
+
+
+@pytest.mark.parametrize("J,mu,tail_tol", [
+    (0.01, 5.0, 1e-14), (2.5, 28.0, 1e-6), (1e4, 0.3, 1e-300), (3e5, 80.0, 1e-100),
+    (1e6, 16.0, 1e-14),
+])
+def test_window_growth_matches_guessed_window(monkeypatch, J, mu, tail_tol):
+    # started from p - 1 .. p + 1 only, the range is widened until both
+    # tail bounds close, and gives the same state bit for bit
+    p = SpectrumParams(mu=mu)
+    ref = build_state(J, 0.0, p, tail_tol)
+    monkeypatch.setattr(gkstate, "_window_guess",
+                        lambda J, mu, peak, ln_tol: (max(0, peak - 1), peak + 1))
+    s = build_state(J, 0.0, p, tail_tol)
+    assert (s.n_min, s.n_max, s.ln_norm_sq) == (ref.n_min, ref.n_max, ref.ln_norm_sq)
+    assert s.ln_weights.tobytes() == ref.ln_weights.tobytes()
+
+
+def test_window_guess_fallback():
+    # where ln Gamma overflows the guess is the peak's two neighbours
+    assert gkstate._window_guess(1.0, 1e306, 1, math.log(1e-14)) == (0, 2)
+
+
+@pytest.mark.parametrize("J", [1e300, 1e12, 9.99e11])
+def test_levels_capped(J):
+    # n_max may not pass 10^6: the peak itself lies past it (1e300, 1e12)
+    # or, near p = 999 500, the upper tail does
+    with pytest.raises(ConvergenceError, match="did not close within 1000000 levels"):
+        build_state(J, 0.0, SpectrumParams(mu=1.0))
+
+
+def test_levels_just_below_cap():
+    # peak near 984 900, n_max near 992 600
+    s = build_state(9.7e11, 0.0, SpectrumParams(mu=1.0))
+    assert 970_000 < s.n_min < s.n_max <= 10**6
+    assert abs(float(np.exp(s.ln_weights).sum()) - 1.0) <= 1e-13
+
+
+def test_underflowing_j_mu():
+    # J mu below the smallest double: level 1 has weight J mu / (1 + mu)
+    # relative to level 0, far below tail_tol
+    s = build_state(1e-200, 0.0, SpectrumParams(mu=1e-200))
+    assert (s.n_min, s.n_max, s.ln_norm_sq) == (0, 0, 0.0)
+    assert weight(0, s) == 1.0
 
 
 def test_norm_small_series_oracle():

@@ -40,14 +40,19 @@ print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package
 """
 
 
-def _loaded(tmp_path, commands, package):
+def _last_line(tmp_path, code):
+    # the last line a fresh interpreter prints after running code
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(commands=commands, package=package)],
+        [sys.executable, "-c", code],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
     return out.stdout.strip().splitlines()[-1]
+
+
+def _loaded(tmp_path, commands, package):
+    return _last_line(tmp_path, _PROBE.format(commands=commands, package=package))
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -66,6 +71,13 @@ def test_import_loads_no_numpy(tmp_path):
 ])
 def test_closed_forms_load_no_numpy(tmp_path, command):
     assert _loaded(tmp_path, [command], "numpy") == "[]"
+
+
+def test_phase_loads_no_numpy(tmp_path):
+    # one scalar time is checked with math, not with a one-element array
+    code = ("import sys; from gkrevival.revival import phase; "
+            "phase(1, 0.5, 28.0); print('numpy' in sys.modules)")
+    assert _last_line(tmp_path, code) == "False"
 
 
 def test_weights_loads_numpy(tmp_path):

@@ -19,6 +19,7 @@ from gkrevival._dd import mul_frac, quadratic_in_n
 from gkrevival.cli import RunConfig, _rows_survival_intensity
 from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
 from gkrevival.revival import (
+    TimeSeries,
     autocorrelation_series,
     channel_amplitudes,
     fractional_decomposition,
@@ -241,6 +242,16 @@ def _bound_t(s):
     return _dd._MAX_CYCLES / (s.params.mu * n + n * n)
 
 
+@pytest.mark.parametrize("mu", [1.0, 28.0, 80.0, 16.1, 0.37, 40.5, 1e4 + 0.3])
+@pytest.mark.parametrize("n", [0, 1, 17, 4437, 286811, 10**6, 2**26 - 1])
+def test_cycle_bound_in_python_floats(n, mu):
+    # _channels bounds the phase with mu n + n^2 in Python floats: n^2 is
+    # exact below 2^26, so both round to fl(n^2 + fl(mu n)), the hi part
+    # of quadratic_in_n
+    n = float(n)
+    assert n * n + mu * n == float(quadratic_in_n(n, mu)[0])
+
+
 def test_phase_bound_kernel(monkeypatch):
     s = _state(10.0, 28.3)
     t_in = _bound_t(s) * (1.0 - 1e-9)
@@ -418,6 +429,27 @@ def test_validation_precedes_memo(monkeypatch):
     monkeypatch.setattr(_dd, "_MAX_CYCLES", 1e20)
     with pytest.raises(ValueError, match="1e\\+20"):
         channel_amplitudes(s, 3, far)
+
+
+def test_series_check_grid_once(monkeypatch):
+    # a series call checks its grid once, in _series_grid, and returns
+    # the fields the public constructor would set; that constructor
+    # still checks the grid it is given
+    s = _state(10.0, 28.3)
+    grid = np.linspace(0.0, 1.0, 11)
+    checks = []
+    check = revival._check_increasing
+    monkeypatch.setattr(revival, "_check_increasing", lambda t: checks.append(1) or check(t))
+    series = [autocorrelation_series(s, grid), survival_fraction_series(s, 3, 1, grid),
+              *fractional_decomposition(s, 4, grid).fractions]
+    assert len(checks) == 3
+    for ts in series:
+        ref = TimeSeries(t_grid=ts.t_grid, values=ts.values, label=ts.label)
+        assert ref.t_grid is ts.t_grid and ref.values is ts.values and ref.label == ts.label
+        assert ts.t_grid.dtype == float and ts.values.ndim == 1 and len(ts.values) == len(grid)
+    for bad in (grid[::-1], np.array([0.0, 0.5, 0.5])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeSeries(t_grid=bad, values=np.zeros(len(bad)), label="x")
 
 
 @pytest.mark.parametrize("grid", [[0.5, 0.25, 0.0], [0.0, 0.5, 0.5, 1.0]])

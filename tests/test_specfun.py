@@ -207,6 +207,15 @@ def test_log_domain_extremes():
                         rel_tol=1e-13)
 
 
+def test_series_range_error():
+    # past x = 1e16 the peak index nears 2^53, where levels stop being
+    # exact floats; the series raises rather than sum wrong terms
+    assert math.isfinite(ln_bessel_i(80.0, 1e12))
+    for x in (1.01e16, 1e200):
+        with pytest.raises(ConvergenceError, match="serves x <= 1e"):
+            ln_bessel_i(0.0, x)
+
+
 def test_series_cap_error(monkeypatch):
     # the budget is derived from the argument; shrinking it must still
     # end in a loud ConvergenceError rather than a truncated sum
@@ -294,6 +303,59 @@ def test_kernel_matches_scipy_ive(nu, log_x):
     assert abs(ln_bessel_i(nu, x) - ref) <= 1e-12 * max(1.0, abs(ref))
     if i1 >= 1e-300:
         assert math.isclose(bessel_i_ratio(nu, x), i1 / i0, rel_tol=1e-12)
+
+
+def _ln_bessel_i_from_zero(nu, x):
+    # The ascending series summed from k = 0, as it was written before
+    # the window around the peak term: the reference for ln_bessel_i.
+    q = 0.25 * x * x
+    ln_q = math.log(q)
+    ln_t = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
+    terms = [ln_t]
+    peak = ln_t
+    k = 0
+    while True:
+        k += 1
+        ln_t += ln_q - math.log(k * (nu + k))
+        terms.append(ln_t)
+        if ln_t > peak:
+            peak = ln_t
+        elif k * (nu + k) > q:
+            r = q / ((k + 1.0) * (nu + k + 1.0))
+            if ln_t + math.log(r) - math.log1p(-r) < peak + math.log(1e-12) - 3.0:
+                return peak + math.log(np.exp(np.array(terms) - peak).sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                 st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0**e)),
+    log_x=st.floats(min_value=math.log(1e-3), max_value=math.log(1e5)),
+)
+def test_ln_bessel_i_window_matches_sum_from_zero(nu, log_x):
+    # each sum drops at most e^-3 1e-12 (5e-14) of the total, so the two
+    # stay within 1e-13 of each other in ln I
+    x = math.exp(log_x)
+    ref = _ln_bessel_i_from_zero(nu, x)
+    assert abs(ln_bessel_i(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.floats(min_value=0.0, max_value=100.0),
+    log_x=st.floats(min_value=math.log(1e-3), max_value=math.log(2e6)),
+)
+def test_ln_bessel_i_matches_scipy_ive_to_large_x(nu, log_x):
+    # past the x = 2e4 of test_kernel_matches_scipy_ive, out to the x of
+    # a state at J mu = 1e12, where the window sums about 8.5 sqrt(x) terms
+    from scipy.special import ive
+
+    x = math.exp(log_x)
+    i = float(ive(nu, x))
+    if i < 1e-300:
+        return
+    ref = math.log(i) + x
+    assert abs(ln_bessel_i(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 @settings(max_examples=80, deadline=None)
