@@ -12,10 +12,14 @@ geometric tail bound drops below ``tail_tol`` of the peak weight:
 the weights fall from n = 0 and ``n_min`` is 0; at large J they peak
 near sqrt(J mu) with a spread below sqrt(<n>), so most levels below the
 peak are dropped.  The weights are the terms of the ascending series of
-N^2 ~ I_mu(2 sqrt(J mu)), and a state is built from its peak outward:
+N^2 ~ I_mu(2 sqrt(J mu)), and a state is built from its peak p outward:
 only a range of levels around the peak, about as wide as the window
 n_min .. n_max, is ever evaluated, so the cost does not grow with n_max
 itself (``ln_weights`` still holds -inf for the levels below n_min).
+The ladder enters only through the term ratio r_n = a_{n-1} / a_n =
+n (n + mu) / (J mu): one ``lgamma`` pair gives ln a_p, and ln(a_n / a_p)
+is a running sum of ln r_k from p (``overlap`` steps below a window by
+the same ratio), so a weight is exact to a few roundings per level from p.
 
 Phase evolution is exact by construction: evolving by t only shifts
 gamma -> gamma + alpha t, and overlaps reduce the accumulated phase
@@ -30,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 from ._dd import _TWO_PI, _check_cycles, phase_factors, quadratic_in_n
-from .specfun import ConvergenceError, bessel_i_ratio, ln_bessel_i, ln_gamma
-from .spectrum import SpectrumParams, moment_rho_array
+from .specfun import ConvergenceError, _first_half_width, bessel_i_ratio, ln_bessel_i, ln_gamma
+from .spectrum import SpectrumParams, moment_rho
 
 __all__ = [
     "CoherentState",
@@ -97,37 +101,6 @@ def _peak_level(J: float, mu: float) -> int:
     return p
 
 
-def _window_guess(J: float, mu: float, p: int, ln_tol: float) -> tuple:
-    # First candidate range (lo, hi) around the peak p.  Each end takes
-    # one Newton step on h(n) = ln a_p - ln a_n, convex in n, from the
-    # Gaussian half-width sqrt(2 var ln(1/tail_tol)) toward the level
-    # where that end's tail bound (see build_state) meets tail_tol; h
-    # changes by about `slope` per level there, and 1 - e^-slope stands
-    # in for the bound's 1 - s or 1 - r.  On convex h the step lands at
-    # or past that level.  build_state checks the exact bounds on the
-    # range and widens it where a guess still falls short, so where the
-    # guess cannot be formed (extreme mu) the range starts as p - 1 .. p + 1.
-    ln_j = math.log(J)
-    ln_jmu = ln_j + math.log(mu)
-    half = math.sqrt(-2.0 * ln_tol * p * (p + mu) / (2.0 * p + mu))
-    try:
-        base = math.lgamma(p + 1.0) + math.lgamma(p + 1.0 + mu) - p * ln_jmu
-        n = p + max(1.0, half)
-        slope = math.log((n + 1.0) * (n + 1.0 + mu)) - ln_jmu
-        h = math.lgamma(n + 1.0) + math.lgamma(n + 1.0 + mu) - n * ln_jmu - base
-        n += (ln_j - ln_tol - math.log(-math.expm1(-slope)) - h) / slope
-        hi = math.ceil(min(n, _HARD_CAP)) + 1 if n > p else p + 1
-        n = p - max(1.0, half)
-        if n > 0.0:
-            slope = ln_jmu - math.log(n * (n + mu))
-            h = math.lgamma(n + 1.0) + math.lgamma(n + 1.0 + mu) - n * ln_jmu - base
-            n -= (-ln_tol - slope - math.log(-math.expm1(-slope)) - h) / slope
-        lo = math.floor(max(n, 0.0)) - 1 if n < p else p - 1
-    except (ArithmeticError, ValueError):
-        lo, hi = p - 1, p + 1
-    return max(0, lo), min(hi, _HARD_CAP)
-
-
 def _down_ratio(k: np.ndarray, J: float, mu: float) -> np.ndarray:
     # r_k = a_{k-1} / a_k = k (k + mu) / (J mu), the term ratio one level down
     return k * (k + mu) / (J * mu)
@@ -143,9 +116,11 @@ def build_state(
     yields the ground state with a single retained level.
 
     The levels are evaluated on one range around the weight peak p, not
-    from 0: ln a_n = n ln J - ln rho_n and its tail bounds are computed
-    on that range, which is widened, and evaluated again, until both
-    bounds close inside it.
+    from 0, first p +- the Gaussian half-width at which the terms fall
+    below tail_tol / max(1, J).  ln(a_n / a_p) is the cumulative sum of
+    ln r_k outward from p, and ln a_p = p ln J - ln rho_p the one
+    ``lgamma`` pair.  The tail bounds are tested on that range, which is
+    doubled and summed again until both close inside it.
 
     * ``n_max`` is the first level n >= p whose energy-weighted tail
       bound a_n e_{n+1} r_n / (1 - s_n) = a_n J / (1 - s_n) is below
@@ -159,6 +134,10 @@ def build_state(
       r_k = k (k + mu) / (J mu) < 1; below the peak r falls as k falls,
       so the bound holds whether or not the terms are monotone.  It is 0
       where no level qualifies.
+
+    ``ln_norm_sq`` = ln a_p + ln sum_n a_n / a_p carries the cancellation
+    of the lgamma pair, an absolute error of about 2^-52 times the larger
+    of ln Gamma(1 + mu) and p ln(J mu): 2.69 at J = 2, mu = 1e200, not 2.
     """
     import numpy as np
     if not (math.isfinite(J) and J >= 0.0):
@@ -181,21 +160,23 @@ def build_state(
             tail_tol=tail_tol,
         )
 
-    ln_j = math.log(J)
     jmu = J * mu
     p = _peak_level(J, mu)
-    lo, hi = _window_guess(J, mu, p, math.log(tail_tol))
+    c = p * math.log(J) - moment_rho(p, params)  # ln a_p
+    # the upper test asks a_n J < tail_tol a_p, and the peak root lies in
+    # [p, p + 1), so the variance is taken at p + 1 (p = 0 has one too)
+    w = _first_half_width(p + 1, mu, math.log(tail_tol) - max(0.0, math.log(J)))
+    lo, hi = max(0, p - w), min(_HARD_CAP, p + w)
     while True:
         k = np.arange(lo, hi + 3, dtype=float)
         d = k * (k + mu)  # d[i] = k (k + mu) at level k = lo + i
-        n = k[:-2]
-        ln_a = n * ln_j - moment_rho_array(n, params)
-        # Normalise against the peak term, not ln N^2 itself: at J = 1e8
-        # that is ~2e4, and its rounding would scale every weight alike
-        # and leave their sum ~1e-12 off 1.
-        peak = int(ln_a.argmax())
-        c = float(ln_a[peak])
-        shifted = ln_a - c
+        peak = p - lo
+        # ln(a_n / a_p) from ln r_k, k = lo + 1 .. hi (r = inf if J mu underflows)
+        with np.errstate(divide="ignore", over="ignore"):
+            ln_r = np.log(_down_ratio(k[1:-2], J, mu))
+        shifted = np.concatenate(
+            (np.cumsum(ln_r[:peak][::-1])[::-1], [0.0], -np.cumsum(ln_r[peak:]))
+        )
         rel = np.exp(shifted)
 
         # upper end, levels peak .. hi (where s >= 1 the test fails, 1 - s <= 0)
@@ -207,14 +188,11 @@ def build_state(
             top = None
 
         # lower end, levels max(lo, 1) .. peak: r < 1 on the first `below`
-        if lo + peak == 0:
-            bottom = 0
-        else:
-            k0 = 1 if lo == 0 else 0
-            r = d[k0 : peak + 1] / jmu
-            below = int(np.searchsorted(r, 1.0))
-            hits = np.flatnonzero(rel[k0 : k0 + below] * r[:below] / (1.0 - r[:below]) < tail_tol)
-            bottom = k0 + int(hits[-1]) if len(hits) else (0 if lo == 0 else None)
+        k0 = 1 if lo == 0 else 0
+        r = d[k0 : peak + 1] / jmu
+        below = int(np.searchsorted(r, 1.0))
+        hits = np.flatnonzero(rel[k0 : k0 + below] * r[:below] / (1.0 - r[:below]) < tail_tol)
+        bottom = k0 + int(hits[-1]) if len(hits) else (0 if lo == 0 else None)
 
         if top is not None and bottom is not None:
             break
@@ -250,7 +228,8 @@ def normalization_sq(J: float, p: SpectrumParams) -> float:
     ln Gamma(1+mu) - (mu/2) ln(J mu) + ln I_mu(2 sqrt(J mu)),
 
     which the series sum cached on a built state (ln_norm_sq) must
-    reproduce.  J = 0 gives ln 1 = 0.
+    reproduce.  J = 0 gives ln 1 = 0.  Its terms cancel, to an absolute
+    error of about 2^-52 times ln Gamma(1 + mu) or (mu/2) ln(J mu).
     """
     if not (math.isfinite(J) and J >= 0.0):
         raise ValueError(f"J must be finite and >= 0, got {J}")

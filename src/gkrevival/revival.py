@@ -32,15 +32,13 @@ The kernel keeps one memo entry: the matrices of the last (state, grid)
 it evaluated, keyed on exactly what the sums read, (mu, n_min,
 ln_weights[n_min:] as bytes, grid as bytes).  The key is content, not
 object identity, so an array changed in place is never served stale
-values and a state rebuilt identically hits.  Every evaluation fills the
-moduli asked plus q = 1 .. 6 in one pass, so a fractional-revival scan
-over q <= 6 costs one evaluation per (state, grid).  An entry holds 21
-complex values per grid point (90 kB at 267 points, 0.67 MB at 2001),
-plus q per point for each larger modulus asked by the call that last
-evaluated on its key; moduli above 6 from earlier calls are dropped, so
-a scan over large q holds one of them at a time.  Validation runs before
-the lookup, every result is a copy, and a new entry is published whole,
-never changed in place.
+values and a state rebuilt identically hits.  A call asking a modulus
+the entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and
+replaces the entry, so a fractional-revival scan over q <= 6 costs one
+evaluation per (state, grid).  An entry holds 21 complex values per grid
+point (90 kB at 267 points, 0.67 MB at 2001), plus q per point for each
+larger modulus of the call that made it.  Validation runs before the
+lookup, every result is a copy, and an entry is never changed in place.
 """
 
 from __future__ import annotations
@@ -175,12 +173,8 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
     key = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes(), t.tobytes())
     memo = _memo
     have = memo[1] if memo is not None and memo[0] == key else {}
-    asked = set(qs)
-    todo = asked - have.keys()
-    if todo:
-        merged = {**have, **_evaluate(state, sorted(todo.union(_SCAN_Q) - have.keys()), t)}
-        # past q = 6 the new entry keeps only the moduli of this call
-        have = {q: p for q, p in merged.items() if q in _SCAN_Q or q in asked}
+    if not have.keys() >= set(qs):
+        have = _evaluate(state, sorted(set(qs).union(_SCAN_Q)), t)
         _memo = (key, have)
     return {q: have[q].copy() for q in qs}
 
@@ -211,11 +205,9 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     reduction bound of ``_dd`` (1e20).  The grid may be in any order.
 
     Served from the kernel's one memo entry, keyed on (mu, n_min,
-    ln_weights[n_min:], grid) by content: every evaluation fills q plus
+    ln_weights[n_min:], grid) by content: a miss evaluates q plus
     q = 1 .. 6 in one pass, so a scan over q <= 6 on one state and grid
-    costs one evaluation.  An entry holds 21 complex values per grid
-    point, plus q for a larger modulus asked by the call that last
-    evaluated on it.  The result is a copy, safe to modify.
+    costs one evaluation.  The result is a copy, safe to modify.
     """
     return _channels(state, [q], t_grid)[q]
 

@@ -116,6 +116,13 @@ def ln_gamma(x: float) -> float:
         raise ValueError(f"ln_gamma({x}) overflows") from None
 
 
+def _first_half_width(peak: int, nu: float, ln_stop: float) -> int:
+    # first levels per side of the peak k* of terms with t_{k-1} / t_k ~ k (nu + k):
+    # 1.1 times the Gaussian half-width where they fall to e^ln_stop of t_k*, plus 16
+    var = peak * (nu + peak) / (2.0 * peak + nu) if peak else 0.0
+    return 16 + int(1.1 * math.sqrt(-2.0 * ln_stop * var))
+
+
 def ln_bessel_i(nu: float, x: float) -> float:
     r"""ln :math:`I_\nu(x)` for ``nu >= 0``, ``x >= 0``.
 
@@ -149,10 +156,7 @@ def ln_bessel_i(nu: float, x: float) -> float:
     ln_peak = ((nu + 2.0 * peak) * ln_half - math.lgamma(peak + 1.0)
                - math.lgamma(nu + peak + 1.0))
     ln_stop = math.log(_REL_TOL) - 3.0
-    # first block per side: 1.1 times the Gaussian half-width at which the
-    # terms fall to ln_stop, which a side rarely outgrows
-    var = peak * (nu + peak) / (2.0 * peak + nu) if peak else 0.0
-    first = 16 + int(1.1 * math.sqrt(-2.0 * ln_stop * var))
+    first = _first_half_width(peak, nu, ln_stop)
     budget = _term_budget(x) - 1
     total = 1.0  # sum of t_k / t_peak over the window
     for sign in (1, -1):  # up from the peak, then down toward k = 0

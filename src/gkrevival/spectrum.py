@@ -77,8 +77,8 @@ def moment_rho(n: int, p: SpectrumParams) -> float:
 
 def moment_rho_array(n: np.ndarray, p: SpectrumParams) -> np.ndarray:
     """ln rho_n of :func:`moment_rho` for a 1-D float array of levels
-    n >= 0.  ``math.lgamma`` per element gives the scalar form and state
-    construction one rounding, and needs no SciPy."""
+    n >= 0.  ``math.lgamma`` per element gives the scalar form and the
+    moment checks one rounding, and needs no SciPy."""
     import numpy as np
     mu = p.mu
     try:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkrevival import gkstate
+from gkrevival import gkstate, spectrum
 from gkrevival.gkstate import (
     CoherentState,
     build_state,
@@ -184,16 +184,37 @@ def test_window_growth_matches_guessed_window(monkeypatch, J, mu, tail_tol):
     # tail bounds close, and gives the same state bit for bit
     p = SpectrumParams(mu=mu)
     ref = build_state(J, 0.0, p, tail_tol)
-    monkeypatch.setattr(gkstate, "_window_guess",
-                        lambda J, mu, peak, ln_tol: (max(0, peak - 1), peak + 1))
+    monkeypatch.setattr(gkstate, "_first_half_width", lambda peak, nu, ln_stop: 1)
     s = build_state(J, 0.0, p, tail_tol)
     assert (s.n_min, s.n_max, s.ln_norm_sq) == (ref.n_min, ref.n_max, ref.ln_norm_sq)
     assert s.ln_weights.tobytes() == ref.ln_weights.tobytes()
 
 
-def test_window_guess_fallback():
-    # where ln Gamma overflows the guess is the peak's two neighbours
-    assert gkstate._window_guess(1.0, 1e306, 1, math.log(1e-14)) == (0, 2)
+def test_huge_mu_weights_are_poisson():
+    # as mu -> inf the ratio k (k + mu) / (J mu) tends to k / J, so the
+    # weights tend to e^-J J^n / n!; at mu = 1e200 they are that limit
+    s = _state(2.0, 1e200)
+    n = np.arange(s.n_min, s.n_max + 1)
+    poisson = np.array([math.exp(-2.0) * 2.0**k / math.factorial(k) for k in n])
+    assert np.all(np.abs(weights(s)[s.n_min :] / poisson - 1.0) <= 1e-13)
+    # the window of a state whose mu dwarfs every level (p = 99 990)
+    assert _state(1e5, 1e15).n_max == 103_090
+
+
+@pytest.mark.parametrize("J", [10.0, 1e6, 1e9])
+def test_one_lgamma_level_per_state(monkeypatch, J):
+    # ln rho_n is taken at the peak only; the term ratio gives the rest
+    levels = []
+    real = spectrum.moment_rho_array
+
+    def counted(n, p):
+        levels.extend(n.tolist())
+        return real(n, p)
+
+    monkeypatch.setattr(spectrum, "moment_rho_array", counted)
+    monkeypatch.setattr(gkstate, "moment_rho_array", counted, raising=False)
+    s = build_state(J, 0.0, SpectrumParams(mu=16.0))
+    assert len(levels) == 1 and s.n_min <= levels[0] <= s.n_max
 
 
 @pytest.mark.parametrize("J", [1e300, 1e12, 9.99e11])

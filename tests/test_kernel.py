@@ -25,7 +25,7 @@ from gkrevival.revival import (
     fractional_decomposition,
     survival_fraction_series,
 )
-from gkrevival.spectrum import SpectrumParams, moment_rho_array, revival_time
+from gkrevival.spectrum import SpectrumParams, revival_time
 
 TWO_PI = 2.0 * math.pi
 FIGURE_GRID = np.linspace(0.0, 1.0, 2001)
@@ -166,12 +166,17 @@ def test_ground_state_and_physical_time(log_j, mu, tau):
 
 
 def _unwindowed_ln_weights(s):
-    # the weights without the lower cut: n ln J - ln rho_n, normalised
-    # over every level 0 .. n_max
-    n = np.arange(s.n_max + 1, dtype=float)
-    ln_a = n * math.log(s.J) - moment_rho_array(n, s.params)
-    ln_a -= ln_a.max()
-    return ln_a - math.log(float(np.exp(ln_a).sum()))
+    # the weights without the lower cut, normalised over every level
+    # 0 .. n_max, in 30-digit arithmetic: a_0 = 1 and
+    # a_n = a_{n-1} J mu / (n (n + mu)), the product J^n / rho_n itself
+    import mpmath
+    with mpmath.workdps(30):
+        jmu = mpmath.mpf(s.J) * mpmath.mpf(s.params.mu)
+        a = [mpmath.mpf(1)]
+        for n in range(1, s.n_max + 1):
+            a.append(a[-1] * jmu / (n * (n + mpmath.mpf(s.params.mu))))
+        total = mpmath.fsum(a)
+        return np.array([float(mpmath.log(x / total)) for x in a])
 
 
 @settings(max_examples=40, deadline=None)
