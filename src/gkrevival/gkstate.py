@@ -33,7 +33,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from ._dd import _TWO_PI, _check_cycles, phase_factors, quadratic_in_n
+from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
 from .specfun import ConvergenceError, _first_half_width, bessel_i_ratio, ln_bessel_i, ln_gamma
 from .spectrum import SpectrumParams, moment_rho
 
@@ -362,11 +362,15 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     ln_a = 0.5 * (ln1 + ln2)
     c = float(ln_a.max())
     # exp(-i dgamma e_n) with e_n = (mu n + n^2) / mu: the quadratic is
-    # reduced mod 1 against dgamma / (2 pi mu) before the 2 pi multiply.
+    # reduced mod 1 against dgamma / (2 pi mu), and that cycle gives the
+    # real and imaginary parts the weights multiply.
     mu = s1.params.mu
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu)
     t = (s2.gamma - s1.gamma) / (_TWO_PI * mu)
     _check_cycles(m_hi[-1], abs(t))
-    phases = phase_factors(m_hi, m_lo, t)
-    terms = np.exp(ln_a - c) * phases
+    re, im = phase_parts(m_hi, m_lo, t)
+    a = np.exp(ln_a - c)
+    terms = np.empty(len(a), dtype=complex)
+    np.multiply(re, a, out=terms.real)
+    np.multiply(im, a, out=terms.imag)
     return complex(terms.sum() * math.exp(c))

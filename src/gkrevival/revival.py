@@ -6,11 +6,12 @@ t_rev = 2 pi mu / alpha, so the phase of level n is
     phi_n(t) = 2 pi (mu n + n^2) t.
 
 Products (mu n + n^2) t reach 1e7 and beyond, so phases are reduced mod
-2 pi with double length arithmetic before the final multiply: the
-quadratic mu n + n^2 is formed exactly as a hi/lo pair and only its
-fractional multiple of t enters exp().  At t = 1 with integer mu this
-makes every phase an exact multiple of 2 pi and the packet revives to
-|A|^2 = 1 at machine precision.
+2 pi with double length arithmetic first: the quadratic mu n + n^2 is
+formed exactly as a hi/lo pair, and only the fractional cycle f of its
+multiple of t becomes a phase factor, cos 2 pi f - i sin 2 pi f from a
+table of 1025 cycle nodes and a short series (``_dd.phase_parts``, each
+part within 7e-16).  At t = 1 with integer mu every f is 0, so the
+packet revives to |A|^2 = 1 at machine precision.
 
 The autocorrelation A(t) = sum_n w_n exp(-i phi_n(t)) regroups exactly
 into q residue classes P_Delta(t) (fractional revival channels), whose
@@ -24,7 +25,9 @@ one-modulus form.  It sums over the state's level window n_min .. n_max
 only, forms the hi/lo quadratic once and evaluates the terms
 w_n exp(-i phi_n(t_k)) on 2-D blocks of grid rows x levels holding at
 most _BLOCK_LEVEL_POINTS terms, so its temporaries stay at a few hundred
-kB whatever the window is; each channel is the strided row sum over
+kB whatever the window is; the weights multiply the real and imaginary
+parts of the phase factors as real arrays, written into one complex
+block; each channel is the strided row sum over
 n = Delta (mod q) in the window, taken from the same block of terms for
 every modulus.  A single time is a 1-point grid.
 
@@ -47,7 +50,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from ._dd import _TWO_PI, _check_cycles, mul_frac, phase_factors, quadratic_in_n
+from ._dd import _TWO_PI, _check_cycles, mul_frac, phase_parts, quadratic_in_n
 from .gkstate import CoherentState
 
 __all__ = [
@@ -187,7 +190,10 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     out = {q: np.empty((len(t), q), dtype=complex) for q in qs}
     rows = max(1, _BLOCK_LEVEL_POINTS // len(n))
     for i in range(0, len(t), rows):
-        terms = w * phase_factors(m_hi, m_lo, t[i : i + rows, None])
+        re, im = phase_parts(m_hi, m_lo, t[i : i + rows, None])
+        terms = np.empty(re.shape, dtype=complex)
+        np.multiply(re, w, out=terms.real)
+        np.multiply(im, w, out=terms.imag)
         for q, p in out.items():
             for d in range(q):
                 # column j is level n_min + j: channel d starts at (d - n_min) mod q

@@ -1,5 +1,7 @@
-"""Channel-amplitude kernel tests: the block-vectorised kernel against a
-per-grid-point reference loop, block boundaries, the channel sum rule,
+"""Channel-amplitude kernel tests: the table-and-series phase factors
+against 40-digit values, the block-vectorised kernel against a
+per-grid-point reference loop on the same phase factors and near NumPy's
+complex exp, block boundaries, the channel sum rule,
 exact agreement wherever the CSV datasets depend on it, the level window
 against un-windowed sums, the phase reduction bound, and the kernel's
 memo (hits bit-identical to fresh evaluations, never stale, validation
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, revival
-from gkrevival._dd import mul_frac, quadratic_in_n
+from gkrevival._dd import mul_frac, phase_parts, quadratic_in_n
 from gkrevival.cli import RunConfig, _rows_survival_intensity
 from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
 from gkrevival.revival import (
@@ -42,19 +44,74 @@ def _state(J, mu):
     return build_state(J, 0.0, SpectrumParams(mu=mu))
 
 
-def _reference(state, q, t_grid):
+def _libm_parts(m_hi, m_lo, t):
+    # phase_parts through NumPy's complex exp of the reduced cycle
+    z = np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, t)))
+    return z.real, z.imag
+
+
+def _reference(state, q, t_grid, parts=phase_parts):
     # One grid point at a time: terms w_n exp(-i phi_n(t)) over the
     # state's window n_min .. n_max, channel Delta summed over the levels
-    # n = Delta (mod q) in it.
+    # n = Delta (mod q) in it; parts gives the phase factors' real and
+    # imaginary parts.
     n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
     w = np.exp(state.ln_weights[state.n_min :])
     out = np.empty((len(t_grid), q), dtype=complex)
     for i, ti in enumerate(t_grid):
-        terms = w * np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, float(ti))))
+        re, im = parts(m_hi, m_lo, float(ti))
+        terms = w * re + 1j * (w * im)
         for d in range(q):
             out[i, d] = terms[(d - state.n_min) % q :: q].sum()
     return out
+
+
+# m_hi = 0, m_lo = -2^-60, t = 1: the cycle -2^-60 reduces to exactly
+# f = 1.0, the last table node
+_CYCLE_ONE = (0.0, -(2.0**-60), 1.0)
+
+
+def _cycle_points():
+    # 6000 random cycles, every table node j / 1024 below 1 and its
+    # neighbours 1 ulp either side inside [0, 1), and 2^-60; with
+    # m_lo = 0 and t = 1 the reduced cycle is f itself
+    nodes = np.arange(_dd._CYCLE_STEPS) / _dd._CYCLE_STEPS
+    return np.concatenate([
+        np.random.default_rng(15).random(6000),
+        nodes,
+        np.nextafter(nodes, 1.0),
+        np.nextafter(nodes[1:], 0.0),
+        [2.0**-60],
+    ])
+
+
+def test_phase_parts_accuracy():
+    # each part within 7e-16 of exp(-2 pi i f) for the exact double f
+    # (and of exp(2 pi i 2^-60) at f = 1.0), |z| within 3e-16 of 1
+    import mpmath
+    f = _cycle_points()
+    assert np.array_equal(mul_frac(f, 0.0, 1.0), f)
+    assert mul_frac(*_CYCLE_ONE) == 1.0
+    re, im = (np.append(a, b) for a, b in zip(phase_parts(f, 0.0, 1.0), phase_parts(*_CYCLE_ONE)))
+    part_err = mod_err = 0.0
+    with mpmath.workdps(40):
+        cycles = [mpmath.mpf(x) for x in f.tolist()] + [_CYCLE_ONE[1]]
+        for c, x, y in zip(cycles, re.tolist(), im.tolist()):
+            part_err = max(part_err, abs(x - mpmath.cospi(2 * c)), abs(y + mpmath.sinpi(2 * c)))
+            mod_err = max(mod_err, abs(mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2) - 1))
+    assert float(part_err) <= 7e-16
+    assert float(mod_err) <= 3e-16
+
+
+def test_phase_parts_quarter_cycles_are_libm():
+    # at the quarter cycles and at f = 1.0 (table nodes) the parts are
+    # NumPy's own cos(2 pi f) and -sin(2 pi f), bit for bit, signed
+    # zeros included
+    f = np.array([0.0, 0.25, 0.5, 0.75])
+    for (re, im), cycles in ((phase_parts(f, 0.0, 1.0), f), (phase_parts(*_CYCLE_ONE), 1.0)):
+        assert np.asarray(re).tobytes() == np.cos(TWO_PI * cycles).tobytes()
+        assert np.asarray(im).tobytes() == (-np.sin(TWO_PI * cycles)).tobytes()
 
 
 _mu = st.one_of(
@@ -94,6 +151,15 @@ def test_figure_grids_exact(mu, q):
     s = _state(10.0, mu)
     assert len(FIGURE_GRID) * (s.n_max + 1) > revival._BLOCK_LEVEL_POINTS
     assert np.array_equal(channel_amplitudes(s, q, FIGURE_GRID), _reference(s, q, FIGURE_GRID))
+
+
+@pytest.mark.parametrize("mu", [1.0, 28.0, 80.0])
+@pytest.mark.parametrize("q", [1, 4])
+def test_figure_grids_near_libm_phases(mu, q):
+    # the kernel against the same sums with NumPy's complex exp
+    s = _state(10.0, mu)
+    libm = _reference(s, q, FIGURE_GRID, parts=_libm_parts)
+    assert np.max(np.abs(channel_amplitudes(s, q, FIGURE_GRID) - libm)) <= 2e-15
 
 
 def test_level_count_above_block_size():
@@ -340,13 +406,13 @@ def _count_rows(monkeypatch):
     # grid rows passed to the kernel's phase factors; one evaluation
     # covers every grid row once, whatever its block size
     rows = []
-    real = revival.phase_factors
+    real = revival.phase_parts
 
     def counted(m_hi, m_lo, t):
         rows.append(t.shape[0])
         return real(m_hi, m_lo, t)
 
-    monkeypatch.setattr(revival, "phase_factors", counted)
+    monkeypatch.setattr(revival, "phase_parts", counted)
     return rows
 
 
