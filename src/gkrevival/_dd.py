@@ -12,22 +12,15 @@ kernel, without a trigonometric call per term: f * 1024 splits exactly
 into a table node j and a remainder, the table holds NumPy's cos and sin
 of 2 pi j / 1024 (j = 0 .. 1024; frac can return exactly 1.0), and the
 remainder angle theta < 2 pi / 1024 enters through its Taylor series, cos
-to theta^6 and sin to theta^5, which drop less than 1e-19.  At the nodes,
-the quarter cycles among them, the parts are NumPy's cos(2 pi f) and
--sin(2 pi f) bit for bit.  Elsewhere they carry the node's own rounding
-(up to 6.5e-16 against 40-digit values) plus a few roundings of the
-series: over 27 000 points (random, every node and its neighbours, and
-dense near the least accurate nodes) each part came within 6.9e-16 of
-exp(-2 pi i f) for the exact double f and |z| within 2.3e-16 of 1, where
-NumPy's complex exp came within 6.9e-16 and 7.8e-17.  All functions
-accept floats or ndarrays (broadcasting like NumPy) and are branch-free,
-so they vectorize.
+to theta^6 and sin to theta^5.  Each part is within 6.9e-16 of
+exp(-2 pi i f) for the exact double f.  At the table nodes the parts are
+NumPy's cos(2 pi f) and -sin(2 pi f) bit for bit.  All functions accept
+floats or ndarrays (broadcasting like NumPy) and are branch-free, so
+they vectorize.
 
-The reduced cycle of (mu*n + n**2)*t is off by about 1e-32 of a cycle per
-unit of the product (measured against exact rational arithmetic): 0 up
-to 2.5e15, 1.5e-13 at 8e18, 8e-12 at 7.8e20.  ``_check_cycles`` holds
-every reduction to (mu*n_max + n_max**2)*max|t| <= 1e20, about 1e-12 of
-a cycle, and raises ValueError past it.
+``_check_cycles`` holds every reduction to
+(mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
+about 1e-12 of a cycle, and raises ValueError past it.
 """
 
 import math

@@ -12,14 +12,15 @@ geometric tail bound drops below ``tail_tol`` of the peak weight:
 the weights fall from n = 0 and ``n_min`` is 0; at large J they peak
 near sqrt(J mu) with a spread below sqrt(<n>), so most levels below the
 peak are dropped.  The weights are the terms of the ascending series of
-N^2 ~ I_mu(2 sqrt(J mu)), and a state is built from its peak p outward:
-only a range of levels around the peak, about as wide as the window
-n_min .. n_max, is ever evaluated, so the cost does not grow with n_max
-itself (``ln_weights`` still holds -inf for the levels below n_min).
+N^2 ~ I_mu(2 sqrt(J mu)), walked out from the peak p by
+``specfun._peak_walk`` as ``ln_bessel_i`` sums them, each level once,
+until each side's tail test closes: the cost follows the window
+n_min .. n_max, not n_max itself (``ln_weights`` holds -inf below n_min).
 The ladder enters only through the term ratio r_n = a_{n-1} / a_n =
 n (n + mu) / (J mu): one ``lgamma`` pair gives ln a_p, and ln(a_n / a_p)
-is a running sum of ln r_k from p (``overlap`` steps below a window by
-the same ratio), so a weight is exact to a few roundings per level from p.
+is a running sum of ln r_k from p (``overlap`` walks below a window the
+same way, from n_min), so a weight is exact to a few roundings per level
+from p.
 
 Phase evolution is exact by construction: evolving by t only shifts
 gamma -> gamma + alpha t, and overlaps reduce the accumulated phase
@@ -34,7 +35,8 @@ import math
 from dataclasses import dataclass
 
 from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
-from .specfun import ConvergenceError, _first_half_width, bessel_i_ratio, ln_bessel_i, ln_gamma
+from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
+                      bessel_i_ratio, ln_bessel_i, ln_gamma)
 from .spectrum import SpectrumParams, moment_rho
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _HARD_CAP = 10**6
+_UNCAPPED = "weight tail did not close within %d levels (J=%r, mu=%r)"
 # build_state's default tail tolerance and the largest it accepts
 _TAIL_TOL = 1e-14
 _TAIL_TOL_MAX = 1e-6
@@ -84,28 +87,6 @@ class CoherentState:
     tail_tol: float
 
 
-def _peak_level(J: float, mu: float) -> int:
-    # p = max{n : n (n + mu) <= J mu}, the level of the largest weight
-    # (a_n / a_{n-1} = J mu / (n (n + mu)) stays >= 1 up to it)
-    jmu = J * mu
-    n0 = 2.0 * jmu / (mu + math.hypot(mu, 2.0 * math.sqrt(jmu)))
-    if not n0 < _HARD_CAP:
-        raise ConvergenceError(
-            f"weight tail did not close within {_HARD_CAP} levels (J={J}, mu={mu})"
-        )
-    p = int(n0)
-    while p > 0 and p * (p + mu) > jmu:
-        p -= 1
-    while (p + 1) * (p + 1 + mu) <= jmu:
-        p += 1
-    return p
-
-
-def _down_ratio(k: np.ndarray, J: float, mu: float) -> np.ndarray:
-    # r_k = a_{k-1} / a_k = k (k + mu) / (J mu), the term ratio one level down
-    return k * (k + mu) / (J * mu)
-
-
 def build_state(
     J: float, gamma: float, params: SpectrumParams, tail_tol: float = _TAIL_TOL
 ) -> CoherentState:
@@ -115,12 +96,13 @@ def build_state(
     (0, 1e-6], and ConvergenceError when n_max would pass 10^6.  J = 0
     yields the ground state with a single retained level.
 
-    The levels are evaluated on one range around the weight peak p, not
-    from 0, first p +- the Gaussian half-width at which the terms fall
-    below tail_tol / max(1, J).  ln(a_n / a_p) is the cumulative sum of
-    ln r_k outward from p, and ln a_p = p ln J - ln rho_p the one
-    ``lgamma`` pair.  The tail bounds are tested on that range, which is
-    doubled and summed again until both close inside it.
+    The levels are walked out from the weight peak p, not from 0, by
+    ``_peak_walk``: first p +- the Gaussian half-width at which the terms
+    fall below tail_tol / max(1, J), then, on a side whose tail bound has
+    not closed, blocks twice as long as that side's last.  ln(a_n / a_p)
+    is the cumulative sum of ln r_k outward from p, and ln a_p =
+    p ln J - ln rho_p the one ``lgamma`` pair.  Each level is evaluated
+    and tested once.
 
     * ``n_max`` is the first level n >= p whose energy-weighted tail
       bound a_n e_{n+1} r_n / (1 - s_n) = a_n J / (1 - s_n) is below
@@ -149,77 +131,58 @@ def build_state(
 
     mu = params.mu
     if J == 0.0:
-        return CoherentState(
-            J=0.0,
-            gamma=gamma,
-            params=params,
-            n_min=0,
-            n_max=0,
-            ln_weights=np.zeros(1),
-            ln_norm_sq=0.0,
-            tail_tol=tail_tol,
-        )
+        return CoherentState(J=0.0, gamma=gamma, params=params, n_min=0, n_max=0,
+                             ln_weights=np.zeros(1), ln_norm_sq=0.0, tail_tol=tail_tol)
 
     jmu = J * mu
-    p = _peak_level(J, mu)
-    c = p * math.log(J) - moment_rho(p, params)  # ln a_p
+    if not jmu < _HARD_CAP * (_HARD_CAP + mu):  # the peak lies past the cap
+        raise ConvergenceError(_UNCAPPED % (_HARD_CAP, J, mu))
+    p = _peak_level(jmu, mu)
     # the upper test asks a_n J < tail_tol a_p, and the peak root lies in
     # [p, p + 1), so the variance is taken at p + 1 (p = 0 has one too)
     w = _first_half_width(p + 1, mu, math.log(tail_tol) - max(0.0, math.log(J)))
-    lo, hi = max(0, p - w), min(_HARD_CAP, p + w)
-    while True:
-        k = np.arange(lo, hi + 3, dtype=float)
-        d = k * (k + mu)  # d[i] = k (k + mu) at level k = lo + i
-        peak = p - lo
-        # ln(a_n / a_p) from ln r_k, k = lo + 1 .. hi (r = inf if J mu underflows)
-        with np.errstate(divide="ignore", over="ignore"):
-            ln_r = np.log(_down_ratio(k[1:-2], J, mu))
-        shifted = np.concatenate(
-            (np.cumsum(ln_r[:peak][::-1])[::-1], [0.0], -np.cumsum(ln_r[peak:]))
-        )
-        rel = np.exp(shifted)
+    walk = _peak_walk(jmu, mu, p, min(p, w), w)
+    blocks = [next(walk)]
+    lo, ln, d = blocks[0]
+    bottom = _lower_end(lo, np.exp(ln[: p - lo + 1]), d, jmu, tail_tol) if p else 0
+    top = _upper_end(p, np.exp(ln[p - lo :]), d[p - lo :], J, jmu, tail_tol)
+    while bottom is None:
+        blocks.insert(0, walk.send(-1))
+        lo, ln, d = blocks[0]
+        bottom = _lower_end(lo, np.exp(ln), d, jmu, tail_tol)
+    while top is None:  # closes, since the terms fall to 0 above the peak
+        blocks.append(walk.send(1))
+        a, ln, d = blocks[-1]
+        top = _upper_end(a, np.exp(ln), d, J, jmu, tail_tol)
+    if top > _HARD_CAP:
+        raise ConvergenceError(_UNCAPPED % (_HARD_CAP, J, mu))
 
-        # upper end, levels peak .. hi (where s >= 1 the test fails, 1 - s <= 0)
-        d1 = d[peak + 1 : -1]
-        s = jmu / d1 * (d[peak + 2 :] / d1)
-        closed = rel[peak:] * J < tail_tol * (1.0 - s)
-        top = int(closed.argmax())
-        if not closed[top]:
-            top = None
+    ln = np.concatenate([b[1] for b in blocks]) if len(blocks) > 1 else blocks[0][1]
+    shifted = ln[bottom - lo : top - lo + 1]
+    ln_sum = math.log(float(np.exp(shifted).sum()))
+    ln_weights = np.concatenate((np.full(bottom, -math.inf), shifted - ln_sum))
+    return CoherentState(J=J, gamma=gamma, params=params, n_min=bottom, n_max=top,
+                         ln_weights=ln_weights, tail_tol=tail_tol,
+                         ln_norm_sq=p * math.log(J) - moment_rho(p, params) + ln_sum)
 
-        # lower end, levels max(lo, 1) .. peak: r < 1 on the first `below`
-        k0 = 1 if lo == 0 else 0
-        r = d[k0 : peak + 1] / jmu
-        below = int(np.searchsorted(r, 1.0))
-        hits = np.flatnonzero(rel[k0 : k0 + below] * r[:below] / (1.0 - r[:below]) < tail_tol)
-        bottom = k0 + int(hits[-1]) if len(hits) else (0 if lo == 0 else None)
 
-        if top is not None and bottom is not None:
-            break
-        if top is None:
-            if hi == _HARD_CAP:
-                raise ConvergenceError(
-                    f"weight tail did not close within {_HARD_CAP} levels (J={J}, mu={mu})"
-                )
-            hi = min(_HARD_CAP, p + 2 * (hi - p))
-        if bottom is None:
-            lo = max(0, p - 2 * (p - lo))
+def _lower_end(a: int, rel: np.ndarray, d: np.ndarray, jmu: float, tail_tol: float):
+    # n_min's test on levels a, a + 1, .. <= p, given a_n / a_p and d_n on
+    # them: the last level with r < 1 (a prefix, r_k = d_k / (J mu) rises)
+    # and a_k r_k / (1 - r_k) < tail_tol, or None; level 0 always passes
+    r = d[: len(rel)] / jmu
+    below = int(r.searchsorted(1.0))
+    hits = (rel[:below] * r[:below] / (1.0 - r[:below]) < tail_tol).nonzero()[0]
+    return a + int(hits[-1]) if len(hits) else None
 
-    n_min = lo + bottom
-    n_max = lo + peak + top
-    ln_sum = math.log(float(rel[bottom : peak + top + 1].sum()))
-    ln_weights = np.full(n_max + 1, -math.inf)
-    ln_weights[n_min:] = shifted[bottom : peak + top + 1] - ln_sum
-    return CoherentState(
-        J=J,
-        gamma=gamma,
-        params=params,
-        n_min=n_min,
-        n_max=n_max,
-        ln_weights=ln_weights,
-        ln_norm_sq=c + ln_sum,
-        tail_tol=tail_tol,
-    )
+
+def _upper_end(a: int, rel: np.ndarray, d: np.ndarray, J: float, jmu: float, tail_tol: float):
+    # n_max's test on levels a >= p, a + 1, .., given a_n / a_p on them and
+    # d_n on two more: the first level whose energy-weighted bound closes,
+    # or None (where s >= 1 the test fails, 1 - s <= 0)
+    closed = rel * J < tail_tol * (1.0 - jmu / d[1:-1] * (d[2:] / d[1:-1]))
+    i = int(closed.argmax())
+    return a + i if closed[i] else None
 
 
 def normalization_sq(J: float, p: SpectrumParams) -> float:
@@ -228,14 +191,17 @@ def normalization_sq(J: float, p: SpectrumParams) -> float:
     ln Gamma(1+mu) - (mu/2) ln(J mu) + ln I_mu(2 sqrt(J mu)),
 
     which the series sum cached on a built state (ln_norm_sq) must
-    reproduce.  J = 0 gives ln 1 = 0.  Its terms cancel, to an absolute
-    error of about 2^-52 times ln Gamma(1 + mu) or (mu/2) ln(J mu).
+    reproduce.  J = 0 gives ln 1 = 0, and so does a J mu that underflows
+    to 0, where ln N^2 ~ J mu / (1 + mu) rounds to 0.  Its terms cancel,
+    to an absolute error of about 2^-52 times the largest of
+    ln Gamma(1 + mu), (mu/2) ln(J mu) and p ln(J mu), the last from the
+    ``lgamma`` pair of the I series' peak term (p the weight peak).
     """
     if not (math.isfinite(J) and J >= 0.0):
         raise ValueError(f"J must be finite and >= 0, got {J}")
-    if J == 0.0:
-        return 0.0
     mu = p.mu
+    if J * mu == 0.0:
+        return 0.0
     y = 2.0 * math.sqrt(J * mu)
     return ln_gamma(1.0 + mu) - 0.5 * mu * math.log(J * mu) + ln_bessel_i(mu, y)
 
@@ -326,16 +292,15 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
 
 def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
     # ln w_n on levels n_lo .. n_up: the state's own window, -inf above
-    # n_max, and below n_min the terms its window dropped, stepped down
-    # from w_{n_min} by the ratios r_k, so that the partner's weights
+    # n_max, and below n_min the terms its window dropped, walked down
+    # from w_{n_min} by the term ratio, so that the partner's weights
     # there meet their true terms
     import numpy as np
     ln = np.full(n_up + 1 - n_lo, -math.inf)
     ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:]
     if s.n_min > n_lo:
-        k = np.arange(n_lo + 1, s.n_min + 1, dtype=float)
-        steps = np.log(_down_ratio(k, s.J, s.params.mu))
-        ln[: s.n_min - n_lo] = ln[s.n_min - n_lo] + np.cumsum(steps[::-1])[::-1]
+        _, down, _ = next(_peak_walk(s.J * s.params.mu, s.params.mu, s.n_min, s.n_min - n_lo, 0))
+        ln[: s.n_min - n_lo] = ln[s.n_min - n_lo] + down[:-1]
     return ln
 
 

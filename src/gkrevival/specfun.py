@@ -11,7 +11,8 @@ budget derived from the argument (``_term_budget``), so no caller sets
 an accuracy knob:
 
 * ``ln_bessel_i`` (and ``bessel_i_scaled`` through it) sums the ascending
-  series (DLMF 10.25.2) in the log domain from its largest term outward.
+  series (DLMF 10.25.2) in the log domain from its largest term outward
+  by ``_peak_walk``, the walk that also gives ``gkstate`` its weights.
   All terms are positive, so there is no cancellation; the terms peak
   near k = x/2 but carry weight over only about 8.5 sqrt(x) of them, and
   on each side of the peak a geometric bound controls the tail, so the
@@ -61,12 +62,12 @@ _REL_TOL = 1e-12
 # past about 1e5 two sweeps agree to _REL_TOL only after millions of nodes
 _BLOCK_NODES = 1 << 16
 _MAX_NODES = 1 << 24
-# I series terms evaluated at once on one side of the peak (bounds the
+# levels per side in one block of a peak walk past its first (bounds the
 # memory of ln_bessel_i however wide its window grows), and the largest
 # argument the series serves: past it the peak index x/2 nears 2^53,
 # where float levels stop being exact, and the window's 8.5e8 terms
 # already take seconds
-_SERIES_BLOCK = 1 << 16
+_WALK_BLOCK = 1 << 16
 _SERIES_X_MAX = 1e16
 
 
@@ -123,6 +124,51 @@ def _first_half_width(peak: int, nu: float, ln_stop: float) -> int:
     return 16 + int(1.1 * math.sqrt(-2.0 * ln_stop * var))
 
 
+def _peak_level(q: float, nu: float) -> int:
+    # p = max{k : k (k + nu) <= q}: the terms of a series with ratio
+    # t_{k-1} / t_k = k (k + nu) / q rise up to t_p and fall after it
+    p = int(2.0 * q / (nu + math.hypot(nu, 2.0 * math.sqrt(q)))) if q >= 1.0 + nu else 0
+    while p * (p + nu) > q:
+        p -= 1
+    while (p + 1) * (p + 1 + nu) <= q:
+        p += 1
+    return p
+
+
+def _peak_walk(q: float, nu: float, p: int, below: int, above: int):
+    """Blocks of ln(t_k / t_p) for a series with term ratio
+    t_{k-1} / t_k = d_k / q, d_k = k (k + nu), walked out from level p.
+
+    A block over levels a .. b is (a, ln, d): ln(t_k / t_p) ascending, and
+    d_k on a .. b + 2 for the callers' tail tests.  ``next`` gives levels
+    p - below .. p + above, both sides in one pass; ``send(side)`` the next
+    block below (-1) or above (+1), twice that side's last, at most
+    ``_WALK_BLOCK`` levels and none below 0.  A block's cumsum is seeded
+    with its neighbour's value, so each level is evaluated once and has
+    the bits of one cumsum from p (ln(d_k / q) is inf where q underflows).
+    """
+    import numpy as np
+    lo, hi = p - below, p + above
+    k = np.arange(lo, hi + 3, dtype=float)
+    d = k * (k + nu)
+    with np.errstate(divide="ignore", over="ignore"):
+        ln_r = np.log(d[1 : hi - lo + 1] / q)  # ln r_k, k = lo + 1 .. hi
+    ln = np.concatenate((np.cumsum(ln_r[:below][::-1])[::-1], [0.0], -np.cumsum(ln_r[below:])))
+    a, size, end = lo, {-1: below, 1: above}, {-1: ln[0], 1: ln[-1]}
+    while True:
+        side = yield a, ln, d
+        n = size[side] = min(2 * size[side], _WALK_BLOCK, lo if side < 0 else _WALK_BLOCK)
+        lo, a, hi = (lo - n, lo - n, hi) if side < 0 else (lo, hi + 1, hi + n)
+        k = np.arange(a, a + n + 2, dtype=float)
+        d = k * (k + nu)
+        # outward steps ln(t_next / t_cur): ln r_k down from k = a + n, -ln r_k up from k = a
+        with np.errstate(divide="ignore", over="ignore"):
+            steps = np.log(d[1 : n + 1] / q)[::-1] if side < 0 else -np.log(d[:n] / q)
+        steps[0] += end[side]
+        ln = np.cumsum(steps)[::side]
+        end[side] = ln[-1] if side > 0 else ln[0]
+
+
 def ln_bessel_i(nu: float, x: float) -> float:
     r"""ln :math:`I_\nu(x)` for ``nu >= 0``, ``x >= 0``.
 
@@ -132,15 +178,13 @@ def ln_bessel_i(nu: float, x: float) -> float:
         I_\nu(x) = (x/2)^\nu \sum_{k\ge 0}
                    \frac{(x^2/4)^k}{k!\,\Gamma(\nu+k+1)}
 
-    summed in the log domain (every term positive) from its largest
-    term outward.  The terms peak at k* = max{k : k(nu + k) <= x^2/4};
-    one ``lgamma`` pair gives that term, and the log-ratio recurrence
-    ln(t_k / t_{k-1}) = ln(x^2/4) - ln(k(nu + k)) gives the others, a
-    block at a time, up from k* and down toward 0, until each side's
-    geometric tail bound is below ``_REL_TOL`` e^-3 of the peak term.
-    The window spans about 8.5 sqrt(x) terms, so the cost grows like
-    sqrt(x), and ``_term_budget`` caps its length.  Returns ``-inf`` at
-    ``x = 0`` for ``nu > 0``; raises ConvergenceError past ``x = 1e16``.
+    summed in the log domain (every term positive) from its largest term
+    outward by ``_peak_walk`` (q = x^2/4): one ``lgamma`` pair gives the
+    peak term, and each side stops once its geometric tail bound is below
+    ``_REL_TOL`` e^-3 of it.  The window spans about 8.5 sqrt(x) terms, so
+    the cost grows like sqrt(x).  Returns ``-inf`` at ``x = 0`` for
+    ``nu > 0``; raises ConvergenceError where the walk would pass
+    ``_term_budget`` terms, and past ``x = 1e16``.
     """
     _check_domain(nu, x)
     if x == 0.0:
@@ -150,38 +194,29 @@ def ln_bessel_i(nu: float, x: float) -> float:
     import numpy as np
 
     ln_half = math.log(0.5 * x)
-    ln_q = 2.0 * ln_half
-    # the positive root of k^2 + nu k = x^2/4, written so x^2 cannot overflow
-    peak = int(x * (0.5 * x / (nu + math.hypot(nu, x))))
-    ln_peak = ((nu + 2.0 * peak) * ln_half - math.lgamma(peak + 1.0)
-               - math.lgamma(nu + peak + 1.0))
+    q = 0.25 * x * x
+    peak = _peak_level(q, nu)
+    ln_peak = (nu + 2.0 * peak) * ln_half - math.lgamma(peak + 1.0) - math.lgamma(nu + peak + 1.0)
     ln_stop = math.log(_REL_TOL) - 3.0
-    first = _first_half_width(peak, nu, ln_stop)
-    budget = _term_budget(x) - 1
-    total = 1.0  # sum of t_k / t_peak over the window
-    for sign in (1, -1):  # up from the peak, then down toward k = 0
-        end, ln_end, size = peak, 0.0, first  # last level summed, ln(t_end / t_peak)
-        while sign > 0 or end > 0:
-            # the next term beyond `end` is t_end r with ln r = sign ln(q / (k (nu + k))),
-            # and once r < 1 the rest of the side is below t_end r / (1 - r),
-            # since the ratio falls further outward
-            k = end + 1 if sign > 0 else end
-            ln_r = sign * (ln_q - math.log(k * (nu + k)))
+    first = min(_first_half_width(peak, nu, ln_stop), _WALK_BLOCK, _term_budget(x) // 2)
+    walk = _peak_walk(q, nu, peak, min(peak, first), first)
+    block = next(walk)
+    total, count = float(np.exp(block[1]).sum()), len(block[1])  # sum of t_k / t_peak
+    for side in (1, -1):
+        _, ln, d = block
+        # the next term beyond the side's end is t_end r, and once r < 1
+        # the rest of the side is below t_end r / (1 - r), since the ratio
+        # falls further outward; the walk down ends at level 0 (d = 0)
+        while side > 0 or d[0] > 0:
+            ln_r = side * (2.0 * ln_half - math.log(d[-2] if side > 0 else d[0]))
             r = math.exp(ln_r)
-            if r < 1.0 and ln_end + ln_r - math.log1p(-r) < ln_stop:
+            if r < 1.0 and (ln[-1] if side > 0 else ln[0]) + ln_r - math.log1p(-r) < ln_stop:
                 break
-            size = min(size, budget, _SERIES_BLOCK, math.inf if sign > 0 else end)
-            if size <= 0:
-                raise ConvergenceError(
-                    f"I series for nu={nu}, x={x} did not converge in {_term_budget(x)} terms"
-                )
-            budget -= size
-            ks = k + sign * np.arange(size, dtype=float)
-            ln_t = ln_end + np.cumsum(sign * (ln_q - np.log(ks * (nu + ks))))
-            total += float(np.exp(ln_t).sum())
-            ln_end = float(ln_t[-1])
-            end += sign * size
-            size *= 2
+            if count > _term_budget(x):
+                raise ConvergenceError(f"I series for nu={nu}, x={x} did not converge in "
+                                       f"{_term_budget(x)} terms")
+            _, ln, d = walk.send(side)
+            total, count = total + float(np.exp(ln).sum()), count + len(ln)
     return ln_peak + math.log(total)
 
 

@@ -234,10 +234,13 @@ def test_levels_just_below_cap():
 
 def test_underflowing_j_mu():
     # J mu below the smallest double: level 1 has weight J mu / (1 + mu)
-    # relative to level 0, far below tail_tol
-    s = build_state(1e-200, 0.0, SpectrumParams(mu=1e-200))
-    assert (s.n_min, s.n_max, s.ln_norm_sq) == (0, 0, 0.0)
-    assert weight(0, s) == 1.0
+    # relative to level 0, far below tail_tol, and ln N^2 ~ J mu / (1 + mu)
+    # rounds to 0 in closed form and series alike
+    for J, mu in ((1e-200, 1e-200), (1e-320, 1e-10)):
+        s = build_state(J, 0.0, SpectrumParams(mu=mu))
+        assert (s.n_min, s.n_max, s.ln_norm_sq) == (0, 0, 0.0)
+        assert normalization_sq(J, SpectrumParams(mu=mu)) == s.ln_norm_sq == 0.0
+        assert weight(0, s) == 1.0
 
 
 def test_norm_small_series_oracle():
