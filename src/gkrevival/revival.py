@@ -14,9 +14,9 @@ part within 7e-16).  At t = 1 with integer mu every f is 0, so the
 packet revives to |A|^2 = 1 at machine precision.
 
 The autocorrelation A(t) = sum_n w_n exp(-i phi_n(t)) regroups exactly
-into q residue classes P_Delta(t) (fractional revival channels), whose
-squared moduli and cross terms split |A(t)|^2 into a diagonal and an
-interference part.
+into q residue classes P_Delta(t) (fractional revival channels); |A(t)|^2
+splits into the diagonal sum |P_Delta|^2 and the interference part
+2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one prefix sum, O(q).
 
 Every time series and every single-time value here comes from one
 kernel, ``_channels``, which returns the (T, q) matrix of P_Delta(t_k)
@@ -27,9 +27,10 @@ w_n exp(-i phi_n(t_k)) on 2-D blocks of grid rows x levels holding at
 most _BLOCK_LEVEL_POINTS terms, so its temporaries stay at a few hundred
 kB whatever the window is; the weights multiply the real and imaginary
 parts of the phase factors as real arrays, written into one complex
-block; each channel is the strided row sum over
-n = Delta (mod q) in the window, taken from the same block of terms for
-every modulus.  A single time is a 1-point grid.
+block.  Column j of the window opens channel (n_min + j) mod q, a
+strided row sum over its levels, so each modulus sums only the window's
+min(q, n_max - n_min + 1) residues; the other channels are 0.  A single
+time is a 1-point grid.
 
 The kernel keeps one memo entry: the matrices of the last (state, grid)
 it evaluated, keyed on exactly what the sums read, (mu, n_min,
@@ -187,7 +188,7 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, state.params.mu)
     w = np.exp(state.ln_weights[state.n_min :])
-    out = {q: np.empty((len(t), q), dtype=complex) for q in qs}
+    out = {q: np.zeros((len(t), q), dtype=complex) for q in qs}
     rows = max(1, _BLOCK_LEVEL_POINTS // len(n))
     for i in range(0, len(t), rows):
         re, im = phase_parts(m_hi, m_lo, t[i : i + rows, None])
@@ -195,9 +196,9 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
         np.multiply(re, w, out=terms.real)
         np.multiply(im, w, out=terms.imag)
         for q, p in out.items():
-            for d in range(q):
-                # column j is level n_min + j: channel d starts at (d - n_min) mod q
-                p[i : i + rows, d] = terms[:, (d - state.n_min) % q :: q].sum(axis=1)
+            for j in range(min(q, len(n))):
+                # column j is level n_min + j, the first of channel (n_min + j) mod q
+                p[i : i + rows, (state.n_min + j) % q] = terms[:, j::q].sum(axis=1)
     return out
 
 
@@ -273,12 +274,10 @@ def _diagonal(p: np.ndarray) -> np.ndarray:
 
 
 def _interference(p: np.ndarray) -> np.ndarray:
-    # twice the real part over ordered pairs Delta > Gamma, row by row
+    # 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), row by row
     import numpy as np
-    acc = np.zeros(len(p))
-    for d in range(1, p.shape[1]):
-        acc += np.real(p[:, d, None] * np.conj(p[:, :d])).sum(axis=1)
-    return 2.0 * acc
+    below = np.cumsum(p[:, :-1], axis=1)
+    return 2.0 * np.real(p[:, 1:] * np.conj(below)).sum(axis=1)
 
 
 def diagonal_term(state: CoherentState, q: int, t: float) -> float:
@@ -289,8 +288,9 @@ def diagonal_term(state: CoherentState, q: int, t: float) -> float:
 def interference_term(state: CoherentState, q: int, t: float) -> float:
     """Cross-channel term sum_{Delta != Gamma} P_Delta conj(P_Gamma).
 
-    Computed as twice the real part over ordered pairs, so the result is
-    exactly real; equals |A(t)|^2 - diagonal_term by construction.
+    Computed as 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one
+    prefix sum over the channels, so the result is exactly real and costs
+    O(q); equals |A(t)|^2 - diagonal_term to rounding.
     """
     return float(_interference(channel_amplitudes(state, q, [t]))[0])
 

@@ -79,13 +79,13 @@ class ConvergenceError(RuntimeError):
 def _term_budget(x: float) -> int:
     """Series terms / continued-fraction steps allowed at argument x.
 
-    The ascending I series is summed on a window around its peak term
-    that spans about 8.5 sqrt(x) terms; the ratio continued fraction needs
-    at most about 5.8 sqrt(x) steps.  The budget covers both with room to
-    spare and is never below 5000, so reaching it means the input is
-    outside what the algorithms can serve, not that the cap was too tight.
+    The I series walk takes a first block of about 8.6 sqrt(x) terms, and
+    one twice as wide per side whose tail test it leaves open (near x = 2e8,
+    where -ln(1 - r) adds about 6.5): about 26 sqrt(x) in all.  The ratio
+    continued fraction needs at most 5.8 sqrt(x) steps.  Reaching the budget
+    (never below 5000) means the input is outside what the algorithms serve.
     """
-    return 5000 + int(12.0 * math.sqrt(x))
+    return 5000 + int(30.0 * math.sqrt(x))
 
 
 def _check_domain(nu: float, x: float, x_positive: bool = False) -> None:
@@ -181,10 +181,10 @@ def ln_bessel_i(nu: float, x: float) -> float:
     summed in the log domain (every term positive) from its largest term
     outward by ``_peak_walk`` (q = x^2/4): one ``lgamma`` pair gives the
     peak term, and each side stops once its geometric tail bound is below
-    ``_REL_TOL`` e^-3 of it.  The window spans about 8.5 sqrt(x) terms, so
-    the cost grows like sqrt(x).  Returns ``-inf`` at ``x = 0`` for
-    ``nu > 0``; raises ConvergenceError where the walk would pass
-    ``_term_budget`` terms, and past ``x = 1e16``.
+    ``_REL_TOL`` e^-3 of it.  The walk takes about 8.6 sqrt(x) terms, at
+    most about 26 sqrt(x), so the cost grows like sqrt(x).  Returns
+    ``-inf`` at ``x = 0`` for ``nu > 0``; raises ConvergenceError where
+    the walk would pass ``_term_budget`` terms, and past ``x = 1e16``.
     """
     _check_domain(nu, x)
     if x == 0.0:

@@ -2,14 +2,16 @@
 against 40-digit values, the block-vectorised kernel against a
 per-grid-point reference loop on the same phase factors and near NumPy's
 complex exp, block boundaries, the channel sum rule,
-exact agreement wherever the CSV datasets depend on it, the level window
-against un-windowed sums, the phase reduction bound, and the kernel's
-memo (hits bit-identical to fresh evaluations, never stale, validation
-before lookup, evaluations counted)."""
+exact agreement wherever the CSV datasets depend on it, the intensity
+split against exact rationals, empty channels outside the level window,
+the level window against un-windowed sums, the phase reduction bound,
+and the kernel's memo (hits bit-identical to fresh evaluations, never
+stale, validation before lookup, evaluations counted)."""
 
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,20 +187,66 @@ def test_partial_last_block(points):
     assert np.array_equal(channel_amplitudes(s, 4, t), _reference(s, 4, t))
 
 
+def _prefix_interference(row):
+    # one grid row: 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}),
+    # the prefix sums built one channel at a time
+    prefix = [row[0]]
+    for z in row[1:-1]:
+        prefix.append(prefix[-1] + z)
+    return 2.0 * float(np.real(row[1:] * np.conj(np.array(prefix))).sum())
+
+
+def _pair_interference(row):
+    # one grid row: twice the real part over ordered pairs Delta > Gamma
+    acc = 0.0
+    for d in range(1, len(row)):
+        acc += float(np.real(row[d] * np.conj(row[:d])).sum())
+    return 2.0 * acc
+
+
+def _exact_interference(row):
+    # |sum P|^2 - sum |P|^2 of the same float channels, in exact rationals
+    re = [Fraction(z.real) for z in row.tolist()]
+    im = [Fraction(z.imag) for z in row.tolist()]
+    return sum(re) ** 2 + sum(im) ** 2 - sum(a * a + b * b for a, b in zip(re, im))
+
+
 def test_intensity_split_matches_per_point_formulas():
-    # The survival-intensity columns, row-vectorised, against the
-    # one-grid-point forms they replace.
+    # The survival-intensity columns, row-vectorised, against one grid
+    # row at a time: the diagonal and the prefix-sum interference bit for
+    # bit.  That interference and the pair loop it replaced both lie
+    # within q 2^-52 (sum_Delta |P_Delta|)^2 of the exact value.  The state
+    # keeps levels 0 .. 41, so at q = 64 channels 42 .. 63 are exactly 0.
     s = _state(10.0, 80.0)
-    p = channel_amplitudes(s, 4, FIGURE_GRID)
-    diag = revival._diagonal(p)
-    cross = revival._interference(p)
-    for i in range(0, len(FIGURE_GRID), 7):
-        row = p[i]
-        assert diag[i] == float((np.abs(row) ** 2).sum())
-        acc = 0.0
-        for d in range(1, len(row)):
-            acc += float(np.real(row[d] * np.conj(row[:d])).sum())
-        assert cross[i] == 2.0 * acc
+    assert (s.n_min, s.n_max) == (0, 41)
+    for q in (2, 3, 4, 5, 6, 7, 12, 30, 64):
+        p = channel_amplitudes(s, q, FIGURE_GRID)
+        assert not p[:, s.n_max + 1 :].any()
+        diag = revival._diagonal(p)
+        cross = revival._interference(p)
+        for i in range(0, len(FIGURE_GRID), 7):
+            row = p[i]
+            assert diag[i] == float((np.abs(row) ** 2).sum())
+            assert cross[i] == _prefix_interference(row)
+            exact = _exact_interference(row)
+            bound = q * 2.0**-52 * float(np.abs(row).sum()) ** 2
+            assert abs(Fraction(cross[i]) - exact) <= bound
+            assert abs(Fraction(_pair_interference(row)) - exact) <= bound
+
+
+@pytest.mark.parametrize("q", [64, 84, 85, 200])
+def test_channels_outside_window_are_zero(q):
+    # levels 7 .. 90: at q = 85 level 90 wraps to channel 5 and channel 6
+    # stays empty; at q = 200 every channel outside 7 .. 90 does
+    s = _state(100.0, 28.0)
+    assert (s.n_min, s.n_max) == (7, 90)
+    t = np.linspace(0.0, 1.0, 41)
+    p = channel_amplitudes(s, q, t)
+    assert np.array_equal(p, _reference(s, q, t))
+    reached = sorted({n % q for n in range(s.n_min, s.n_max + 1)})
+    assert len(reached) == min(q, s.n_max - s.n_min + 1)
+    assert p[:, reached].all()
+    assert not np.delete(p, reached, axis=1).any()
 
 
 def test_kernel_validation():

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkrevival.gkstate import build_state, weights
+from gkrevival.gkstate import build_state, mean_energy, weights
 from gkrevival.revival import (
     FractionalDecomposition,
     TimeSeries,
@@ -170,6 +172,33 @@ def test_group_phase_at_revival_fraction(q):
     p0 = survival_fraction(s, q, 0, 1.0 / q)
     assert p0.real > 0.0
     assert abs(p0.imag) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_j=st.floats(min_value=math.log(0.5), max_value=math.log(1e3)),
+    mu=st.integers(min_value=1, max_value=100),
+    fraction=st.integers(min_value=2, max_value=12).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(min_value=1, max_value=s - 1))
+    ),
+    tau=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_channels_at_revival_fraction_offset(log_j, mu, fraction, tau):
+    # integer mu: level n = ks + Delta gains the cycle (mu Delta + Delta^2) r / s
+    # mod 1 over r/s, whatever k, so channels(r/s + tau) is channels(tau)
+    # times exp(-2 pi i ((mu Delta + Delta^2) r mod s) / s).  Rounding
+    # r/s + tau moves t by up to 2 eps t, so level n's phase by 2 pi m_n
+    # times that (m_n = mu n + n^2, sum_n w_n m_n = mu <e_n>).
+    s, r = fraction
+    state = _state(math.exp(log_j), float(mu))
+    t = r / s + tau
+    shifted = channel_amplitudes(state, s, [t])[0]
+    base = channel_amplitudes(state, s, [tau])[0]
+    group = np.exp(
+        -2j * math.pi * np.array([(mu * d + d * d) * r % s for d in range(s)]) / s
+    )
+    rounding = 2.0 * math.pi * (2.0 * np.finfo(float).eps * t) * mu * mean_energy(state)
+    assert np.max(np.abs(shifted - group * base)) <= 1e-12 + rounding
 
 
 @pytest.mark.parametrize("delta,period", [(0, 1 / 16), (2, 1 / 16), (1, 1 / 8), (3, 1 / 8)])

@@ -358,6 +358,31 @@ def test_ln_bessel_i_matches_scipy_ive_to_large_x(nu, log_x):
     assert abs(ln_bessel_i(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+def _ln_bessel_i_hankel(nu, x):
+    # the first four terms of the large-argument expansion (DLMF 10.40.1);
+    # at x >= 5e7 and nu <= 80 the fifth is below 1e-18 relative
+    m, term, total = 4.0 * nu * nu, 1.0, 1.0
+    for k in (1, 2, 3):
+        term *= -(m - (2 * k - 1) ** 2) / (8.0 * k * x)
+        total += term
+    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+
+
+@pytest.mark.parametrize("nu", [0.0, 80.0])
+def test_ln_bessel_i_past_first_block(nu):
+    # near x = 2e8 a side's tail test closes only in a second, doubled
+    # block (its -ln(1 - r) adds about 6.5), which once passed the term
+    # budget: 60 log-spaced x over 5e7 .. 2e9, states at J mu up to 1e18,
+    # against the Hankel expansion and SciPy's ive (NaN past about 1.07e9)
+    from scipy.special import ive
+
+    for x in np.geomspace(5e7, 2e9, 60).tolist():
+        got = ln_bessel_i(nu, x)
+        assert abs(got - _ln_bessel_i_hankel(nu, x)) <= 1e-13 * got
+        if x < 1e9:
+            assert abs(got - (math.log(float(ive(nu, x))) + x)) <= 1e-13 * got
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     nu=st.floats(min_value=0.0, max_value=100.0),
