@@ -18,6 +18,11 @@ NumPy's cos(2 pi f) and -sin(2 pi f) bit for bit.  All functions accept
 floats or ndarrays (broadcasting like NumPy) and are branch-free, so
 they vectorize.
 
+``_phase_terms`` builds the terms w_n exp(-2 pi i (mu n + n^2) t) for both
+the revival kernel and ``gkstate.overlap`` (evolving only shifts gamma, so
+A(t) and an overlap are one series), in blocks of at most
+_BLOCK_LEVEL_POINTS, the weights multiplying the two parts as real arrays.
+
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
 about 1e-12 of a cycle, and raises ValueError past it.
@@ -28,6 +33,9 @@ import math
 _SPLITTER = 134217729.0  # 2**27 + 1
 _TWO_PI = 2.0 * math.pi
 _MAX_CYCLES = 1e20
+# Grid-point x level terms per block of _phase_terms: bounds the
+# temporaries at any level count (at least one grid row per block).
+_BLOCK_LEVEL_POINTS = 8192
 # Table nodes per cycle: a power of two, so f * _CYCLE_STEPS and its split
 # into node and remainder are exact.
 _CYCLE_STEPS = 1024
@@ -75,12 +83,12 @@ def quadratic_in_n(n, mu):
     return hi, lo + e
 
 
-def _check_cycles(m_top: float, t_max: float) -> None:
-    """Raise ValueError if m_top * t_max exceeds the reduction bound.
-
-    m_top is the largest mu*n + n**2 and t_max the largest |t| that one
-    set of phases will reduce.
+def _check_cycles(n_top: int, mu: float, t_max: float) -> None:
+    """Raise ValueError if (mu*n_top + n_top**2) * t_max, rounded as the hi
+    part of ``quadratic_in_n`` rounds it, exceeds the reduction bound:
+    n_top is the top level and t_max the largest |t| of one set of phases.
     """
+    m_top = n_top * n_top + mu * n_top
     if m_top * t_max > _MAX_CYCLES:
         raise ValueError(
             f"phase argument (mu*n_max + n_max**2)*max|t| = {m_top * t_max:.3g} is past "
@@ -140,3 +148,19 @@ def phase_parts(m_hi, m_lo, t):
     cos_j *= s
     nsin_j -= cos_j
     return re, nsin_j
+
+
+def _phase_terms(n_lo: int, ln_w, mu: float, t):
+    """Yield (i, terms) over the 1-D grid t: terms[k, j] is
+    exp(ln_w[j] - 2 pi i (mu n + n^2) t[i + k]) for level n = n_lo + j,
+    each block at most _BLOCK_LEVEL_POINTS terms (at least one grid row)."""
+    import numpy as np
+    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + len(ln_w), dtype=float), mu)
+    w = np.exp(ln_w)
+    rows = max(1, _BLOCK_LEVEL_POINTS // len(w))
+    for i in range(0, len(t), rows):
+        re, im = phase_parts(m_hi, m_lo, t[i : i + rows, None])
+        terms = np.empty(re.shape, dtype=complex)
+        np.multiply(re, w, out=terms.real)
+        np.multiply(im, w, out=terms.imag)
+        yield i, terms

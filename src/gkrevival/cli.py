@@ -176,22 +176,13 @@ def _rows_mandel(cfg: RunConfig):
     return ["j", "mandel_q"], rows
 
 
-def _amplitude_rows(t, amplitudes):
-    return list(zip(t, amplitudes.real.tolist(), amplitudes.imag.tolist(),
-                    _intensities(amplitudes).tolist()))
-
-
-def _rows_autocorr(cfg: RunConfig):
+def _channel_rows(cfg: RunConfig, q: int, delta: int):
+    # P_delta(t) of modulus q on the time grid: A(t) for q = 1, delta = 0
     s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     t = _t_grid(cfg)
-    return ["t", "re", "im", "abs2"], _amplitude_rows(t, channel_amplitudes(s, 1, t)[:, 0])
-
-
-def _rows_survival(cfg: RunConfig):
-    s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
-    t = _t_grid(cfg)
-    p = channel_amplitudes(s, cfg.q, t)[:, cfg.delta]
-    return ["t", "re", "im", "abs2"], _amplitude_rows(t, p)
+    p = channel_amplitudes(s, q, t)[:, delta]
+    return ["t", "re", "im", "abs2"], list(zip(t, p.real.tolist(), p.imag.tolist(),
+                                               _intensities(p).tolist()))
 
 
 def _rows_survival_intensity(cfg: RunConfig):
@@ -241,8 +232,9 @@ def _rows_timescales(cfg: RunConfig):
 _COMMANDS = {
     "weights": (_rows_weights, "number distribution w_n", ()),
     "mandel": (_rows_mandel, "Mandel Q over a J sweep", ("j_max", "points")),
-    "autocorr": (_rows_autocorr, "|A(t)|^2 series", ("t_max", "points")),
-    "survival": (_rows_survival, "one channel P_delta(t)", ("t_max", "points", "q", "delta")),
+    "autocorr": (lambda cfg: _channel_rows(cfg, 1, 0), "|A(t)|^2 series", ("t_max", "points")),
+    "survival": (lambda cfg: _channel_rows(cfg, cfg.q, cfg.delta), "one channel P_delta(t)",
+                 ("t_max", "points", "q", "delta")),
     "survival-intensity": (_rows_survival_intensity,
                            "|A|^2 split into diagonal + interference", ("t_max", "points", "q")),
     "unity": (_rows_unity, "moment checks of the measure density",

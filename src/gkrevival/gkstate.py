@@ -34,7 +34,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
+from ._dd import _TWO_PI, _check_cycles, _phase_terms
 from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
                       bessel_i_ratio, ln_bessel_i, ln_gamma)
 from .spectrum import SpectrumParams, moment_rho
@@ -313,7 +313,9 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     only the normalisation of each state, at most ``tail_tol`` each.
     Above a state's n_max its terms are 0; each term is the geometric
     mean of the two weight sequences, so by Cauchy-Schwarz that neglects
-    at most sqrt(tail) of the other state.
+    at most sqrt(tail) of the other state.  The phase exp(-i dgamma e_n)
+    is the revival kernel's at t = dgamma / (2 pi mu), so the terms are the
+    one block ``_dd._phase_terms`` yields there.
     Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
     the phase reduction bound of ``_dd`` (1e20).
     """
@@ -322,20 +324,10 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
         raise ValueError("overlap requires both states on the same ladder parameters")
     n_lo = min(s1.n_min, s2.n_min)
     n_up = max(s1.n_max, s2.n_max)
-    ln1 = _overlap_terms(s1, n_lo, n_up)
-    ln2 = _overlap_terms(s2, n_lo, n_up)
-    ln_a = 0.5 * (ln1 + ln2)
+    ln_a = 0.5 * (_overlap_terms(s1, n_lo, n_up) + _overlap_terms(s2, n_lo, n_up))
     c = float(ln_a.max())
-    # exp(-i dgamma e_n) with e_n = (mu n + n^2) / mu: the quadratic is
-    # reduced mod 1 against dgamma / (2 pi mu), and that cycle gives the
-    # real and imaginary parts the weights multiply.
     mu = s1.params.mu
-    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu)
     t = (s2.gamma - s1.gamma) / (_TWO_PI * mu)
-    _check_cycles(m_hi[-1], abs(t))
-    re, im = phase_parts(m_hi, m_lo, t)
-    a = np.exp(ln_a - c)
-    terms = np.empty(len(a), dtype=complex)
-    np.multiply(re, a, out=terms.real)
-    np.multiply(im, a, out=terms.imag)
+    _check_cycles(n_up, mu, abs(t))
+    _, terms = next(_phase_terms(n_lo, ln_a - c, mu, np.array([t])))
     return complex(terms.sum() * math.exp(c))

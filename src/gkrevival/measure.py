@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import ConvergenceError, bessel_i_scaled, bessel_k_scaled, ln_bessel_k, ln_gamma
-from .spectrum import SpectrumParams, moment_rho_array
+from .spectrum import SpectrumParams, moment_rho
 
 __all__ = [
     "QuadratureConfig",
@@ -209,14 +209,14 @@ def moment_checks(
             raise ValueError(f"n must lie in [0, {_MAX_N}], got {n}")
     if not ns:
         return []
-    ln_rho = moment_rho_array(np.array(ns, dtype=float), p)
+    ln_rho = [moment_rho(n, p) for n in ns]
     rho = []
-    for n, v in zip(ns, ln_rho.tolist()):
+    for n, v in zip(ns, ln_rho):
         try:
             rho.append(math.exp(v))
         except OverflowError:
             raise ValueError(f"rho_{n} = exp({v:.6g}) overflows at mu={p.mu}") from None
-    scaled = _scaled_moments(ns, ln_rho, p.mu, cfg).tolist()
+    scaled = _scaled_moments(ns, np.array(ln_rho), p.mu, cfg).tolist()
     return [
         MomentReport(n=n, integral=s * r, rho_n=r, rel_err=abs(s * r - r) / r)
         for n, s, r in zip(ns, scaled, rho)

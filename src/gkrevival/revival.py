@@ -22,15 +22,14 @@ Every time series and every single-time value here comes from one
 kernel, ``_channels``, which returns the (T, q) matrix of P_Delta(t_k)
 for each modulus q asked (q = 1 gives A); ``channel_amplitudes`` is its
 one-modulus form.  It sums over the state's level window n_min .. n_max
-only, forms the hi/lo quadratic once and evaluates the terms
-w_n exp(-i phi_n(t_k)) on 2-D blocks of grid rows x levels holding at
-most _BLOCK_LEVEL_POINTS terms, so its temporaries stay at a few hundred
-kB whatever the window is; the weights multiply the real and imaginary
-parts of the phase factors as real arrays, written into one complex
-block.  Column j of the window opens channel (n_min + j) mod q, a
-strided row sum over its levels, so each modulus sums only the window's
-min(q, n_max - n_min + 1) residues; the other channels are 0.  A single
-time is a 1-point grid.
+only, on the blocks of terms w_n exp(-i phi_n(t_k)) that
+``_dd._phase_terms`` yields (grid rows x levels, at most
+``_dd._BLOCK_LEVEL_POINTS`` terms, so the temporaries stay at a few
+hundred kB whatever the window is); ``gkstate.overlap`` sums the same
+terms.  What the kernel adds is the regrouping: column j of the window
+opens channel (n_min + j) mod q, a strided row sum over its levels, so
+each modulus sums only the window's min(q, n_max - n_min + 1) residues;
+the other channels are 0.  A single time is a 1-point grid.
 
 The kernel keeps one memo entry: the matrices of the last (state, grid)
 it evaluated, keyed on exactly what the sums read, (mu, n_min,
@@ -51,7 +50,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from ._dd import _TWO_PI, _check_cycles, mul_frac, phase_parts, quadratic_in_n
+from ._dd import _TWO_PI, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
 from .gkstate import CoherentState
 
 __all__ = [
@@ -69,11 +68,6 @@ __all__ = [
     "interference_term",
     "phase_group_check",
 ]
-
-# Grid-point x level terms per kernel block: bounds the temporaries at any
-# window size (one grid row per block once the window exceeds it).
-_BLOCK_LEVEL_POINTS = 8192
-
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -171,9 +165,7 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
             raise ValueError(f"q must be an integer >= 1, got {q}")
     t = _grid(t_grid)
     mu = state.params.mu
-    # mu n + n^2 at n_max, rounded as the hi part of quadratic_in_n rounds it
-    n = float(state.n_max)
-    _check_cycles(n * n + mu * n, abs(t).max(initial=0.0))
+    _check_cycles(state.n_max, mu, abs(t).max(initial=0.0))
     key = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes(), t.tobytes())
     memo = _memo
     have = memo[1] if memo is not None and memo[0] == key else {}
@@ -185,20 +177,14 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
 
 def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     import numpy as np
-    n = np.arange(state.n_min, state.n_max + 1, dtype=float)
-    m_hi, m_lo = quadratic_in_n(n, state.params.mu)
-    w = np.exp(state.ln_weights[state.n_min :])
+    lo = state.n_min
     out = {q: np.zeros((len(t), q), dtype=complex) for q in qs}
-    rows = max(1, _BLOCK_LEVEL_POINTS // len(n))
-    for i in range(0, len(t), rows):
-        re, im = phase_parts(m_hi, m_lo, t[i : i + rows, None])
-        terms = np.empty(re.shape, dtype=complex)
-        np.multiply(re, w, out=terms.real)
-        np.multiply(im, w, out=terms.imag)
+    for i, terms in _phase_terms(lo, state.ln_weights[lo:], state.params.mu, t):
+        rows, levels = terms.shape
         for q, p in out.items():
-            for j in range(min(q, len(n))):
-                # column j is level n_min + j, the first of channel (n_min + j) mod q
-                p[i : i + rows, (state.n_min + j) % q] = terms[:, j::q].sum(axis=1)
+            for j in range(min(q, levels)):
+                # column j is level lo + j, the first of channel (lo + j) mod q
+                p[i : i + rows, (lo + j) % q] = terms[:, j::q].sum(axis=1)
     return out
 
 
@@ -207,7 +193,7 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
 
     q = 1 gives A(t_k) in the single column.  The sums run over the
     state's levels n_min .. n_max, and the grid is evaluated in blocks of
-    _BLOCK_LEVEL_POINTS grid-point x level terms.  Raises
+    ``_dd._BLOCK_LEVEL_POINTS`` grid-point x level terms.  Raises
     ValueError when (mu n_max + n_max^2) max|t| exceeds the phase
     reduction bound of ``_dd`` (1e20).  The grid may be in any order.
 

@@ -322,6 +322,10 @@ def _ln_k_trapezoid(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     # each element does the IEEE operations of a one-element call.
     import numpy as np
     nu_l, x_l = nu.tolist(), x.tolist()
+    h = np.array([min(0.5, 1.5 / (b * b + a * a) ** 0.25) for a, b in zip(nu_l, x_l)])
+    if not h.all():  # nu^2 + x^2 overflows to inf, so the step is 0
+        i = int(np.argmin(h))
+        raise ConvergenceError(f"K quadrature for nu={nu_l[i]}, x={x_l[i]} has no node step")
     t_peak = np.array([math.asinh(a / b) if a > 0.0 else 0.0 for a, b in zip(nu_l, x_l)])
     ln_peak = _ln_k_integrand(t_peak, x, nu)
 
@@ -333,20 +337,19 @@ def _ln_k_trapezoid(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         rising = rising[more]
         t_hi[rising] += 1.0
 
-    h = np.array([min(0.5, 1.5 / (b * b + a * a) ** 0.25) for a, b in zip(nu_l, x_l)])
     out = np.empty(x.size)
     idx = np.arange(x.size)  # elements still refining; the arrays below follow it
     previous = np.full(x.size, np.nan)  # the first sweep never converges
     for _ in range(24):
         # len(np.arange(0, t_hi + h, h)), the node count of a one-element call
-        counts = np.ceil((t_hi + h) / h).astype(np.intp)
-        if counts.max(initial=0) > _MAX_NODES:
+        counts = np.ceil((t_hi + h) / h)
+        if counts.max(initial=0) > _MAX_NODES:  # compared before the cast can wrap
             i = int(np.argmax(counts))
             raise ConvergenceError(
                 f"K quadrature for nu={float(nu[i])}, x={float(x[i])} did not converge "
                 f"within {_MAX_NODES} nodes"
             )
-        total = h * _node_sums(x, nu, ln_peak, h, counts)
+        total = h * _node_sums(x, nu, ln_peak, h, counts.astype(np.intp))
         done = np.abs(total - previous) <= _REL_TOL * np.abs(total)
         # K_nu(x) = e^{-x} * exp(ln_peak) * total
         ln_total = np.array([math.log(v) for v in total[done].tolist()])

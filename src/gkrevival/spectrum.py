@@ -25,7 +25,6 @@ __all__ = [
     "TimeScales",
     "energy_level",
     "moment_rho",
-    "moment_rho_array",
     "revival_time",
     "classical_period",
     "time_scales",
@@ -67,23 +66,15 @@ def moment_rho(n: int, p: SpectrumParams) -> float:
     """ln of the moment product rho_n = prod_{i=1..n} e_i.
 
     Gamma form: rho_n = n! Gamma(n+1+mu) / (mu^n Gamma(1+mu)), evaluated
-    in the log domain so it cannot overflow for any realistic n.
+    in the log domain with ``math.lgamma``, so it cannot overflow for any
+    realistic n and needs no SciPy.  Raises ValueError where ln rho_n
+    itself overflows.
     """
-    import numpy as np
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return float(moment_rho_array(np.array([n], dtype=float), p)[0])
-
-
-def moment_rho_array(n: np.ndarray, p: SpectrumParams) -> np.ndarray:
-    """ln rho_n of :func:`moment_rho` for a 1-D float array of levels
-    n >= 0.  ``math.lgamma`` per element gives the scalar form and the
-    moment checks one rounding, and needs no SciPy."""
-    import numpy as np
     mu = p.mu
     try:
-        ln_fact = np.fromiter(map(math.lgamma, (n + 1.0).tolist()), float, len(n))
-        ln_rise = np.fromiter(map(math.lgamma, (n + 1.0 + mu).tolist()), float, len(n))
+        ln_fact, ln_rise = math.lgamma(n + 1.0), math.lgamma(n + 1.0 + mu)
     except OverflowError:
         raise ValueError(f"ln rho_n overflows for mu={mu}") from None
     return ln_fact + ln_rise - n * math.log(mu) - ln_gamma(1.0 + mu)

@@ -189,6 +189,16 @@ def test_large_mu_unity_exit_3(monkeypatch, capsys):
     assert captured.out == "" and "did not converge" in captured.err
 
 
+@pytest.mark.parametrize("mu", ["1e38", "1e200"])
+def test_huge_mu_unity_exit_3(mu, tmp_path, capsys):
+    # ln K at order and argument near mu needs more nodes than the cap
+    # (1e38) or has no node step (1e200): exit 3, and no file
+    out = tmp_path / "u.csv"
+    assert main(["unity", "--mu", mu, "--n-max", "0", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "K quadrature" in capsys.readouterr().err
+
+
 def test_run_config_direct(tmp_path):
     out = tmp_path / "s.csv"
     cfg = RunConfig(command="survival", mu=28.0, q=4, delta=1, points=11,

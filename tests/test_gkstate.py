@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkrevival import gkstate, spectrum
+from gkrevival import gkstate
+from gkrevival._dd import phase_parts, quadratic_in_n
 from gkrevival.gkstate import (
     CoherentState,
     build_state,
@@ -205,14 +206,13 @@ def test_huge_mu_weights_are_poisson():
 def test_one_lgamma_level_per_state(monkeypatch, J):
     # ln rho_n is taken at the peak only; the term ratio gives the rest
     levels = []
-    real = spectrum.moment_rho_array
+    real = gkstate.moment_rho
 
     def counted(n, p):
-        levels.extend(n.tolist())
+        levels.append(n)
         return real(n, p)
 
-    monkeypatch.setattr(spectrum, "moment_rho_array", counted)
-    monkeypatch.setattr(gkstate, "moment_rho_array", counted, raising=False)
+    monkeypatch.setattr(gkstate, "moment_rho", counted)
     s = build_state(J, 0.0, SpectrumParams(mu=16.0))
     assert len(levels) == 1 and s.n_min <= levels[0] <= s.n_max
 
@@ -322,6 +322,41 @@ def test_overlap_equal_gamma_closed_form_property(mu, frac, ratio):
     )
     assert abs(v.imag) < 1e-13
     assert abs(v.real - closed) <= 1e-9
+
+
+def _inline_overlap(s1, s2):
+    # the series summed inline, as overlap did before its terms came from
+    # _dd._phase_terms: one 1-D row of phase factors, the weights written
+    # into the real and imaginary parts, then terms.sum() e^c
+    n_lo = min(s1.n_min, s2.n_min)
+    n_up = max(s1.n_max, s2.n_max)
+    ln_a = 0.5 * (gkstate._overlap_terms(s1, n_lo, n_up) + gkstate._overlap_terms(s2, n_lo, n_up))
+    c = float(ln_a.max())
+    mu = s1.params.mu
+    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu)
+    re, im = phase_parts(m_hi, m_lo, (s2.gamma - s1.gamma) / (2.0 * math.pi * mu))
+    a = np.exp(ln_a - c)
+    terms = np.empty(len(a), dtype=complex)
+    np.multiply(re, a, out=terms.real)
+    np.multiply(im, a, out=terms.imag)
+    return complex(terms.sum() * math.exp(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mu=_WINDOW_MU,
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    partner=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=2.0)),
+    gammas=st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 2),
+)
+def test_overlap_keeps_inline_sum_bits(mu, frac, partner, gammas):
+    """overlap's one block of terms sums to the inline series bit for bit:
+    equal J, J' <= 2J, and partners down to 1e-6 J, whose n_min lies far
+    below (the other state's terms walked down to it)."""
+    J = _window_j(mu, frac)
+    s1, s2 = _state(J, mu, gammas[0]), _state(J * partner, mu, gammas[1])
+    assert overlap(s1, s2) == _inline_overlap(s1, s2)
+    assert overlap(s2, s1) == _inline_overlap(s2, s1)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 28.0, 80.0])

@@ -80,6 +80,13 @@ def test_phase_loads_no_numpy(tmp_path):
     assert _last_line(tmp_path, code) == "False"
 
 
+def test_moment_rho_loads_no_numpy(tmp_path):
+    # ln rho_n is a scalar lgamma form
+    code = ("import sys; from gkrevival.spectrum import SpectrumParams, moment_rho; "
+            "moment_rho(20, SpectrumParams(28.0)); print('numpy' in sys.modules)")
+    assert _last_line(tmp_path, code) == "False"
+
+
 def test_weights_loads_numpy(tmp_path):
     # an array command does load it, so the probe above can see NumPy
     assert "'numpy'" in _loaded(tmp_path, [["weights", "--out", "out.csv"]], "numpy")

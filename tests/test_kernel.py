@@ -151,7 +151,7 @@ def test_kernel_matches_reference_loop(log_j, mu, q, grid):
 def test_figure_grids_exact(mu, q):
     # The figure datasets: several blocks per grid, n_max < 128.
     s = _state(10.0, mu)
-    assert len(FIGURE_GRID) * (s.n_max + 1) > revival._BLOCK_LEVEL_POINTS
+    assert len(FIGURE_GRID) * (s.n_max + 1) > _dd._BLOCK_LEVEL_POINTS
     assert np.array_equal(channel_amplitudes(s, q, FIGURE_GRID), _reference(s, q, FIGURE_GRID))
 
 
@@ -167,7 +167,7 @@ def test_figure_grids_near_libm_phases(mu, q):
 def test_level_count_above_block_size():
     # More levels than one block holds: one grid row per block.
     s = _state(1e8, 1.0)
-    assert s.n_max + 1 > revival._BLOCK_LEVEL_POINTS
+    assert s.n_max + 1 > _dd._BLOCK_LEVEL_POINTS
     t = np.array([0.0, 0.125, 1.0 / 3.0, 0.5, 1.0])
     p = channel_amplitudes(s, 3, t)
     assert np.max(np.abs(p - _reference(s, 3, t))) <= 1e-13
@@ -182,7 +182,7 @@ def test_partial_last_block(points):
     # 36 levels fit 227 grid rows per block; cover exact multiples and
     # one-row remainders.
     s = _state(10.0, 28.0)
-    assert revival._BLOCK_LEVEL_POINTS // (s.n_max + 1) == 227
+    assert _dd._BLOCK_LEVEL_POINTS // (s.n_max + 1) == 227
     t = np.linspace(0.0, 0.9, points)
     assert np.array_equal(channel_amplitudes(s, 4, t), _reference(s, 4, t))
 
@@ -454,13 +454,13 @@ def _count_rows(monkeypatch):
     # grid rows passed to the kernel's phase factors; one evaluation
     # covers every grid row once, whatever its block size
     rows = []
-    real = revival.phase_parts
+    real = _dd.phase_parts
 
     def counted(m_hi, m_lo, t):
         rows.append(t.shape[0])
         return real(m_hi, m_lo, t)
 
-    monkeypatch.setattr(revival, "phase_parts", counted)
+    monkeypatch.setattr(_dd, "phase_parts", counted)
     return rows
 
 

@@ -54,6 +54,13 @@ def test_density_domain():
         measure_k(0.0, p)
 
 
+def test_density_far_out_is_convergence_error():
+    # at J = 1e100 the K quadrature's node count passes 2^63: a loud
+    # ConvergenceError, not a NumPy cast error
+    with pytest.raises(ConvergenceError, match="K quadrature"):
+        density_rho(1e100, SpectrumParams(mu=1.0))
+
+
 def test_density_at_origin():
     # rho(0+) = 1; the approach rate is O(z^2) in general but only
     # O(z^(2 mu)) below mu = 1, with z = 2 sqrt(J mu)

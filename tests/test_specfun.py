@@ -235,6 +235,17 @@ def test_k_node_cap_error(monkeypatch):
         ln_bessel_k(1e5, np.array([1e5, 1e-9]))
 
 
+@pytest.mark.parametrize("nu,x", [(0.0, 1e40), (0.0, 1e200), (1e155, 1.0), (1e300, 1e-300)])
+def test_k_past_node_step_error(nu, x):
+    # a node count past 2^63, or a step 1.5 / (nu^2 + x^2)^(1/4) of 0
+    # where nu^2 + x^2 overflows, is a ConvergenceError, not a NumPy cast
+    # warning or a negative array size; alone or in an array
+    with pytest.raises(ConvergenceError, match="K quadrature"):
+        ln_bessel_k(nu, x)
+    with pytest.raises(ConvergenceError, match="K quadrature"):
+        ln_bessel_k(np.array([1.0, nu]), np.array([1.0, x]))
+
+
 def test_k_domain_error():
     with pytest.raises(ValueError):
         bessel_k_scaled(1.0, 0.0)

@@ -12,7 +12,6 @@ from gkrevival.spectrum import (
     classical_period,
     energy_level,
     moment_rho,
-    moment_rho_array,
     revival_time,
     time_scales,
 )
@@ -42,20 +41,17 @@ def test_params_reject_non_finite(kw):
 def test_moment_rho_overflow_is_value_error():
     with pytest.raises(ValueError):
         moment_rho(3, SpectrumParams(mu=1e308))
-    with pytest.raises(ValueError):
-        moment_rho_array(np.arange(4.0), SpectrumParams(mu=1e308))
 
 
 @pytest.mark.parametrize("mu", [1.0, 28.0, 28.5, 80.0])
 def test_moment_rho_array_equals_scalar(mu):
-    # one ln rho_n path, and the scalar lgamma form's rounding, which the
-    # unity datasets were written with
+    # ln rho_n over levels 0..500, as moment checks map it, has the
+    # scalar lgamma form's rounding, which the unity datasets were
+    # written with
     p = SpectrumParams(mu=mu)
-    vec = moment_rho_array(np.arange(501, dtype=float), p).tolist()
-    assert vec == [moment_rho(n, p) for n in range(501)]
     lg = math.lgamma
-    assert vec == [lg(n + 1.0) + lg(n + 1.0 + mu) - n * math.log(mu) - lg(1.0 + mu)
-                   for n in range(501)]
+    assert [moment_rho(n, p) for n in range(501)] == [
+        lg(n + 1.0) + lg(n + 1.0 + mu) - n * math.log(mu) - lg(1.0 + mu) for n in range(501)]
 
 
 @pytest.mark.parametrize("mu", [1.0, 28.0, 28.5, 80.0])
@@ -70,7 +66,8 @@ def test_moment_rho_array_matches_scipy_gammaln(mu):
     terms = (gammaln(n + 1.0), gammaln(n + 1.0 + mu), n * math.log(mu), gammaln(1.0 + mu))
     ref = terms[0] + terms[1] - terms[2] - terms[3]
     scale = sum(np.abs(t) for t in terms)
-    assert np.all(np.abs(moment_rho_array(n, p) - ref) <= 1e-13 * np.maximum(scale, 1.0))
+    got = np.array([moment_rho(k, p) for k in range(501)])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(scale, 1.0))
 
 
 def test_level_examples():
