@@ -18,10 +18,13 @@ NumPy's cos(2 pi f) and -sin(2 pi f) bit for bit.  All functions accept
 floats or ndarrays (broadcasting like NumPy) and are branch-free, so
 they vectorize.
 
-``_phase_terms`` builds the terms w_n exp(-2 pi i (mu n + n^2) t) for both
-the revival kernel and ``gkstate.overlap`` (evolving only shifts gamma, so
-A(t) and an overlap are one series), in blocks of at most
-_BLOCK_LEVEL_POINTS, the weights multiplying the two parts as real arrays.
+``_phase_terms`` yields the unweighted parts of exp(-2 pi i (mu n + n^2) t)
+for the revival kernel, in blocks of grid rows x levels of at most
+_BLOCK_LEVEL_POINTS.  The weights enter by contraction, re @ M and im @ M:
+the kernel's M is a weight matrix that also groups the levels into
+channels, and ``gkstate.overlap`` (evolving only shifts gamma, so A(t)
+and an overlap are one series) contracts one row of parts, at its one
+time, with its weight vector.
 
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
@@ -150,17 +153,12 @@ def phase_parts(m_hi, m_lo, t):
     return re, nsin_j
 
 
-def _phase_terms(n_lo: int, ln_w, mu: float, t):
-    """Yield (i, terms) over the 1-D grid t: terms[k, j] is
-    exp(ln_w[j] - 2 pi i (mu n + n^2) t[i + k]) for level n = n_lo + j,
+def _phase_terms(n_lo: int, count: int, mu: float, t):
+    """Yield (i, re, im) over the 1-D grid t: re[k, j] + i im[k, j] is
+    exp(-2 pi i (mu n + n^2) t[i + k]) for level n = n_lo + j, j < count,
     each block at most _BLOCK_LEVEL_POINTS terms (at least one grid row)."""
     import numpy as np
-    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + len(ln_w), dtype=float), mu)
-    w = np.exp(ln_w)
-    rows = max(1, _BLOCK_LEVEL_POINTS // len(w))
+    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
+    rows = max(1, _BLOCK_LEVEL_POINTS // count)
     for i in range(0, len(t), rows):
-        re, im = phase_parts(m_hi, m_lo, t[i : i + rows, None])
-        terms = np.empty(re.shape, dtype=complex)
-        np.multiply(re, w, out=terms.real)
-        np.multiply(im, w, out=terms.imag)
-        yield i, terms
+        yield (i, *phase_parts(m_hi, m_lo, t[i : i + rows, None]))

@@ -34,7 +34,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from ._dd import _TWO_PI, _check_cycles, _phase_terms
+from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
 from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
                       bessel_i_ratio, ln_bessel_i, ln_gamma)
 from .spectrum import SpectrumParams, moment_rho
@@ -314,8 +314,9 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     Above a state's n_max its terms are 0; each term is the geometric
     mean of the two weight sequences, so by Cauchy-Schwarz that neglects
     at most sqrt(tail) of the other state.  The phase exp(-i dgamma e_n)
-    is the revival kernel's at t = dgamma / (2 pi mu), so the terms are the
-    one block ``_dd._phase_terms`` yields there.
+    is the revival kernel's at t = dgamma / (2 pi mu): one row of
+    ``_dd.phase_parts`` at that time, contracted with the weights as the
+    kernel contracts its blocks (re @ a, im @ a).
     Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
     the phase reduction bound of ``_dd`` (1e20).
     """
@@ -329,5 +330,7 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     mu = s1.params.mu
     t = (s2.gamma - s1.gamma) / (_TWO_PI * mu)
     _check_cycles(n_up, mu, abs(t))
-    _, terms = next(_phase_terms(n_lo, ln_a - c, mu, np.array([t])))
-    return complex(terms.sum() * math.exp(c))
+    re, im = phase_parts(*quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu), t)
+    a = np.exp(ln_a - c)
+    scale = math.exp(c)
+    return complex((re @ a) * scale, (im @ a) * scale)

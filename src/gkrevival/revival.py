@@ -21,15 +21,26 @@ splits into the diagonal sum |P_Delta|^2 and the interference part
 Every time series and every single-time value here comes from one
 kernel, ``_channels``, which returns the (T, q) matrix of P_Delta(t_k)
 for each modulus q asked (q = 1 gives A); ``channel_amplitudes`` is its
-one-modulus form.  It sums over the state's level window n_min .. n_max
-only, on the blocks of terms w_n exp(-i phi_n(t_k)) that
-``_dd._phase_terms`` yields (grid rows x levels, at most
+one-modulus form.  It sums over the state's window of L = n_max - n_min + 1
+levels only.  ``_dd._phase_terms`` yields the unweighted parts of
+exp(-i phi_n(t_k)) in blocks of grid rows x levels (at most
 ``_dd._BLOCK_LEVEL_POINTS`` terms, so the temporaries stay at a few
-hundred kB whatever the window is); ``gkstate.overlap`` sums the same
-terms.  What the kernel adds is the regrouping: column j of the window
-opens channel (n_min + j) mod q, a strided row sum over its levels, so
-each modulus sums only the window's min(q, n_max - n_min + 1) residues;
-the other channels are 0.  A single time is a 1-point grid.
+hundred kB whatever the window is), and each block meets a real weight
+matrix M in one BLAS product per part, re @ M and im @ M.  M holds the
+weights w_n and zeros, and its columns do the regrouping: modulus q has
+min(q, L) of them, column Delta taking the levels n = Delta (mod q) when
+q <= L, each level a column of its own when q > L, so the channels the
+window does not reach stay exactly 0.  The scan moduli q = 1 .. 6 share
+one M and every other modulus has its own, so that a modulus's bits do
+not depend on what else was asked.  M is built once per evaluation,
+chunk by chunk: level chunks of at most ``_MATRIX_ENTRIES`` // L levels,
+so that no modulus's part of M holds more than 2^20 entries, whose
+products add up (windows of up to 1024 levels are one chunk).  Whatever
+order BLAS sums in, each channel is within
+gamma_L sum_n |w_n| (gamma_L = L u / (1 - L u), u = 2^-53) of the exact
+sum of the same float parts and weights.  ``gkstate.overlap`` contracts
+one row of parts with its weights the same way.  A single time is a
+1-point grid.
 
 The kernel keeps one memo entry: the matrices of the last (state, grid)
 it evaluated, keyed on exactly what the sums read, (mu, n_min,
@@ -155,14 +166,16 @@ def _series_grid(t_grid) -> np.ndarray:
 _SCAN_Q = range(1, 7)
 # The memo entry (key, {q: (T, q) matrix}), or None.
 _memo = None
+# Entries of one chunk's weight matrix per modulus: the window's L levels
+# are contracted in chunks of at most _MATRIX_ENTRIES // L of them.
+_MATRIX_ENTRIES = 1 << 20
 
 
 def _channels(state: CoherentState, qs, t_grid) -> dict:
     """{q: (T, q) complex matrix of P_Delta(t_k)} for every q in qs."""
     global _memo
     for q in qs:
-        if not (isinstance(q, numbers.Integral) and q >= 1):
-            raise ValueError(f"q must be an integer >= 1, got {q}")
+        _check_residue(q, least=1)
     t = _grid(t_grid)
     mu = state.params.mu
     _check_cycles(state.n_max, mu, abs(t).max(initial=0.0))
@@ -178,22 +191,57 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
 def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     import numpy as np
     lo = state.n_min
-    out = {q: np.zeros((len(t), q), dtype=complex) for q in qs}
-    for i, terms in _phase_terms(lo, state.ln_weights[lo:], state.params.mu, t):
-        rows, levels = terms.shape
-        for q, p in out.items():
-            for j in range(min(q, levels)):
-                # column j is level lo + j, the first of channel (lo + j) mod q
-                p[i : i + rows, (lo + j) % q] = terms[:, j::q].sum(axis=1)
+    w = np.exp(state.ln_weights[lo:])
+    size = len(w)
+    # one product per group, the scan moduli together and every other
+    # modulus alone, so that a modulus's bits do not depend on what else
+    # was asked
+    groups = [[q for q in qs if q in _SCAN_Q], *([q] for q in qs if q not in _SCAN_Q)]
+    sums = [np.zeros((len(t), sum(min(q, size) for q in g)), dtype=complex) for g in groups]
+    step = min(size, max(1, _MATRIX_ENTRIES // size))
+    for a in range(0, size, step):
+        n = np.arange(a, min(size, a + step))
+        mats = [_weight_matrix(lo, n, w[n], g, size) for g in groups]
+        for i, re, im in _phase_terms(lo + a, len(n), state.params.mu, t):
+            for m, p in zip(mats, sums):
+                p.real[i : i + len(re)] += re @ m
+                p.imag[i : i + len(im)] += im @ m
+    out = {}
+    for g, p in zip(groups, sums):
+        k = 0
+        for q in g:
+            if q <= size:
+                out[q] = p[:, k : k + q]
+            else:
+                out[q] = np.zeros((len(t), q), dtype=complex)
+                out[q][:, (lo + np.arange(size)) % q] = p[:, k : k + size]
+            k += min(q, size)
     return out
+
+
+def _weight_matrix(lo: int, n, w, qs, size: int) -> np.ndarray:
+    # The weights w of window offsets n (levels lo + n) in one block of
+    # min(q, size) columns per modulus q, 0 elsewhere.  For q <= size the
+    # columns are the channels, column Delta holding the levels
+    # n = Delta (mod q); for q > size each level is a channel of its own,
+    # and column j holds offset j.
+    import numpy as np
+    m = np.zeros((len(n), sum(min(q, size) for q in qs)))
+    k = 0
+    for q in qs:
+        m[np.arange(len(n)), k + ((lo + n) % q if q <= size else n)] = w
+        k += min(q, size)
+    return m
 
 
 def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     """(T, q) complex matrix: column Delta holds P_Delta(t_k).
 
     q = 1 gives A(t_k) in the single column.  The sums run over the
-    state's levels n_min .. n_max, and the grid is evaluated in blocks of
-    ``_dd._BLOCK_LEVEL_POINTS`` grid-point x level terms.  Raises
+    state's levels n_min .. n_max: blocks of ``_dd._BLOCK_LEVEL_POINTS``
+    grid-point x level phase parts, each contracted with a weight matrix
+    that maps levels to channels (one BLAS product per part), in level
+    chunks that keep that matrix within 2^20 entries.  Raises
     ValueError when (mu n_max + n_max^2) max|t| exceeds the phase
     reduction bound of ``_dd`` (1e20).  The grid may be in any order.
 
@@ -223,9 +271,9 @@ def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
     return _series(t, vals, "|A(t)|^2")
 
 
-def _check_residue(q: int, delta: int):
-    if not (isinstance(q, numbers.Integral) and q >= 2):
-        raise ValueError(f"q must be an integer >= 2, got {q}")
+def _check_residue(q: int, delta: int = 0, least: int = 2):
+    if not (isinstance(q, numbers.Integral) and q >= least):
+        raise ValueError(f"q must be an integer >= {least}, got {q}")
     if not (isinstance(delta, numbers.Integral) and 0 <= delta < q):
         raise ValueError(f"delta must lie in [0, {q}), got {delta}")
 
@@ -246,7 +294,7 @@ def survival_fraction_series(state: CoherentState, q: int, delta: int, t_grid) -
 
 def fractional_decomposition(state: CoherentState, q: int, t_grid) -> FractionalDecomposition:
     """All q complex channels P_Delta on a common grid."""
-    _check_residue(q, 0)
+    _check_residue(q)
     t = _series_grid(t_grid)
     chans = channel_amplitudes(state, q, t)
     fractions = [_series(t, chans[:, d], f"P_{d}(t)") for d in range(q)]
@@ -292,7 +340,7 @@ def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
     rejected.
     """
     import numpy as np
-    _check_residue(q, 0)
+    _check_residue(q)
     if not (math.isfinite(mu) and mu > 0.0 and float(mu).is_integer()):
         raise ValueError(f"phase grouping requires a positive integer mu, got {mu}")
     if not (isinstance(k_max, numbers.Integral) and k_max >= 1):

@@ -325,9 +325,9 @@ def test_overlap_equal_gamma_closed_form_property(mu, frac, ratio):
 
 
 def _inline_overlap(s1, s2):
-    # the series summed inline, as overlap did before its terms came from
-    # _dd._phase_terms: one 1-D row of phase factors, the weights written
-    # into the real and imaginary parts, then terms.sum() e^c
+    # the series summed inline: one 1-D row of phase parts at the one
+    # time, each part contracted with the weights by a dot product, both
+    # scaled by e^c
     n_lo = min(s1.n_min, s2.n_min)
     n_up = max(s1.n_max, s2.n_max)
     ln_a = 0.5 * (gkstate._overlap_terms(s1, n_lo, n_up) + gkstate._overlap_terms(s2, n_lo, n_up))
@@ -336,10 +336,7 @@ def _inline_overlap(s1, s2):
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu)
     re, im = phase_parts(m_hi, m_lo, (s2.gamma - s1.gamma) / (2.0 * math.pi * mu))
     a = np.exp(ln_a - c)
-    terms = np.empty(len(a), dtype=complex)
-    np.multiply(re, a, out=terms.real)
-    np.multiply(im, a, out=terms.imag)
-    return complex(terms.sum() * math.exp(c))
+    return complex((re @ a) * math.exp(c), (im @ a) * math.exp(c))
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,7 +347,7 @@ def _inline_overlap(s1, s2):
     gammas=st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 2),
 )
 def test_overlap_keeps_inline_sum_bits(mu, frac, partner, gammas):
-    """overlap's one block of terms sums to the inline series bit for bit:
+    """overlap's one row of parts sums to the inline series bit for bit:
     equal J, J' <= 2J, and partners down to 1e-6 J, whose n_min lies far
     below (the other state's terms walked down to it)."""
     J = _window_j(mu, frac)

@@ -1,12 +1,14 @@
 """Channel-amplitude kernel tests: the table-and-series phase factors
-against 40-digit values, the block-vectorised kernel against a
-per-grid-point reference loop on the same phase factors and near NumPy's
-complex exp, block boundaries, the channel sum rule,
-exact agreement wherever the CSV datasets depend on it, the intensity
-split against exact rationals, empty channels outside the level window,
-the level window against un-windowed sums, the phase reduction bound,
-and the kernel's memo (hits bit-identical to fresh evaluations, never
-stale, validation before lookup, evaluations counted)."""
+against 40-digit values, the kernel's BLAS contraction against exact
+sums of the same phase parts and weights (within the rounding bound of
+any summation order, level chunks included), near a per-grid-point
+reference loop and near NumPy's complex exp, block boundaries, the
+channel sum rule, the intensity split against exact rationals, empty
+channels outside the level window, the level window against un-windowed
+sums, the phase reduction bound, and the kernel's memo (hits
+bit-identical to fresh evaluations, never stale, validation before
+lookup, evaluations counted, the scan moduli's bits independent of the
+other moduli asked)."""
 
 import math
 import sys
@@ -67,6 +69,37 @@ def _reference(state, q, t_grid, parts=phase_parts):
         for d in range(q):
             out[i, d] = terms[(d - state.n_min) % q :: q].sum()
     return out
+
+
+def _ulps(v):
+    # the float v as an exact integer multiple of 2^-1074
+    n, d = v.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _assert_exact_sums(p, state, q, t_grid):
+    # Each channel within gamma_L sum_n |w_n x_n| + L 2^-1074 of the exact
+    # sum of the same float weights w_n and phase parts x_n over its
+    # levels, L the window length, gamma_L = L u / (1 - L u), u = 2^-53:
+    # the bound of any summation order of the L products, chunked or not,
+    # the last term for products that underflow (subnormal t).  With
+    # parts at most 1 in size the bound is below gamma_L sum |w_n| at any
+    # normal weight sum, and channels that hold no level are exactly 0.
+    # Sums are exact integers in units of 2^-2148, where every product of
+    # two doubles is a whole number; the bound is multiplied by 1 - L u.
+    n = np.arange(state.n_min, state.n_max + 1, dtype=float)
+    m_hi, m_lo = quadratic_in_n(n, state.params.mu)
+    w = [_ulps(v) for v in np.exp(state.ln_weights[state.n_min :]).tolist()]
+    size = len(w)
+    tiny = size * (2**53 - size) << 1074
+    assert p.shape == (len(t_grid), q)
+    for i, ti in enumerate(t_grid):
+        for got, x in zip((p[i].real, p[i].imag), phase_parts(m_hi, m_lo, float(ti))):
+            terms = [a * _ulps(b) for a, b in zip(w, x.tolist())]
+            for d in range(q):
+                channel = terms[(d - state.n_min) % q :: q]
+                error = abs((_ulps(float(got[d])) << 1074) - sum(channel)) * (2**53 - size)
+                assert error <= (size * sum(map(abs, channel)) + tiny if channel else 0)
 
 
 # m_hi = 0, m_lo = -2^-60, t = 1: the cycle -2^-60 reduces to exactly
@@ -137,9 +170,7 @@ def test_kernel_matches_reference_loop(log_j, mu, q, grid):
     t = np.array(grid)
     p = channel_amplitudes(s, q, t)
     ref = _reference(s, q, t)
-    assert p.shape == (len(t), q)
-    if s.n_max < 128:
-        assert np.array_equal(p, ref)
+    _assert_exact_sums(p, s, q, t)
     assert np.max(np.abs(p - ref)) <= 1e-13
     a = channel_amplitudes(s, 1, t)[:, 0]
     assert np.max(np.abs(p.sum(axis=1) - a)) <= 1e-12
@@ -149,10 +180,11 @@ def test_kernel_matches_reference_loop(log_j, mu, q, grid):
 @pytest.mark.parametrize("mu", [1.0, 28.0, 80.0])
 @pytest.mark.parametrize("q", [1, 4])
 def test_figure_grids_exact(mu, q):
-    # The figure datasets: several blocks per grid, n_max < 128.
+    # The figure datasets: several blocks per grid, n_max < 128, against
+    # the exact sums of the same parts.
     s = _state(10.0, mu)
     assert len(FIGURE_GRID) * (s.n_max + 1) > _dd._BLOCK_LEVEL_POINTS
-    assert np.array_equal(channel_amplitudes(s, q, FIGURE_GRID), _reference(s, q, FIGURE_GRID))
+    _assert_exact_sums(channel_amplitudes(s, q, FIGURE_GRID), s, q, FIGURE_GRID)
 
 
 @pytest.mark.parametrize("mu", [1.0, 28.0, 80.0])
@@ -184,7 +216,7 @@ def test_partial_last_block(points):
     s = _state(10.0, 28.0)
     assert _dd._BLOCK_LEVEL_POINTS // (s.n_max + 1) == 227
     t = np.linspace(0.0, 0.9, points)
-    assert np.array_equal(channel_amplitudes(s, 4, t), _reference(s, 4, t))
+    _assert_exact_sums(channel_amplitudes(s, 4, t), s, 4, t)
 
 
 def _prefix_interference(row):
@@ -242,11 +274,33 @@ def test_channels_outside_window_are_zero(q):
     assert (s.n_min, s.n_max) == (7, 90)
     t = np.linspace(0.0, 1.0, 41)
     p = channel_amplitudes(s, q, t)
-    assert np.array_equal(p, _reference(s, q, t))
+    _assert_exact_sums(p, s, q, t)
     reached = sorted({n % q for n in range(s.n_min, s.n_max + 1)})
     assert len(reached) == min(q, s.n_max - s.n_min + 1)
     assert p[:, reached].all()
     assert not np.delete(p, reached, axis=1).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    log_j=st.floats(min_value=math.log(100.0), max_value=math.log(2e4)),
+    mu=_mu.filter(lambda m: m >= 4.0),
+    q=st.integers(min_value=1, max_value=1000),
+    entries=st.integers(min_value=1, max_value=2000),
+    grid=_grid.map(lambda g: g[:6]),
+)
+def test_chunked_contraction_matches_exact_sums(log_j, mu, q, entries, grid):
+    # a lowered entry budget splits every window (at least 50 levels,
+    # so L^2 > budget) into several level chunks whose products add up
+    s = _state(math.exp(log_j), mu)
+    size = s.n_max - s.n_min + 1
+    assert size * size > entries
+    t = np.array(grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(revival, "_MATRIX_ENTRIES", entries)
+        mp.setattr(revival, "_memo", None)
+        p = channel_amplitudes(s, q, t)
+    _assert_exact_sums(p, s, q, t)
 
 
 def test_kernel_validation():
@@ -504,6 +558,25 @@ def test_large_modulus_scan_bounds_memo():
     channel_amplitudes(s, 2, FIGURE_GRID)
     revival._channels(s, [8, 9], FIGURE_GRID)
     assert set(revival._memo[1]) == set(range(1, 10)) - {7}
+
+
+@pytest.mark.parametrize("J,mu,t_max,points", [(1e3, 28.3, 1.0, 267), (3e5, 50.5, 1.3, 1001)])
+def test_scan_moduli_bits_do_not_depend_on_larger_moduli(monkeypatch, J, mu, t_max, points):
+    # q = 1..6 are served from one evaluation, and an evaluation that
+    # also asked q = 60 gives them the same bits: the scan moduli are one
+    # product, every other modulus its own (one product over all 81
+    # columns moves q = 6 by an ulp in the second case)
+    s = _state(J, mu)
+    t = np.linspace(0.0, t_max, points)
+    rows = _count_rows(monkeypatch)
+    scan = {q: channel_amplitudes(s, q, t) for q in range(1, 7)}
+    assert sum(rows) == len(t)
+    _fresh(s, 60, t)
+    assert set(revival._memo[1]) == set(range(1, 7)) | {60}
+    assert sum(rows) == 2 * len(t)
+    for q, p in scan.items():
+        assert _same_bits(channel_amplitudes(s, q, t), p)
+    assert sum(rows) == 2 * len(t)
 
 
 def test_rebuilt_states_share_one_evaluation(monkeypatch):
