@@ -9,7 +9,7 @@ Output format, identical for every command:
 Floating values are printed with 17 significant digits so that datasets
 round-trip losslessly and identical flag sets produce byte-identical
 files.  Diagnostics go to stderr, never into the CSV.  Exit codes:
-0 success, 2 flag validation failure, 3 numerical non-convergence.
+0 success, 2 bad flag or unwritable output, 3 numerical non-convergence.
 
 Commands: weights, mandel, autocorr, survival, survival-intensity,
 unity, overlap, timescales, figure.  The `_COMMANDS` table is the one
@@ -22,12 +22,13 @@ reports the physical conversion.
 directly and build no state: `--tail-tol` is still validated and
 recorded in their preamble, but it does not change their rows.
 
-`timescales`, `mandel` and `figure --id 2` (two `mandel` sweeps) run on
-the standard library alone and never load NumPy.  No module of the
-package imports NumPy when it is imported; each function that builds or
-reads an array imports it itself, and the time and sweep grids come from
-`_linspace`, which reproduces np.linspace bit for bit.  Every other
-command loads NumPy at its first array.
+A command executes only the modules it runs; `import gkrevival` runs
+`specfun` and `spectrum`.  So `timescales`, `mandel` and `figure --id 2`
+(two `mandel` sweeps) execute no other package module, and they never
+load NumPy: no module imports it when it is executed, each function that
+builds or reads an array imports it itself, and the time and sweep grids
+come from `_linspace`, which reproduces np.linspace bit for bit.  Every
+other command loads NumPy at its first array.
 """
 
 import argparse
@@ -38,11 +39,10 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .gkstate import _TAIL_TOL, _TAIL_TOL_MAX, _mandel_q, _mean_n, build_state, overlap
-from .measure import _MAX_N, QuadratureConfig, moment_checks
-from .revival import _channels, _diagonal, _intensities, _interference, channel_amplitudes
+from . import gkstate, measure, revival
 from .specfun import ConvergenceError
-from .spectrum import SpectrumParams, time_scales
+from .spectrum import (_ABS_TOL, _MAX_N, _REL_TOL, _TAIL_TOL, _TAIL_TOL_MAX, SpectrumParams,
+                       _mandel_q, _mean_n, time_scales)
 
 __all__ = [
     "RunConfig",
@@ -69,8 +69,8 @@ class RunConfig:
     n_max: int = 5
     j_max: float = 20.0
     tail_tol: float = _TAIL_TOL
-    abs_tol: float = QuadratureConfig.abs_tol
-    rel_tol: float = QuadratureConfig.rel_tol
+    abs_tol: float = _ABS_TOL
+    rel_tol: float = _REL_TOL
     out_path: str = "-"
     figure: Optional[int] = None
 
@@ -166,7 +166,7 @@ def _sweep_grid(upper: float, points: int) -> list:
 
 def _rows_weights(cfg: RunConfig):
     import numpy as np
-    s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
+    s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     return ["n", "weight"], list(enumerate(np.exp(s.ln_weights).tolist()))
 
 
@@ -178,27 +178,28 @@ def _rows_mandel(cfg: RunConfig):
 
 def _channel_rows(cfg: RunConfig, q: int, delta: int):
     # P_delta(t) of modulus q on the time grid: A(t) for q = 1, delta = 0
-    s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
+    s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     t = _t_grid(cfg)
-    p = channel_amplitudes(s, q, t)[:, delta]
+    p = revival.channel_amplitudes(s, q, t)[:, delta]
     return ["t", "re", "im", "abs2"], list(zip(t, p.real.tolist(), p.imag.tolist(),
-                                               _intensities(p).tolist()))
+                                               revival._intensities(p).tolist()))
 
 
 def _rows_survival_intensity(cfg: RunConfig):
-    s = build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
+    s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     t = _t_grid(cfg)
-    ch = _channels(s, [1, cfg.q], t)  # one kernel pass for both moduli
-    abs2 = _intensities(ch[1][:, 0])
+    ch = revival._channels(s, [1, cfg.q], t)  # one kernel pass for both moduli
+    abs2 = revival._intensities(ch[1][:, 0])
     p = ch[cfg.q]
-    rows = list(zip(t, abs2.tolist(), _diagonal(p).tolist(), _interference(p).tolist()))
+    rows = list(zip(t, abs2.tolist(), revival._diagonal(p).tolist(),
+                    revival._interference(p).tolist()))
     return ["t", "abs2", "diagonal", "interference"], rows
 
 
 def _rows_unity(cfg: RunConfig):
     p = _params(cfg)
-    qc = QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-    reps = moment_checks(range(cfg.n_max + 1), p, qc)
+    qc = measure.QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
+    reps = measure.moment_checks(range(cfg.n_max + 1), p, qc)
     rows = [(r.n, r.integral, r.rho_n, r.rel_err) for r in reps]
     return ["n", "integral", "rho_n", "rel_err"], rows
 
@@ -206,11 +207,11 @@ def _rows_unity(cfg: RunConfig):
 def _rows_overlap(cfg: RunConfig):
     # non-orthogonality profile: <J,0|J',0> as J' sweeps (0, 2J]
     p = _params(cfg)
-    s1 = build_state(cfg.j, 0.0, p, cfg.tail_tol)
+    s1 = gkstate.build_state(cfg.j, 0.0, p, cfg.tail_tol)
     rows = []
     for j2 in _sweep_grid(2.0 * cfg.j, cfg.points):
-        s2 = build_state(j2, 0.0, p, cfg.tail_tol)
-        v = overlap(s1, s2)
+        s2 = gkstate.build_state(j2, 0.0, p, cfg.tail_tol)
+        v = gkstate.overlap(s1, s2)
         rows.append((j2, v.real, v.imag, abs(v) ** 2))
     return ["j2", "re", "im", "abs2"], rows
 
@@ -294,10 +295,10 @@ def _validate(cfg: RunConfig) -> None:
 
 def _exit_code(action, *args) -> int:
     """Call action(*args) and return the process exit code: 0, or 2 for a
-    ValueError and 3 for a ConvergenceError, whose message goes to stderr."""
+    ValueError or OSError and 3 for a ConvergenceError, whose message goes to stderr."""
     try:
         action(*args)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceError) else 2
     return 0

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
 from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
-                      bessel_i_ratio, ln_bessel_i, ln_gamma)
-from .spectrum import SpectrumParams, moment_rho
+                      ln_bessel_i, ln_gamma)
+from .spectrum import _TAIL_TOL, _TAIL_TOL_MAX, SpectrumParams, _mandel_q, _mean_n, moment_rho
 
 __all__ = [
     "CoherentState",
@@ -54,14 +54,6 @@ __all__ = [
 
 _HARD_CAP = 10**6
 _UNCAPPED = "weight tail did not close within %d levels (J=%r, mu=%r)"
-# build_state's default tail tolerance and the largest it accepts
-_TAIL_TOL = 1e-14
-_TAIL_TOL_MAX = 1e-6
-# Q = sqrt(J mu) (r2 - r1) subtracts two Bessel ratios near 1.  Against
-# 40-digit arithmetic its absolute error is about 2e-8 at J mu = 1e12,
-# 8e-8 at 1e14 and 7e-6 at 1e16; truncated states end near J mu = 1e12
-# too, where n_max reaches _HARD_CAP.
-_MANDEL_JMU_MAX = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,21 +213,13 @@ def weight(n: int, state: CoherentState) -> float:
     return float(math.exp(state.ln_weights[n]))
 
 
-def _mean_n(J: float, mu: float) -> float:
-    # the one evaluation of <n>; J = 0 is the ground state
-    if J == 0.0:
-        return 0.0
-    y = 2.0 * math.sqrt(J * mu)
-    return 0.5 * y * bessel_i_ratio(mu, y)
-
-
 def mean_n(state: CoherentState) -> float:
     """<n> in closed form, sqrt(J mu) I_{mu+1}/I_mu at 2 sqrt(J mu);
 
     always below sqrt(J mu) since the ratio is below one.  Evaluated by
-    ``_mean_n(J, mu)``, the single path (the CLI calls it without a
-    state); the direct sum over the weights is the oracle this must
-    agree with.
+    ``spectrum._mean_n(J, mu)``, the single path (the CLI calls it
+    without a state); the direct sum over the weights is the oracle this
+    must agree with.
     """
     return _mean_n(state.J, state.params.mu)
 
@@ -248,22 +232,6 @@ def mean_energy(state: CoherentState) -> float:
     return float(np.exp(state.ln_weights[state.n_min :]) @ (n * (n + mu) / mu))
 
 
-def _mandel_q(J: float, mu: float) -> float:
-    # the one evaluation of Q; raises for the ground state and past the
-    # cancellation bound
-    if J == 0.0:
-        raise ValueError("Mandel Q is undefined for the ground state (J = 0)")
-    if J * mu > _MANDEL_JMU_MAX:
-        raise ConvergenceError(
-            f"Mandel Q is served for J*mu <= {_MANDEL_JMU_MAX:g}, where cancellation "
-            f"stays below 1e-7; got J*mu = {J * mu:.3g}"
-        )
-    y = 2.0 * math.sqrt(J * mu)
-    r1 = bessel_i_ratio(mu, y)
-    r2 = bessel_i_ratio(mu + 1.0, y)
-    return 0.5 * y * (r2 - r1)
-
-
 def mandel_q(state: CoherentState) -> float:
     """Mandel parameter Q = <(dn)^2>/<n> - 1 in closed form,
 
@@ -273,9 +241,8 @@ def mandel_q(state: CoherentState) -> float:
     ladder (sub-Poissonian statistics).  Undefined at J = 0 (ValueError);
     raises ConvergenceError past J mu = 1e12, where cancellation in the
     ratio difference would exceed 1e-7 (no state is built that far).
-    Evaluated
-    by ``_mandel_q(J, mu)``, the single path (the CLI's J sweeps call it
-    without building states).
+    Evaluated by ``spectrum._mandel_q(J, mu)``, the single path (the
+    CLI's J sweeps call it without building states).
     """
     return _mandel_q(state.J, state.params.mu)
 

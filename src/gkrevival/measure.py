@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import ConvergenceError, bessel_i_scaled, bessel_k_scaled, ln_bessel_k, ln_gamma
-from .spectrum import SpectrumParams, moment_rho
+from .spectrum import _ABS_TOL, _MAX_N, _REL_TOL, SpectrumParams, moment_rho
 
 __all__ = [
     "QuadratureConfig",
@@ -40,7 +40,6 @@ __all__ = [
     "moment_checks",
 ]
 
-_MAX_N = 20
 _CUTOFF_FACTOR = 1e-3
 # tanh-sinh rule: nodes t in [-_T_MAX, _T_MAX], first step _H0, at most
 # _MAX_LEVELS halvings; at |t| = 3 a node lies within 2e-14 u_max of an end
@@ -64,8 +63,8 @@ class QuadratureConfig:
     below abs_tol * 1e-3 (and at least 46 nats below its peak).
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
+    abs_tol: float = _ABS_TOL
+    rel_tol: float = _REL_TOL
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):

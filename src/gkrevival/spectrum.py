@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import ln_gamma
+from .specfun import ConvergenceError, bessel_i_ratio, ln_gamma
 
 __all__ = [
     "SpectrumParams",
@@ -29,6 +29,19 @@ __all__ = [
     "classical_period",
     "time_scales",
 ]
+
+# Defaults and limits of gkstate and measure, stated here so that the CLI
+# can read them without executing those modules.
+_TAIL_TOL = 1e-14
+_TAIL_TOL_MAX = 1e-6
+_MAX_N = 20
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+# Q = sqrt(J mu) (r2 - r1) subtracts two Bessel ratios near 1.  Against
+# 40-digit arithmetic its absolute error is about 2e-8 at J mu = 1e12,
+# 8e-8 at 1e14 and 7e-6 at 1e16; truncated states end near J mu = 1e12
+# too, where n_max reaches gkstate._HARD_CAP.
+_MANDEL_JMU_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -96,3 +109,27 @@ def classical_period(n_bar: float, p: SpectrumParams) -> float:
 def time_scales(n_bar: float, p: SpectrumParams) -> TimeScales:
     """Both wavepacket time scales at central level n_bar."""
     return TimeScales(t_classical=classical_period(n_bar, p), t_revival=revival_time(p))
+
+
+def _mean_n(J: float, mu: float) -> float:
+    # the one evaluation of <n>; J = 0 is the ground state
+    if J == 0.0:
+        return 0.0
+    y = 2.0 * math.sqrt(J * mu)
+    return 0.5 * y * bessel_i_ratio(mu, y)
+
+
+def _mandel_q(J: float, mu: float) -> float:
+    # the one evaluation of Q; raises for the ground state and past the
+    # cancellation bound
+    if J == 0.0:
+        raise ValueError("Mandel Q is undefined for the ground state (J = 0)")
+    if J * mu > _MANDEL_JMU_MAX:
+        raise ConvergenceError(
+            f"Mandel Q is served for J*mu <= {_MANDEL_JMU_MAX:g}, where cancellation "
+            f"stays below 1e-7; got J*mu = {J * mu:.3g}"
+        )
+    y = 2.0 * math.sqrt(J * mu)
+    r1 = bessel_i_ratio(mu, y)
+    r2 = bessel_i_ratio(mu + 1.0, y)
+    return 0.5 * y * (r2 - r1)

@@ -149,6 +149,24 @@ def test_figure_validation_exit_2(flags, tmp_path, capsys):
     assert captured.out == "" and "error" in captured.err
 
 
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["timescales", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and not out.parent.exists()
+
+
+def test_unwritable_out_dir_exit_2(tmp_path, capsys):
+    # the directory would lie below a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    assert main(["figure", "--id", "2", "--out-dir", str(blocker / "figs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and blocker.read_text() == "kept\n"
+
+
 _PREAMBLE_KEYS = {
     "weights": {"alpha", "command", "j", "mu", "tail_tol"},
     "mandel": {"alpha", "command", "j", "j_max", "mu", "points", "tail_tol"},

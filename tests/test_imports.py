@@ -1,7 +1,9 @@
 """Import tests: the package exports exactly its modules' public names;
 every command runs on NumPy alone, so SciPy is never imported by the
-package or by any command; and NumPy is imported only where an array is
-built, so the package import and the closed-form commands load none."""
+package or by any command; NumPy is imported only where an array is
+built, so the package import and the closed-form commands load none; and
+a command executes only the package modules it runs, while every layer
+module stays in sys.modules for benchmarks/tracer.py to find."""
 
 import os
 import subprocess
@@ -29,14 +31,16 @@ def test_export_list_is_the_module_lists():
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gkrevival.__file__)))
 
-# Prints the sorted modules of the given package loaded after the
-# given commands ran.
+# Prints the sorted modules of the given package executed after the
+# given commands ran.  A lazy module (importlib.util.LazyLoader) sits in
+# sys.modules as a subclass of ModuleType until its first use executes it.
 _PROBE = """
-import sys
+import sys, types
 import gkrevival, gkrevival.cli
 for args in {commands!r}:
     assert gkrevival.cli.main(args) == 0, args
-print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + ".")))
+print(sorted(m for m, mod in sys.modules.items() if type(mod) is types.ModuleType
+             and (m == {package!r} or m.startswith({package!r} + "."))))
 """
 
 
@@ -64,13 +68,47 @@ def test_import_loads_no_numpy(tmp_path):
     assert _loaded(tmp_path, [], "numpy") == "[]"
 
 
-@pytest.mark.parametrize("command", [
+_CLOSED_FORMS = [
     ["timescales", "--out", "out.csv"],
     ["mandel", "--points", "50", "--out", "out.csv"],
     ["figure", "--id", "2", "--out-dir", "figs"],
-])
+]
+
+
+@pytest.mark.parametrize("command", _CLOSED_FORMS)
 def test_closed_forms_load_no_numpy(tmp_path, command):
     assert _loaded(tmp_path, [command], "numpy") == "[]"
+
+
+def _package(*modules):
+    return str(sorted(["gkrevival"] + [f"gkrevival.{m}" for m in modules]))
+
+
+@pytest.mark.parametrize("command", _CLOSED_FORMS)
+def test_closed_forms_execute_only_spectrum(tmp_path, command):
+    # no state, no kernel, no quadrature: an eager import in cli fails this
+    assert _loaded(tmp_path, [command], "gkrevival") == _package("cli", "specfun", "spectrum")
+
+
+@pytest.mark.parametrize("command, modules", [
+    # states without the revival kernel or the quadrature
+    (["weights"], ("cli", "specfun", "spectrum", "gkstate", "_dd")),
+    (["overlap", "--points", "5"], ("cli", "specfun", "spectrum", "gkstate", "_dd")),
+    # the quadrature without states
+    (["unity", "--n-max", "3"], ("cli", "specfun", "spectrum", "measure")),
+])
+def test_commands_execute_only_what_they_run(tmp_path, command, modules):
+    commands = [command + ["--out", "out.csv"]]
+    assert _loaded(tmp_path, commands, "gkrevival") == _package(*modules)
+
+
+def test_cli_import_registers_every_layer(tmp_path):
+    # benchmarks/tracer.py reads all seven layer modules from sys.modules
+    # right after import gkrevival.cli; it executes the lazy ones itself
+    code = ("import sys, gkrevival.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'gkrevival'))")
+    layers = _package("specfun", "spectrum", "gkstate", "revival", "_dd", "measure", "cli")
+    assert _last_line(tmp_path, code) == layers
 
 
 def test_phase_loads_no_numpy(tmp_path):
