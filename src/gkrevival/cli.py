@@ -180,7 +180,7 @@ def _channel_rows(cfg: RunConfig, q: int, delta: int):
     # P_delta(t) of modulus q on the time grid: A(t) for q = 1, delta = 0
     s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     t = _t_grid(cfg)
-    p = revival.channel_amplitudes(s, q, t)[:, delta]
+    p = revival._column(s, q, delta, t)
     return ["t", "re", "im", "abs2"], list(zip(t, p.real.tolist(), p.imag.tolist(),
                                                revival._intensities(p).tolist()))
 
@@ -188,11 +188,8 @@ def _channel_rows(cfg: RunConfig, q: int, delta: int):
 def _rows_survival_intensity(cfg: RunConfig):
     s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
     t = _t_grid(cfg)
-    ch = revival._channels(s, [1, cfg.q], t)  # one kernel pass for both moduli
-    abs2 = revival._intensities(ch[1][:, 0])
-    p = ch[cfg.q]
-    rows = list(zip(t, abs2.tolist(), revival._diagonal(p).tolist(),
-                    revival._interference(p).tolist()))
+    abs2, diag, cross = revival._intensity_split(s, cfg.q, t)
+    rows = list(zip(t, abs2.tolist(), diag.tolist(), cross.tolist()))
     return ["t", "abs2", "diagonal", "interference"], rows
 
 

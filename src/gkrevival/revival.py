@@ -5,54 +5,36 @@ t_rev = 2 pi mu / alpha, so the phase of level n is
 
     phi_n(t) = 2 pi (mu n + n^2) t.
 
-Products (mu n + n^2) t reach 1e7 and beyond, so phases are reduced mod
-2 pi with double length arithmetic first: the quadratic mu n + n^2 is
-formed exactly as a hi/lo pair, and only the fractional cycle f of its
-multiple of t becomes a phase factor, cos 2 pi f - i sin 2 pi f from a
-table of 1025 cycle nodes and a short series (``_dd.phase_parts``, each
-part within 7e-16).  At t = 1 with integer mu every f is 0, so the
-packet revives to |A|^2 = 1 at machine precision.
+Phases are reduced mod 2 pi in double length arithmetic before they
+become phase factors (``_dd.phase_parts``, each part within 7e-16), so at
+t = 1 with integer mu the packet revives to |A|^2 = 1 at machine precision.
 
 The autocorrelation A(t) = sum_n w_n exp(-i phi_n(t)) regroups exactly
-into q residue classes P_Delta(t) (fractional revival channels); |A(t)|^2
-splits into the diagonal sum |P_Delta|^2 and the interference part
-2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one prefix sum, O(q).
+into q residue channels P_Delta(t) (fractional revival channels), channel
+Delta summing the levels n = Delta (mod q).  |A(t)|^2 splits into the
+diagonal sum |P_Delta|^2 and the interference part
+2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one prefix sum.
 
-Every time series and every single-time value here comes from one
-kernel, ``_channels``, which returns the (T, q) matrix of P_Delta(t_k)
-for each modulus q asked (q = 1 gives A); ``channel_amplitudes`` is its
-one-modulus form.  It sums over the state's window of L = n_max - n_min + 1
-levels only.  ``_dd._phase_terms`` yields the unweighted parts of
-exp(-i phi_n(t_k)) in blocks of grid rows x levels (at most
-``_dd._BLOCK_LEVEL_POINTS`` terms, so the temporaries stay at a few
-hundred kB whatever the window is), and each block meets a real weight
-matrix M in one BLAS product per part, re @ M and im @ M.  M holds the
-weights w_n and zeros, and its columns do the regrouping: modulus q has
-min(q, L) of them, column Delta taking the levels n = Delta (mod q) when
-q <= L, each level a column of its own when q > L, so the channels the
-window does not reach stay exactly 0.  The scan moduli q = 1 .. 6 share
-one M and every other modulus has its own, so that a modulus's bits do
-not depend on what else was asked.  M is built once per evaluation,
-chunk by chunk: level chunks of at most ``_MATRIX_ENTRIES`` // L levels,
-so that no modulus's part of M holds more than 2^20 entries, whose
-products add up (windows of up to 1024 levels are one chunk).  Whatever
-order BLAS sums in, each channel is within
-gamma_L sum_n |w_n| (gamma_L = L u / (1 - L u), u = 2^-53) of the exact
-sum of the same float parts and weights.  ``gkstate.overlap`` contracts
-one row of parts with its weights the same way.  A single time is a
-1-point grid.
+Every value here comes from one kernel, ``_channels``, over the state's
+window of L = n_max - n_min + 1 levels.  Modulus q has min(q, L) columns:
+column c holds the window offsets j = c (mod q), so its channel is
+(n_min + c) mod q, and a channel no column holds is exactly 0.  Blocks of
+unweighted phase parts (``_dd._phase_terms``) meet a real weight matrix
+that places offset j in column j mod q, one BLAS product per part, in
+level chunks that keep each modulus's matrix within 2^20 entries.  Each
+channel is within gamma_L sum_n |w_n| (gamma_L = L u / (1 - L u),
+u = 2^-53) of the exact sum of the same float parts and weights.  The scan
+moduli q = 1 .. 6 share one weight matrix and every other modulus has its
+own, so a modulus's bits do not depend on what else was asked.  Only
+``channel_amplitudes`` and ``fractional_decomposition`` build the dense
+(T, q) form; the other readers take one column, or the columns in channel
+order.
 
-The kernel keeps one memo entry: the matrices of the last (state, grid)
-it evaluated, keyed on exactly what the sums read, (mu, n_min,
-ln_weights[n_min:] as bytes, grid as bytes).  The key is content, not
-object identity, so an array changed in place is never served stale
-values and a state rebuilt identically hits.  A call asking a modulus
-the entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and
-replaces the entry, so a fractional-revival scan over q <= 6 costs one
-evaluation per (state, grid).  An entry holds 21 complex values per grid
-point (90 kB at 267 points, 0.67 MB at 2001), plus q per point for each
-larger modulus of the call that made it.  Validation runs before the
-lookup, every result is a copy, and an entry is never changed in place.
+The kernel keeps one memo entry, the read-only column blocks of the last
+(state, grid) it evaluated, keyed on what the sums read: (mu, n_min,
+ln_weights[n_min:] as bytes, grid as bytes).  A call asking a modulus the
+entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and replaces
+the entry.  Validation runs before the lookup.
 """
 
 from __future__ import annotations
@@ -161,10 +143,10 @@ def _series_grid(t_grid) -> np.ndarray:
     return t
 
 
-# Moduli every evaluation fills besides those asked: 21 complex values per
-# grid point, so a scan over q <= 6 costs one pass (module docstring).
+# Moduli every evaluation fills besides those asked, so a scan over q <= 6
+# costs one pass.
 _SCAN_Q = range(1, 7)
-# The memo entry (key, {q: (T, q) matrix}), or None.
+# The memo entry (key, {q: read-only (T, min(q, L)) column block}), or None.
 _memo = None
 # Entries of one chunk's weight matrix per modulus: the window's L levels
 # are contracted in chunks of at most _MATRIX_ENTRIES // L of them.
@@ -172,7 +154,8 @@ _MATRIX_ENTRIES = 1 << 20
 
 
 def _channels(state: CoherentState, qs, t_grid) -> dict:
-    """{q: (T, q) complex matrix of P_Delta(t_k)} for every q in qs."""
+    """{q: read-only (T, min(q, L)) column block} for every q in qs:
+    column c holds P_{(n_min + c) mod q}(t_k)."""
     global _memo
     for q in qs:
         _check_residue(q, least=1)
@@ -185,7 +168,7 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
     if not have.keys() >= set(qs):
         have = _evaluate(state, sorted(set(qs).union(_SCAN_Q)), t)
         _memo = (key, have)
-    return {q: have[q].copy() for q in qs}
+    return {q: have[q] for q in qs}
 
 
 def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
@@ -201,56 +184,68 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     step = min(size, max(1, _MATRIX_ENTRIES // size))
     for a in range(0, size, step):
         n = np.arange(a, min(size, a + step))
-        mats = [_weight_matrix(lo, n, w[n], g, size) for g in groups]
+        mats = [_weight_matrix(n, w[n], g, size) for g in groups]
         for i, re, im in _phase_terms(lo + a, len(n), state.params.mu, t):
             for m, p in zip(mats, sums):
                 p.real[i : i + len(re)] += re @ m
                 p.imag[i : i + len(im)] += im @ m
     out = {}
     for g, p in zip(groups, sums):
+        p.flags.writeable = False
         k = 0
         for q in g:
-            if q <= size:
-                out[q] = p[:, k : k + q]
-            else:
-                out[q] = np.zeros((len(t), q), dtype=complex)
-                out[q][:, (lo + np.arange(size)) % q] = p[:, k : k + size]
+            out[q] = p[:, k : k + min(q, size)]
             k += min(q, size)
     return out
 
 
-def _weight_matrix(lo: int, n, w, qs, size: int) -> np.ndarray:
-    # The weights w of window offsets n (levels lo + n) in one block of
-    # min(q, size) columns per modulus q, 0 elsewhere.  For q <= size the
-    # columns are the channels, column Delta holding the levels
-    # n = Delta (mod q); for q > size each level is a channel of its own,
-    # and column j holds offset j.
+def _weight_matrix(n, w, qs, size: int) -> np.ndarray:
+    # The weights w of window offsets n in one block of min(q, size)
+    # columns per modulus q, offset j in column j mod q, 0 elsewhere.
     import numpy as np
     m = np.zeros((len(n), sum(min(q, size) for q in qs)))
     k = 0
     for q in qs:
-        m[np.arange(len(n)), k + ((lo + n) % q if q <= size else n)] = w
+        m[np.arange(len(n)), k + n % q] = w
         k += min(q, size)
     return m
+
+
+def _column(state: CoherentState, q: int, delta: int, t_grid) -> np.ndarray:
+    # P_delta(t_k): column (delta - n_min) mod q of the kernel's block, or
+    # exactly 0 where no window level falls in channel delta
+    import numpy as np
+    p = _channels(state, [q], t_grid)[q]
+    c = (delta - state.n_min) % q
+    return p[:, c] if c < p.shape[1] else np.zeros(len(p), dtype=complex)
+
+
+def _intensity_split(state: CoherentState, q: int, t_grid) -> tuple:
+    # |A(t_k)|^2, the diagonal and the interference of modulus q from one
+    # kernel pass, over the reached channels in channel order (that of the
+    # prefix sum), C-ordered so that the row sums are the dense matrix's
+    import numpy as np
+    ch = _channels(state, [1, q], t_grid)
+    p = ch[q]
+    p = p.take(np.argsort((state.n_min + np.arange(p.shape[1])) % q), axis=1)
+    return _intensities(ch[1][:, 0]), _diagonal(p), _interference(p)
 
 
 def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     """(T, q) complex matrix: column Delta holds P_Delta(t_k).
 
     q = 1 gives A(t_k) in the single column.  The sums run over the
-    state's levels n_min .. n_max: blocks of ``_dd._BLOCK_LEVEL_POINTS``
-    grid-point x level phase parts, each contracted with a weight matrix
-    that maps levels to channels (one BLAS product per part), in level
-    chunks that keep that matrix within 2^20 entries.  Raises
-    ValueError when (mu n_max + n_max^2) max|t| exceeds the phase
-    reduction bound of ``_dd`` (1e20).  The grid may be in any order.
-
-    Served from the kernel's one memo entry, keyed on (mu, n_min,
-    ln_weights[n_min:], grid) by content: a miss evaluates q plus
-    q = 1 .. 6 in one pass, so a scan over q <= 6 on one state and grid
-    costs one evaluation.  The result is a copy, safe to modify.
+    state's levels n_min .. n_max, and a channel none of them falls in is
+    exactly 0.  Raises ValueError when (mu n_max + n_max^2) max|t| exceeds
+    the phase reduction bound of ``_dd`` (1e20).  The grid may be in any
+    order, and the result is a new array, expanded from the kernel's
+    min(q, n_max - n_min + 1) columns.
     """
-    return _channels(state, [q], t_grid)[q]
+    import numpy as np
+    p = _channels(state, [q], t_grid)[q]
+    out = np.zeros((len(p), q), dtype=complex)
+    out[:, (state.n_min + np.arange(p.shape[1])) % q] = p
+    return out
 
 
 def _intensities(amplitudes: np.ndarray) -> np.ndarray:
@@ -261,13 +256,13 @@ def _intensities(amplitudes: np.ndarray) -> np.ndarray:
 
 def autocorrelation(state: CoherentState, t: float) -> complex:
     """A(t) = sum_n w_n exp(-i phi_n(t)); |A| <= 1, A(0) = 1."""
-    return complex(channel_amplitudes(state, 1, [t])[0, 0])
+    return complex(_column(state, 1, 0, [t])[0])
 
 
 def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
     """|A(t)|^2 sampled on the grid (grid in t_rev units)."""
     t = _series_grid(t_grid)
-    vals = _intensities(channel_amplitudes(state, 1, t)[:, 0])
+    vals = _intensities(_column(state, 1, 0, t))
     return _series(t, vals, "|A(t)|^2")
 
 
@@ -281,14 +276,14 @@ def _check_residue(q: int, delta: int = 0, least: int = 2):
 def survival_fraction(state: CoherentState, q: int, delta: int, t: float) -> complex:
     """Channel amplitude P_Delta(t) = sum_k w_{kq+Delta} exp(-i phi(t))."""
     _check_residue(q, delta)
-    return complex(channel_amplitudes(state, q, [t])[0, delta])
+    return complex(_column(state, q, delta, [t])[0])
 
 
 def survival_fraction_series(state: CoherentState, q: int, delta: int, t_grid) -> TimeSeries:
     """|P_Delta(t)|^2 sampled on the grid."""
     _check_residue(q, delta)
     t = _series_grid(t_grid)
-    vals = _intensities(channel_amplitudes(state, q, t)[:, delta])
+    vals = _intensities(_column(state, q, delta, t))
     return _series(t, vals, f"|P_{delta}(t)|^2")
 
 
@@ -302,7 +297,7 @@ def fractional_decomposition(state: CoherentState, q: int, t_grid) -> Fractional
 
 
 def _diagonal(p: np.ndarray) -> np.ndarray:
-    # sum_Delta |P_Delta|^2 for each row of a (T, q) channel matrix
+    # sum_Delta |P_Delta|^2 for each row of channels in channel order
     import numpy as np
     return (np.abs(p) ** 2).sum(axis=1)
 
@@ -316,17 +311,18 @@ def _interference(p: np.ndarray) -> np.ndarray:
 
 def diagonal_term(state: CoherentState, q: int, t: float) -> float:
     """Sum of channel intensities sum_Delta |P_Delta(t)|^2."""
-    return float(_diagonal(channel_amplitudes(state, q, [t]))[0])
+    return float(_intensity_split(state, q, [t])[1][0])
 
 
 def interference_term(state: CoherentState, q: int, t: float) -> float:
     """Cross-channel term sum_{Delta != Gamma} P_Delta conj(P_Gamma).
 
     Computed as 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one
-    prefix sum over the channels, so the result is exactly real and costs
-    O(q); equals |A(t)|^2 - diagonal_term to rounding.
+    prefix sum over the channels the window reaches, so the result is
+    exactly real and costs O(min(q, n_max - n_min + 1)); equals
+    |A(t)|^2 - diagonal_term to rounding.
     """
-    return float(_interference(channel_amplitudes(state, q, [t]))[0])
+    return float(_intensity_split(state, q, [t])[2][0])
 
 
 def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
@@ -337,7 +333,8 @@ def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
     mod q) / q.  Returns the q group phases and the largest circular
     distance between the numerically reduced phases and those targets
     over all k <= k_max.  Non-integer mu breaks the collapse and is
-    rejected.
+    rejected.  mu n + n^2 is exact only for n < 2^26, so
+    (k_max + 1) q > 2^26 is rejected too.
     """
     import numpy as np
     _check_residue(q)
@@ -345,6 +342,8 @@ def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
         raise ValueError(f"phase grouping requires a positive integer mu, got {mu}")
     if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
+    if (k_max + 1) * q > 1 << 26:
+        raise ValueError(f"(k_max + 1) q must be at most 2^26, got {(k_max + 1) * q}")
 
     mu_i = int(mu)
     targets = np.array(

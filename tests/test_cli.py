@@ -1,15 +1,18 @@
 """CLI tests: dataset schema, determinism, exit codes, figure bundles,
 the state-free sweep rows against the state path, the pure-Python grids
 against np.linspace, the column-wise CSV writer against a per-cell
-oracle, and round-tripping through the bundled reader."""
+oracle, round-tripping through the bundled reader, and random channel
+commands in a child with 1 GiB of address space."""
 
 import io
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, specfun
@@ -466,3 +469,49 @@ def test_write_dataset_round_trip(tmp_path):
     assert header == ["n", "a", "b", "m"]
     assert [[repr(float(v)) for v in r] for r in back] == \
         [[repr(float(v)) for v in r] for r in rows]
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
+# Runs the CLI on its arguments in a process whose address space is capped
+# at 1 GiB, so a run that would need more fails here instead of in the
+# machine's OOM killer.
+_LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from gkrevival.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@st.composite
+def _channel_args(draw):
+    # a channel command with every flag inside its accepted range and q
+    # log-uniform up to 1e7; J mu <= 1e7, so a window stays below about
+    # 2000 levels, and at most 200 grid points keep each run to seconds
+    command = draw(st.sampled_from(["autocorr", "survival", "survival-intensity"]))
+    j = draw(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)))
+    args = [command, "--j", repr(j), "--mu", repr(draw(_log_uniform(1e-2, 1e3))),
+            "--alpha", repr(draw(_log_uniform(1e-3, 1e3))),
+            "--tail-tol", repr(draw(_log_uniform(1e-300, 1e-6))),
+            "--t-max", repr(draw(_log_uniform(1e-3, 1e3))),
+            "--points", str(draw(st.integers(min_value=2, max_value=200)))]
+    if command != "autocorr":
+        q = int(draw(_log_uniform(2.0, 1e7)))
+        args += ["--q", str(q)]
+    if command == "survival":
+        args += ["--delta", str(draw(st.integers(min_value=0, max_value=q - 1)))]
+    return args
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(args=_channel_args())
+@example(args=["survival", "--q", "1000000", "--delta", "3", "--points", "200"])
+@example(args=["survival-intensity", "--q", "1000000", "--points", "200"])
+def test_channel_commands_bounded_memory(args):
+    # a kernel that keeps a dense (T, q) matrix needs 3.2 GB at the
+    # examples' q = 1e6 and 200 points, and fails here with exit 1
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _LIMITED, *args, "--out", os.devnull],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode in (0, 2, 3), out.stderr[-2000:]

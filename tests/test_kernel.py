@@ -4,7 +4,8 @@ sums of the same phase parts and weights (within the rounding bound of
 any summation order, level chunks included), near a per-grid-point
 reference loop and near NumPy's complex exp, block boundaries, the
 channel sum rule, the intensity split against exact rationals, empty
-channels outside the level window, the level window against un-windowed
+channels outside the level window, the single-column and channel-order
+readers against the dense channel matrix, the level window against un-windowed
 sums, the phase reduction bound, and the kernel's memo (hits
 bit-identical to fresh evaluations, never stale, validation before
 lookup, evaluations counted, the scan moduli's bits independent of the
@@ -22,13 +23,17 @@ from hypothesis import strategies as st
 
 from gkrevival import _dd, revival
 from gkrevival._dd import mul_frac, phase_parts, quadratic_in_n
-from gkrevival.cli import RunConfig, _rows_survival_intensity
+from gkrevival.cli import RunConfig, _channel_rows, _rows_survival_intensity
 from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
 from gkrevival.revival import (
     TimeSeries,
+    autocorrelation,
     autocorrelation_series,
     channel_amplitudes,
+    diagonal_term,
     fractional_decomposition,
+    interference_term,
+    survival_fraction,
     survival_fraction_series,
 )
 from gkrevival.spectrum import SpectrumParams, revival_time
@@ -279,6 +284,55 @@ def test_channels_outside_window_are_zero(q):
     assert len(reached) == min(q, s.n_max - s.n_min + 1)
     assert p[:, reached].all()
     assert not np.delete(p, reached, axis=1).any()
+
+
+@pytest.mark.parametrize("J,mu", [(100.0, 28.0), (1e6, 16.0)])
+@pytest.mark.parametrize("q", [*range(1, 8), 85, 200, 10**6])
+def test_compact_readers_match_dense_matrix(J, mu, q):
+    # The readers that take one column of the kernel, or its columns in
+    # channel order, against the dense matrix of channel_amplitudes on
+    # the same grid: the same bits where q <= L, since the same matrix
+    # then has every channel in it.  Where q > L the row sums of the split
+    # skip the empty channels and differ from the dense ones by at most
+    # twice the gamma_L bound of a sum of L terms.  A channel no level
+    # reaches is exactly 0.
+    s = _state(J, mu)
+    size = s.n_max - s.n_min + 1
+    t = np.linspace(0.0, 0.7, 3)  # the CLI's grid at --t-max 0.7 --points 3
+    cfg = dict(j=J, mu=mu, q=q, t_max=0.7, points=3)
+    p = channel_amplitudes(s, q, t)
+    one = [channel_amplitudes(s, q, [x])[0] for x in t]
+    reached = {n % q for n in range(s.n_min, s.n_max + 1)}
+    assert not np.delete(p, sorted(reached), axis=1).any()
+    if q == 1:
+        assert [autocorrelation(s, x) for x in t] == [z[0] for z in one]
+        assert np.array_equal(autocorrelation_series(s, t).values, revival._intensities(p[:, 0]))
+        return
+    deltas = {0, 1, q - 1, s.n_min % q, s.n_max % q, (s.n_min - 1) % q, (s.n_max + 1) % q}
+    for d in sorted(deltas):
+        assert [survival_fraction(s, q, d, x) for x in t] == [z[d] for z in one]
+        abs2 = revival._intensities(p[:, d])
+        assert np.array_equal(survival_fraction_series(s, q, d, t).values, abs2)
+        _, rows = _channel_rows(RunConfig("survival", delta=d, **cfg), q, d)
+        assert rows == list(zip(t, p[:, d].real, p[:, d].imag, abs2))
+        if d not in reached:
+            assert not abs2.any()
+
+    dense = [[revival._diagonal(p), revival._interference(p)]]
+    dense += [[revival._diagonal(z[None]), revival._interference(z[None])] for z in one]
+    _, rows = _rows_survival_intensity(RunConfig("survival-intensity", **cfg))
+    assert [r[1] for r in rows] == revival._intensities(channel_amplitudes(s, 1, t)[:, 0]).tolist()
+    got = [[[r[2] for r in rows], [r[3] for r in rows]]]
+    got += [[[diagonal_term(s, q, x)], [interference_term(s, q, x)]] for x in t]
+    gamma = size * 2.0**-53 / (1.0 - size * 2.0**-53)
+    for (d_got, c_got), (d_ref, c_ref), z in zip(got, dense, [p, *(z[None] for z in one)]):
+        if q <= size:
+            assert d_got == d_ref.tolist() and c_got == c_ref.tolist()
+        else:
+            scale = (np.abs(z).sum(axis=1) ** 2).tolist()
+            for k in range(len(z)):
+                assert abs(d_got[k] - d_ref[k]) <= 2.0 * gamma * d_ref[k]
+                assert abs(c_got[k] - c_ref[k]) <= 4.0 * gamma * scale[k]
 
 
 @settings(max_examples=30, deadline=None)

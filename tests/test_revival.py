@@ -1,14 +1,18 @@
 """Revival tests: phase reduction, autocorrelation identities, channel
-regrouping, diagonal/interference split, and the group-phase collapse."""
+regrouping, diagonal/interference split, and the group-phase collapse
+and its exact-level range."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkrevival import revival
+from gkrevival._dd import quadratic_in_n
 from gkrevival.gkstate import build_state, mean_energy, weights
 from gkrevival.revival import (
     FractionalDecomposition,
@@ -281,3 +285,16 @@ def test_phase_group_check_validation():
         phase_group_check(1, 2.0, 50)
     with pytest.raises(ValueError):
         phase_group_check(4, 2.0, 0)
+
+
+def test_phase_group_check_exact_levels_only(monkeypatch):
+    # mu n + n^2 is exact as a hi/lo pair only below 2^26: at n = 2^27 + 1
+    # it is off by 1, a quarter cycle at t = 1/4.  So a check whose top
+    # level (k_max + 1) q - 1 reaches 2^26 is rejected, before any level
+    # is built.
+    n = 2**27 + 1
+    assert sum(map(Fraction, quadratic_in_n(float(n), 28.0))) == 28 * n + n * n - 1
+    monkeypatch.setattr(revival, "quadratic_in_n", None)
+    for q, k_max in ((4, 2**24), (4, 2**25), (2**13, 2**13), (3, 10**8), (2**27, 1)):
+        with pytest.raises(ValueError, match="2\\^26"):
+            phase_group_check(q, 28.0, k_max)
