@@ -12,9 +12,11 @@ files.  Diagnostics go to stderr, never into the CSV.  Exit codes:
 0 success, 2 bad flag or unwritable output, 3 numerical non-convergence.
 
 Commands: weights, mandel, autocorr, survival, survival-intensity,
-unity, overlap, timescales, figure.  The `_COMMANDS` table is the one
-place a dataset command's flags are declared; the parser and the
-preamble are read from it, and `_FIGURES` lists each figure's datasets.
+unity, overlap, timescales, figure.  A flag is one `RunConfig` field,
+which carries its default, help line and accepted range, plus its entry
+in `_COMMANDS`, which names the commands that take it; the parser and
+the preamble are read from both, and `_FIGURES` lists each figure's
+datasets.
 Times are given and reported in revival-time units; `timescales`
 reports the physical conversion.
 
@@ -36,7 +38,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import gkstate, measure, revival
@@ -54,25 +56,65 @@ __all__ = [
     "main",
 ]
 
+
+def _option(name: str) -> str:
+    return "--out" if name == "out_path" else "--" + name.replace("_", "-")
+
+
+def _flag(default, help_line: str, *bounds):
+    # a flag's one declaration: its default, its --help line and the
+    # bounds its value must keep, each a (test, requirement) pair
+    return field(default=default, metadata={"help": help_line, "bounds": bounds})
+
+
+def _within(lo, hi):
+    # an integer range as two bounds, each named on its own
+    return ((lambda v: v >= lo), f"be >= {lo}"), ((lambda v: v <= hi), f"be <= {hi}")
+
+
+def _positive(need: str = "be finite and > 0"):
+    return (lambda v: 0.0 < v < math.inf), need
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully validated invocation."""
+    """One fully validated invocation.  Construction raises ValueError for
+    an unknown command, then for the first field outside its declared
+    range, then for delta >= q or an overlap sweep at J = 0."""
 
     command: str
-    j: float = 10.0
-    mu: float = 28.0
-    alpha: float = 1.0
-    q: int = 4
-    delta: int = 0
-    t_max: float = 1.0
-    points: int = 2001
-    n_max: int = 5
-    j_max: float = 20.0
-    tail_tol: float = _TAIL_TOL
-    abs_tol: float = _ABS_TOL
-    rel_tol: float = _REL_TOL
-    out_path: str = "-"
+    j: float = _flag(10.0, "action label J",
+                     ((lambda v: 0.0 <= v < math.inf), "be finite and >= 0"))
+    mu: float = _flag(28.0, "deformation parameter mu", _positive("be > 0"))
+    alpha: float = _flag(1.0, "angular frequency", _positive("be > 0"))
+    # n % q on int64 channel offsets overflows past 2**63 - 1
+    q: int = _flag(4, "revival order", *_within(2, 2**63 - 1))
+    delta: int = _flag(0, "residue class in [0, q)", ((lambda v: v >= 0), "lie in [0, q)"))
+    t_max: float = _flag(1.0, "grid end in revival-time units", _positive())
+    # at 10**6 points autocorr and survival-intensity peak near 0.9 GB, within 1 GiB
+    points: int = _flag(2001, "grid or sweep size", *_within(2, 10**6))
+    n_max: int = _flag(5, "check moments 0..n_max",
+                       ((lambda v: 0 <= v <= _MAX_N), f"lie in [0, {_MAX_N}]"))
+    j_max: float = _flag(20.0, "sweep end (0, j_max]", _positive())
+    tail_tol: float = _flag(_TAIL_TOL, "weight tail cutoff, in (0, 1e-6]",
+                            ((lambda v: 0.0 < v <= _TAIL_TOL_MAX), "lie in (0, 1e-6]"))
+    abs_tol: float = _flag(_ABS_TOL, "quadrature absolute tolerance", _positive())
+    rel_tol: float = _flag(_REL_TOL, "quadrature relative tolerance", _positive())
+    out_path: str = _flag("-", "output path, '-' for stdout")
     figure: Optional[int] = None
+
+    def __post_init__(self):
+        if self.command not in _COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            for test, need in f.metadata.get("bounds", ()):
+                if not test(v):
+                    raise ValueError(f"{_option(f.name)} must {need}, got {v}")
+        if self.delta >= self.q:
+            raise ValueError(f"--delta must lie in [0, q), got {self.delta}")
+        if self.command == "overlap" and self.j == 0.0:
+            raise ValueError("--j must be > 0 for overlap sweeps")
 
 
 def _fmt(v) -> str:
@@ -224,9 +266,9 @@ def _rows_timescales(cfg: RunConfig):
     )
 
 
-# The one place a command's flags are declared: its row builder, its help
-# line and the RunConfig fields it takes beyond _COMMON and --out.  The
-# parser's flags and the dataset preamble's keys are both read from it.
+# Each command's row builder, its help line and the RunConfig fields it
+# takes beyond _COMMON and --out: a flag is one RunConfig field plus its
+# entry here.  The parser's flags and the preamble's keys are read from it.
 _COMMANDS = {
     "weights": (_rows_weights, "number distribution w_n", ()),
     "mandel": (_rows_mandel, "Mandel Q over a J sweep", ("j_max", "points")),
@@ -243,69 +285,22 @@ _COMMANDS = {
 # taken by every dataset command and recorded in every preamble
 _COMMON = ("j", "mu", "alpha", "tail_tol")
 
-_HELP = {
-    "j": "action label J",
-    "mu": "deformation parameter mu",
-    "alpha": "angular frequency",
-    "tail_tol": "weight tail cutoff, in (0, 1e-6]",
-    "out_path": "output path, '-' for stdout",
-    "t_max": "grid end in revival-time units",
-    "points": "grid or sweep size",
-    "q": "revival order",
-    "delta": "residue class in [0, q)",
-    "j_max": "sweep end (0, j_max]",
-    "n_max": "check moments 0..n_max",
-    "abs_tol": "quadrature absolute tolerance",
-    "rel_tol": "quadrature relative tolerance",
-}
-
-
-def _validate(cfg: RunConfig) -> None:
-    """Raise ValueError naming the first flag out of range."""
-    if cfg.command not in _COMMANDS:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    if not (math.isfinite(cfg.j) and cfg.j >= 0.0):
-        raise ValueError(f"--j must be finite and >= 0, got {cfg.j}")
-    if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
-        raise ValueError(f"--mu must be > 0, got {cfg.mu}")
-    if not (math.isfinite(cfg.alpha) and cfg.alpha > 0.0):
-        raise ValueError(f"--alpha must be > 0, got {cfg.alpha}")
-    if cfg.points < 2:
-        raise ValueError(f"--points must be >= 2, got {cfg.points}")
-    if not 0.0 < cfg.t_max < math.inf:
-        raise ValueError(f"--t-max must be finite and > 0, got {cfg.t_max}")
-    if cfg.q < 2:
-        raise ValueError(f"--q must be >= 2, got {cfg.q}")
-    if not 0 <= cfg.delta < cfg.q:
-        raise ValueError(f"--delta must lie in [0, q), got {cfg.delta}")
-    if not 0 <= cfg.n_max <= _MAX_N:
-        raise ValueError(f"--n-max must lie in [0, {_MAX_N}], got {cfg.n_max}")
-    if not 0.0 < cfg.j_max < math.inf:
-        raise ValueError(f"--j-max must be finite and > 0, got {cfg.j_max}")
-    if not 0.0 < cfg.tail_tol <= _TAIL_TOL_MAX:
-        raise ValueError(f"--tail-tol must lie in (0, 1e-6], got {cfg.tail_tol}")
-    if not (0.0 < cfg.abs_tol < math.inf and 0.0 < cfg.rel_tol < math.inf):
-        raise ValueError("--abs-tol and --rel-tol must be finite and > 0")
-    if cfg.command == "overlap" and cfg.j == 0.0:
-        raise ValueError("--j must be > 0 for overlap sweeps")
-
-
 def _exit_code(action, *args) -> int:
-    """Call action(*args) and return the process exit code: 0, or 2 for a
-    ValueError or OSError and 3 for a ConvergenceError, whose message goes to stderr."""
+    """Call action(*args) and return the process exit code: the one it
+    returns, else 0, or 2 for a ValueError or OSError and 3 for a
+    ConvergenceError, whose message goes to stderr."""
     try:
-        action(*args)
+        code = action(*args)
     except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceError) else 2
-    return 0
+    return code if isinstance(code, int) else 0
 
 
 def _write(cfg: RunConfig) -> None:
     """run() without the exit-code mapping: failures raise."""
-    _validate(cfg)
-    build, _, fields = _COMMANDS[cfg.command]
-    params = {k: getattr(cfg, k) for k in ("command",) + _COMMON + fields}
+    build, _, flags = _COMMANDS[cfg.command]
+    params = {k: getattr(cfg, k) for k in ("command",) + _COMMON + flags}
     if cfg.figure is not None:
         params.update(figure=cfg.figure)
     # rows first, so a failed computation leaves no partial file behind
@@ -360,8 +355,6 @@ def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = RunConfig.tail
             jobs.append(RunConfig(command=command, mu=mu, delta=delta, tail_tol=tail_tol,
                                   points=points, out_path=os.path.join(out_dir, name),
                                   figure=figure_id))
-    for cfg in jobs:
-        _validate(cfg)
     os.makedirs(out_dir, exist_ok=True)
     for cfg in jobs:
         _write(cfg)
@@ -369,11 +362,11 @@ def figure_bundle(figure_id: int, out_dir: str, tail_tol: float = RunConfig.tail
     return [cfg.out_path for cfg in jobs]
 
 
-def _add_flag(sp, field: str) -> None:
-    # type and default come from RunConfig, so each is written once
-    default = getattr(RunConfig, field)
-    flag = "--out" if field == "out_path" else "--" + field.replace("_", "-")
-    sp.add_argument(flag, type=type(default), default=default, help=_HELP[field])
+def _add_flag(sp, name: str) -> None:
+    # type, default and help line come from the RunConfig field
+    f = RunConfig.__dataclass_fields__[name]
+    sp.add_argument(_option(name), type=type(f.default), default=f.default,
+                    help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         "e_n = n(n+mu)/mu, as CSV.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (_, help_line, fields) in _COMMANDS.items():
+    for command, (_, help_line, flags) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_line)
-        for field in _COMMON + ("out_path",) + fields:
-            _add_flag(sp, field)
+        for name in _COMMON + ("out_path",) + flags:
+            _add_flag(sp, name)
 
     sp = sub.add_parser("figure", help="write every dataset behind one figure")
     sp.add_argument("--id", type=int, required=True, help="figure number, 1..7")
@@ -405,7 +398,7 @@ def main(argv=None) -> int:
         return _exit_code(figure_bundle, ns.id, ns.out_dir, ns.tail_tol, ns.points)
     kw = vars(ns)
     kw["out_path"] = kw.pop("out")
-    return run(RunConfig(**kw))
+    return _exit_code(lambda: run(RunConfig(**kw)))
 
 
 if __name__ == "__main__":

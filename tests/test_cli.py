@@ -1,9 +1,10 @@
 """CLI tests: dataset schema, determinism, exit codes, figure bundles,
 the state-free sweep rows against the state path, the pure-Python grids
 against np.linspace, the column-wise CSV writer against a per-cell
-oracle, round-tripping through the bundled reader, and random channel
+oracle, round-tripping through the bundled reader, and random dataset
 commands in a child with 1 GiB of address space."""
 
+import dataclasses
 import io
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from gkrevival import _dd, specfun
 from gkrevival.cli import (
+    _COMMANDS,
     RunConfig,
     _rows_mandel,
     _rows_timescales,
@@ -140,6 +142,55 @@ def test_validation_exit_2(args, capsys):
     captured = capsys.readouterr()
     # diagnostics never land on stdout
     assert "error" not in captured.out.lower()
+
+
+_TINY, _HUGE = 5e-324, 1.7976931348623157e308
+# every ranged RunConfig field: a command that takes it, each end of its
+# range and the next value past that end
+_RANGES = [
+    ("j", "weights", 0.0, -_TINY), ("j", "weights", _HUGE, math.inf),
+    ("mu", "weights", _TINY, 0.0), ("mu", "weights", _HUGE, math.inf),
+    ("alpha", "weights", _TINY, 0.0), ("alpha", "weights", _HUGE, math.inf),
+    ("q", "survival-intensity", 2, 1),
+    ("q", "survival-intensity", 2**63 - 1, 2**63),
+    ("delta", "survival", 0, -1), ("delta", "survival", 3, 4),
+    ("t_max", "autocorr", _TINY, 0.0), ("t_max", "autocorr", _HUGE, math.inf),
+    ("points", "autocorr", 2, 1), ("points", "autocorr", 10**6, 10**6 + 1),
+    ("n_max", "unity", 0, -1), ("n_max", "unity", 20, 21),
+    ("j_max", "mandel", _TINY, 0.0), ("j_max", "mandel", _HUGE, math.inf),
+    ("tail_tol", "weights", _TINY, 0.0),
+    ("tail_tol", "weights", 1e-6, math.nextafter(1e-6, 1.0)),
+    ("abs_tol", "unity", _TINY, 0.0), ("abs_tol", "unity", _HUGE, math.inf),
+    ("rel_tol", "unity", _TINY, 0.0), ("rel_tol", "unity", _HUGE, math.inf),
+]
+
+
+def test_ranges_cover_every_bounded_field():
+    bounded = {f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("bounds")}
+    assert bounded == {name for name, *_ in _RANGES}
+
+
+@pytest.mark.parametrize("name,command,edge,out", _RANGES)
+def test_range_edges(name, command, edge, out, tmp_path, capsys):
+    flag = "--" + name.replace("_", "-")
+    RunConfig(command=command, **{name: edge})
+    with pytest.raises(ValueError, match=flag):
+        RunConfig(command=command, **{name: out})
+    path = tmp_path / "d.csv"
+    assert main([command, f"{flag}={out!r}", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {flag} ")
+    assert captured.err.count("\n") == 1 and not path.exists()
+
+
+def test_cross_field_checks():
+    with pytest.raises(ValueError, match="unknown command"):
+        RunConfig(command="figure")
+    with pytest.raises(ValueError, match="--delta"):
+        RunConfig(command="survival", q=2**63 - 1, delta=2**63 - 1)
+    with pytest.raises(ValueError, match="overlap"):
+        RunConfig(command="overlap", j=0.0)
+    RunConfig(command="weights", j=0.0)
 
 
 @pytest.mark.parametrize("flags", [["--points", "1"], ["--tail-tol", "0.5"]])
@@ -483,33 +534,58 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+_DRAWS = {
+    "t_max": _log_uniform(1e-3, 1e3),
+    "j_max": _log_uniform(1e-3, 1e4),
+    "points": st.integers(min_value=2, max_value=200),
+    "q": _log_uniform(2.0, 1e7).map(int),
+    "n_max": st.integers(min_value=0, max_value=20),
+    "abs_tol": _log_uniform(1e-300, 1e3),
+    "rel_tol": _log_uniform(1e-300, 1e3),
+}
+
+
 @st.composite
-def _channel_args(draw):
-    # a channel command with every flag inside its accepted range and q
+def _command_args(draw):
+    # a dataset command with every flag inside its accepted range and q
     # log-uniform up to 1e7; J mu <= 1e7, so a window stays below about
-    # 2000 levels, and at most 200 grid points keep each run to seconds
-    command = draw(st.sampled_from(["autocorr", "survival", "survival-intensity"]))
+    # 2000 levels, and at most 200 grid or sweep points keep each run to
+    # seconds
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
     j = draw(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)))
     args = [command, "--j", repr(j), "--mu", repr(draw(_log_uniform(1e-2, 1e3))),
             "--alpha", repr(draw(_log_uniform(1e-3, 1e3))),
-            "--tail-tol", repr(draw(_log_uniform(1e-300, 1e-6))),
-            "--t-max", repr(draw(_log_uniform(1e-3, 1e3))),
-            "--points", str(draw(st.integers(min_value=2, max_value=200)))]
-    if command != "autocorr":
-        q = int(draw(_log_uniform(2.0, 1e7)))
-        args += ["--q", str(q)]
-    if command == "survival":
-        args += ["--delta", str(draw(st.integers(min_value=0, max_value=q - 1)))]
+            "--tail-tol", repr(draw(_log_uniform(1e-300, 1e-6)))]
+    drawn = {}
+    for name in _COMMANDS[command][2]:
+        if name == "delta":
+            drawn[name] = draw(st.integers(min_value=0, max_value=drawn["q"] - 1))
+        else:
+            drawn[name] = draw(_DRAWS[name])
+        args += ["--" + name.replace("_", "-"), repr(drawn[name])]
     return args
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(args=_channel_args())
+_FAR = ["--j", "1e4", "--mu", "1e3", "--tail-tol", "1e-300"]
+
+
+# each command also runs once at the far end of the drawn ranges
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(args=_command_args())
+@example(args=["weights", *_FAR])
+@example(args=["timescales", *_FAR])
+@example(args=["mandel", *_FAR, "--j-max", "1e4", "--points", "200"])
+@example(args=["overlap", *_FAR, "--points", "200"])
+@example(args=["unity", *_FAR, "--n-max", "20", "--abs-tol", "1e-300", "--rel-tol", "1e-300"])
 @example(args=["survival", "--q", "1000000", "--delta", "3", "--points", "200"])
 @example(args=["survival-intensity", "--q", "1000000", "--points", "200"])
+@example(args=["mandel", "--points", "40000000"])
+@example(args=["survival", "--q", "100000000000000000000", "--delta", "3", "--points", "200"])
 def test_channel_commands_bounded_memory(args):
     # a kernel that keeps a dense (T, q) matrix needs 3.2 GB at the
-    # examples' q = 1e6 and 200 points, and fails here with exit 1
+    # examples' q = 1e6 and 200 points; 4e7 sweep points need more than
+    # 1 GiB of floats, and q = 1e20 overflows int64 channel offsets, so a
+    # CLI without the --points and --q bounds fails those with exit 1
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _LIMITED, *args, "--out", os.devnull],
