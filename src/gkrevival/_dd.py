@@ -20,11 +20,13 @@ they vectorize.
 
 ``_phase_terms`` yields the unweighted parts of exp(-2 pi i (mu n + n^2) t)
 for the revival kernel, in blocks of grid rows x levels of at most
-_BLOCK_LEVEL_POINTS.  The weights enter by contraction, re @ M and im @ M:
-the kernel's M is a weight matrix that also groups the levels into
-channels, and ``gkstate.overlap`` (evolving only shifts gamma, so A(t)
-and an overlap are one series) contracts one row of parts, at its one
-time, with its weight vector.
+_BLOCK_LEVEL_POINTS, computed in place in a workspace each thread makes
+once and keeps (``_buffers``): a block's parts are valid until the next
+block.  The weights enter by contraction, re @ M and im @ M: the kernel's
+M is a weight matrix that also groups the levels into channels, and
+``gkstate.overlap`` (evolving only shifts gamma, so A(t) and an overlap
+are one series) contracts one row of parts, at its one time, with its
+weight vector.
 
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
@@ -32,13 +34,15 @@ about 1e-12 of a cycle, and raises ValueError past it.
 """
 
 import math
+import threading
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 _TWO_PI = 2.0 * math.pi
 _MAX_CYCLES = 1e20
-# Grid-point x level terms per block of _phase_terms: bounds the
-# temporaries at any level count (at least one grid row per block).
-_BLOCK_LEVEL_POINTS = 8192
+# Grid-point x level terms per block of _phase_terms and per thread's
+# workspace (a block has at least one grid row); of 8192 to 65536 terms,
+# 32768 ran fastest.
+_BLOCK_LEVEL_POINTS = 32768
 # Table nodes per cycle: a power of two, so f * _CYCLE_STEPS and its split
 # into node and remainder are exact.
 _CYCLE_STEPS = 1024
@@ -50,6 +54,7 @@ _SIN = (_STEP**5 / 120.0, -_STEP**3 / 6.0, _STEP)
 # (cos, -sin) of j * _STEP for j = 0 .. _CYCLE_STEPS, built on first use
 # so that importing this module loads no NumPy.
 _cycle_table = None
+_local = threading.local()  # holds this thread's _buffers
 
 
 def two_sum(a, b):
@@ -113,52 +118,74 @@ def mul_frac(m_hi, m_lo, t):
     return frac(p, e + m_lo * t)
 
 
-def _horner(u, coeffs):
-    # the polynomial in u, in place on one new array
-    p = u * coeffs[0]
-    for a in coeffs[1:-1]:
-        p += a
-        p *= u
-    p += coeffs[-1]
-    return p
-
-
-def phase_parts(m_hi, m_lo, t):
+def phase_parts(m_hi, m_lo, t, out=None):
     """The real and imaginary parts of exp(-2 pi i (m_hi + m_lo) t) as two
     arrays: cos 2 pi f and -sin 2 pi f of the cycle f in [0, 1] that
-    ``mul_frac`` returns, by the table and series above."""
+    ``mul_frac`` returns, by the table and series above, each step in place
+    in five float arrays and one intp array: ``out`` where they hold the
+    broadcast shape, else new ones.  The parts are two of those arrays."""
     global _cycle_table
     import numpy as np
     if _cycle_table is None:
         a = _STEP * np.arange(_CYCLE_STEPS + 1)
         _cycle_table = (np.cos(a), -np.sin(a))
-    # in place where a temporary is not read again: each pass then
-    # writes one array, not two
-    r = mul_frac(m_hi, m_lo, t) * _CYCLE_STEPS
-    j = np.floor(r)
-    r -= j
-    u = r * r
-    c = _horner(u, _COS)
-    s = _horner(u, _SIN)
-    s *= r
-    j = j.astype(np.intp)
-    cos_j = _cycle_table[0][j]
-    nsin_j = _cycle_table[1][j]
+    terms = np.broadcast(m_hi, m_lo, t)
+    shape, size = terms.shape, terms.size
+    if out is None or len(out[0]) < size:
+        out = [np.empty(size) for _ in range(5)] + [np.empty(size, np.intp)]
+    a, b, c, d, e, j = (x[:size].reshape(shape) for x in out)
+    # two_prod(m_hi, t), then frac(p, e + m_lo t), step for step
+    (a_hi, a_lo), (b_hi, b_lo) = _split(m_hi), _split(t)
+    np.multiply(m_hi, t, out=a)
+    np.multiply(a_hi, b_hi, out=b)
+    b -= a
+    for x, y in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo), (m_lo, t)):
+        b += np.multiply(x, y, out=c)
+    a -= np.floor(a, out=c)
+    a += b
+    a -= np.floor(a, out=c)
+    # the table node j and the remainder r of f * _CYCLE_STEPS
+    a *= _CYCLE_STEPS
+    a -= np.floor(a, out=b)
+    j[...] = b
+    np.multiply(a, a, out=b)
+    for coeffs, p in ((_COS, c), (_SIN, d)):  # Horner in u = r**2
+        np.multiply(b, coeffs[0], out=p)
+        for x in coeffs[1:-1]:
+            p += x
+            p *= b
+        p += coeffs[-1]
+    d *= a
+    cos_j = _cycle_table[0].take(j, out=a, mode="clip")
+    nsin_j = _cycle_table[1].take(j, out=b, mode="clip")
     # exp(-i (a_j + theta)) = (cos a_j - i sin a_j)(cos theta - i sin theta)
-    re = cos_j * c
-    re += nsin_j * s
+    np.multiply(cos_j, c, out=e)
+    cos_j *= d
+    d *= nsin_j
+    e += d
     nsin_j *= c
-    cos_j *= s
     nsin_j -= cos_j
-    return re, nsin_j
+    return e, nsin_j
+
+
+def _buffers():
+    """This thread's buffers, made on first use and kept: five float and one
+    intp array of _BLOCK_LEVEL_POINTS for ``phase_parts``, then twice that
+    for the kernel's BLAS products."""
+    if not hasattr(_local, "buffers"):
+        import numpy as np
+        n = _BLOCK_LEVEL_POINTS
+        _local.buffers = [*(np.empty(n) for _ in range(5)), np.empty(n, np.intp), np.empty(2 * n)]
+    return _local.buffers
 
 
 def _phase_terms(n_lo: int, count: int, mu: float, t):
     """Yield (i, re, im) over the 1-D grid t: re[k, j] + i im[k, j] is
     exp(-2 pi i (mu n + n^2) t[i + k]) for level n = n_lo + j, j < count,
-    each block at most _BLOCK_LEVEL_POINTS terms (at least one grid row)."""
+    each block at most _BLOCK_LEVEL_POINTS terms (at least one grid row),
+    in this thread's workspace: a block's parts hold until the next."""
     import numpy as np
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
     rows = max(1, _BLOCK_LEVEL_POINTS // count)
     for i in range(0, len(t), rows):
-        yield (i, *phase_parts(m_hi, m_lo, t[i : i + rows, None]))
+        yield (i, *phase_parts(m_hi, m_lo, t[i : i + rows, None], _buffers()[:6]))

@@ -21,11 +21,12 @@ column c holds the window offsets j = c (mod q), so its channel is
 (n_min + c) mod q, and a channel no column holds is exactly 0.  Blocks of
 unweighted phase parts (``_dd._phase_terms``) meet a real weight matrix
 that places offset j in column j mod q, one BLAS product per part, in
-level chunks that keep each modulus's matrix within 2^20 entries.  Each
-channel is within gamma_L sum_n |w_n| (gamma_L = L u / (1 - L u),
-u = 2^-53) of the exact sum of the same float parts and weights.  The scan
-moduli q = 1 .. 6 share one weight matrix and every other modulus has its
-own, so a modulus's bits do not depend on what else was asked.  Only
+level chunks of at most 2^20 / L levels, each with only the cyclic slice
+of min(q, chunk) columns its residues reach.  Each channel is within
+gamma_L sum_n |w_n| (gamma_L = L u / (1 - L u), u = 2^-53) of the exact
+sum of the same float parts and weights.  The scan moduli q = 1 .. 6
+share one weight matrix and every other modulus has its own, so a
+modulus's bits do not depend on what else was asked.  Only
 ``channel_amplitudes`` and ``fractional_decomposition`` build the dense
 (T, q) form; the other readers take one column, or the columns in channel
 order.
@@ -43,7 +44,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from ._dd import _TWO_PI, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
+from ._dd import _TWO_PI, _buffers, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
 from .gkstate import CoherentState
 
 __all__ = [
@@ -182,13 +183,16 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     groups = [[q for q in qs if q in _SCAN_Q], *([q] for q in qs if q not in _SCAN_Q)]
     sums = [np.zeros((len(t), sum(min(q, size) for q in g)), dtype=complex) for g in groups]
     step = min(size, max(1, _MATRIX_ENTRIES // size))
+    buf = _buffers()[6]
     for a in range(0, size, step):
-        n = np.arange(a, min(size, a + step))
-        mats = [_weight_matrix(n, w[n], g, size) for g in groups]
-        for i, re, im in _phase_terms(lo + a, len(n), state.params.mu, t):
-            for m, p in zip(mats, sums):
-                p.real[i : i + len(re)] += re @ m
-                p.imag[i : i + len(im)] += im @ m
+        chunk = [_weight_matrix(a, w[a : a + step], g, size) for g in groups]
+        for i, re, im in _phase_terms(lo + a, min(step, size - a), state.params.mu, t):
+            r = len(re)
+            for (m, cols), p in zip(chunk, sums):
+                k = r * m.shape[1]
+                out = buf[:k].reshape(r, -1) if k <= len(buf) else None
+                p.real[i : i + r, cols] += np.matmul(re, m, out=out)
+                p.imag[i : i + r, cols] += np.matmul(im, m, out=out)
     out = {}
     for g, p in zip(groups, sums):
         p.flags.writeable = False
@@ -199,16 +203,20 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     return out
 
 
-def _weight_matrix(n, w, qs, size: int) -> np.ndarray:
-    # The weights w of window offsets n in one block of min(q, size)
-    # columns per modulus q, offset j in column j mod q, 0 elsewhere.
+def _weight_matrix(a: int, w, qs, size: int) -> tuple:
+    # The weights w of the c window offsets from a in min(q, c) columns
+    # per modulus q, offset j in column (j - a) mod q, 0 elsewhere, and
+    # the sums' columns these reach, (a + column) mod q in q's min(q, size)
+    # columns: a cyclic slice, or all in order for the whole window.
     import numpy as np
-    m = np.zeros((len(n), sum(min(q, size) for q in qs)))
-    k = 0
+    c = len(w)
+    m = np.zeros((c, sum(min(q, c) for q in qs)))
+    cols, k = [], 0
     for q in qs:
-        m[np.arange(len(n)), k + n % q] = w
+        m[np.arange(c), len(cols) + np.arange(c) % q] = w
+        cols += [k + (a + j) % q for j in range(min(q, c))]
         k += min(q, size)
-    return m
+    return m, slice(None) if c == size else np.array(cols)
 
 
 def _column(state: CoherentState, q: int, delta: int, t_grid) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, specfun
@@ -546,12 +546,11 @@ _DRAWS = {
 
 
 @st.composite
-def _command_args(draw):
-    # a dataset command with every flag inside its accepted range and q
+def _command_args(draw, command):
+    # the dataset command with every flag inside its accepted range and q
     # log-uniform up to 1e7; J mu <= 1e7, so a window stays below about
     # 2000 levels, and at most 200 grid or sweep points keep each run to
     # seconds
-    command = draw(st.sampled_from(sorted(_COMMANDS)))
     j = draw(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)))
     args = [command, "--j", repr(j), "--mu", repr(draw(_log_uniform(1e-2, 1e3))),
             "--alpha", repr(draw(_log_uniform(1e-3, 1e3))),
@@ -569,23 +568,28 @@ def _command_args(draw):
 _FAR = ["--j", "1e4", "--mu", "1e3", "--tail-tol", "1e-300"]
 
 
-# each command also runs once at the far end of the drawn ranges
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(args=_command_args())
-@example(args=["weights", *_FAR])
-@example(args=["timescales", *_FAR])
-@example(args=["mandel", *_FAR, "--j-max", "1e4", "--points", "200"])
-@example(args=["overlap", *_FAR, "--points", "200"])
-@example(args=["unity", *_FAR, "--n-max", "20", "--abs-tol", "1e-300", "--rel-tol", "1e-300"])
-@example(args=["survival", "--q", "1000000", "--delta", "3", "--points", "200"])
-@example(args=["survival-intensity", "--q", "1000000", "--points", "200"])
-@example(args=["mandel", "--points", "40000000"])
-@example(args=["survival", "--q", "100000000000000000000", "--delta", "3", "--points", "200"])
-def test_channel_commands_bounded_memory(args):
+# each dataset command is its own case with its own draws, so every
+# command is drawn; each also runs once at the far end of the drawn
+# ranges, every example only under the case of its command
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(lines=st.fixed_dictionaries({c: _command_args(c) for c in sorted(_COMMANDS)}))
+@example(lines={"weights": ["weights", *_FAR]})
+@example(lines={"timescales": ["timescales", *_FAR]})
+@example(lines={"mandel": ["mandel", *_FAR, "--j-max", "1e4", "--points", "200"]})
+@example(lines={"overlap": ["overlap", *_FAR, "--points", "200"]})
+@example(lines={"unity": ["unity", *_FAR, "--n-max", "20", "--abs-tol", "1e-300", "--rel-tol", "1e-300"]})
+@example(lines={"survival": ["survival", "--q", "1000000", "--delta", "3", "--points", "200"]})
+@example(lines={"survival-intensity": ["survival-intensity", "--q", "1000000", "--points", "200"]})
+@example(lines={"mandel": ["mandel", "--points", "40000000"]})
+@example(lines={"survival": ["survival", "--q", "100000000000000000000", "--delta", "3", "--points", "200"]})
+def test_channel_commands_bounded_memory(command, lines):
     # a kernel that keeps a dense (T, q) matrix needs 3.2 GB at the
     # examples' q = 1e6 and 200 points; 4e7 sweep points need more than
     # 1 GiB of floats, and q = 1e20 overflows int64 channel offsets, so a
     # CLI without the --points and --q bounds fails those with exit 1
+    assume(command in lines)
+    args = lines[command]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _LIMITED, *args, "--out", os.devnull],

@@ -203,7 +203,7 @@ def test_figure_grids_near_libm_phases(mu, q):
 
 def test_level_count_above_block_size():
     # More levels than one block holds: one grid row per block.
-    s = _state(1e8, 1.0)
+    s = _state(2e9, 1.0)
     assert s.n_max + 1 > _dd._BLOCK_LEVEL_POINTS
     t = np.array([0.0, 0.125, 1.0 / 3.0, 0.5, 1.0])
     p = channel_amplitudes(s, 3, t)
@@ -214,14 +214,60 @@ def test_level_count_above_block_size():
     assert abs(a[-1] - a[0]) < 1e-13
 
 
-@pytest.mark.parametrize("points", [1, 2, 227, 228, 455, 1000])
+@pytest.mark.parametrize("points", [1, 2, 227, 228, 455, 910, 911, 1000, 1821])
 def test_partial_last_block(points):
-    # 36 levels fit 227 grid rows per block; cover exact multiples and
-    # one-row remainders.
+    # 36 levels fit 910 grid rows per block; cover grids inside one
+    # block, exact multiples and one-row remainders.
     s = _state(10.0, 28.0)
-    assert _dd._BLOCK_LEVEL_POINTS // (s.n_max + 1) == 227
+    assert _dd._BLOCK_LEVEL_POINTS // (s.n_max + 1) == 910
     t = np.linspace(0.0, 0.9, points)
     _assert_exact_sums(channel_amplitudes(s, 4, t), s, 4, t)
+
+
+@pytest.mark.parametrize("q", [7, 2000])
+def test_chunked_window_near_reference(q):
+    # a window past 1024 levels, contracted in level chunks that each take
+    # only the cyclic slice of columns their residues reach (wrapping
+    # round at q = 2000 < L), within gamma_L sum |w| of the per-point loop
+    s = _state(1e8, 20.5)
+    size = s.n_max - s.n_min + 1
+    assert size > 2000 and size * size > revival._MATRIX_ENTRIES
+    t = np.array([0.0, 0.37, 1.0 / 3.0, -0.61, 1.0])
+    p = channel_amplitudes(s, q, t)
+    gamma = size * 2.0**-53 / (1.0 - size * 2.0**-53)
+    bound = gamma * float(np.exp(s.ln_weights[s.n_min :]).sum())
+    assert np.max(np.abs(p - _reference(s, q, t))) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_lo=st.integers(min_value=0, max_value=10**6),
+    count=st.integers(min_value=1, max_value=300),
+    mu=_mu,
+    grid=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=30),
+    rows=st.integers(min_value=1, max_value=7),
+    scalar_lo=st.booleans(),
+)
+@example(n_lo=0, count=5, mu=28.0, grid=[0.0, -0.0, -1.5, 0.25], rows=3, scalar_lo=True)
+def test_workspace_parts_bit_identical(n_lo, count, mu, grid, rows, scalar_lo):
+    # phase_parts into a used workspace longer than the block equals
+    # phase_parts with new arrays, bit for bit; and the blocks of
+    # _phase_terms, rows grid rows each (a partial last block whenever
+    # rows does not divide the grid), concatenate to one call over the grid
+    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
+    lo = float(m_lo[0]) if scalar_lo else m_lo
+    t = np.array(grid)[:, None]
+    size = t.size * count + 3
+    work = [np.full(size, np.nan) for _ in range(5)] + [np.full(size, -1, np.intp)]
+    for x, y in zip(phase_parts(m_hi, lo, t, work), phase_parts(m_hi, lo, t)):
+        assert x.tobytes() == y.tobytes()
+    _dd._buffers()  # this thread's buffers at the real block size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dd, "_BLOCK_LEVEL_POINTS", rows * count)
+        blocks = [(i, re.copy(), im.copy()) for i, re, im in _dd._phase_terms(n_lo, count, mu, t[:, 0])]
+    assert [i for i, _, _ in blocks] == list(range(0, len(grid), rows))
+    for k, whole in enumerate(phase_parts(m_hi, m_lo, t)):
+        assert np.concatenate([b[k + 1] for b in blocks]).tobytes() == whole.tobytes()
 
 
 def _prefix_interference(row):
@@ -564,9 +610,9 @@ def _count_rows(monkeypatch):
     rows = []
     real = _dd.phase_parts
 
-    def counted(m_hi, m_lo, t):
+    def counted(m_hi, m_lo, t, out=None):
         rows.append(t.shape[0])
-        return real(m_hi, m_lo, t)
+        return real(m_hi, m_lo, t, out)
 
     monkeypatch.setattr(_dd, "phase_parts", counted)
     return rows
