@@ -10,7 +10,7 @@ accurate to a few ulp without an arbitrary-precision dependency.
 parts of exp(-2 pi i f), for both the overlap series and the revival
 kernel, without a trigonometric call per term: f * 1024 splits exactly
 into a table node j and a remainder, the table holds NumPy's cos and sin
-of 2 pi j / 1024 (j = 0 .. 1024; frac can return exactly 1.0), and the
+of 2 pi j / 1024 (j = 0 .. 1024; mul_frac can return exactly 1.0), and the
 remainder angle theta < 2 pi / 1024 enters through its Taylor series, cos
 to theta^6 and sin to theta^5.  Each part is within 6.9e-16 of
 exp(-2 pi i f) for the exact double f.  At the table nodes the parts are
@@ -21,12 +21,12 @@ they vectorize.
 ``_phase_terms`` yields the unweighted parts of exp(-2 pi i (mu n + n^2) t)
 for the revival kernel, in blocks of grid rows x levels of at most
 _BLOCK_LEVEL_POINTS, computed in place in a workspace each thread makes
-once and keeps (``_buffers``): a block's parts are valid until the next
-block.  The weights enter by contraction, re @ M and im @ M: the kernel's
-M is a weight matrix that also groups the levels into channels, and
-``gkstate.overlap`` (evolving only shifts gamma, so A(t) and an overlap
-are one series) contracts one row of parts, at its one time, with its
-weight vector.
+once and keeps (``_buffers``, which also keeps the kernel's BLAS product
+buffer): a block's parts are valid until the next block.  The weights
+enter by contraction, re @ M and im @ M: the kernel's M is a weight
+matrix that also groups the levels into channels, and ``gkstate.overlap``
+(evolving only shifts gamma, so A(t) and an overlap are one series)
+contracts one row of parts, at its one time, with its weight vector.
 
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
@@ -40,8 +40,8 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 _TWO_PI = 2.0 * math.pi
 _MAX_CYCLES = 1e20
 # Grid-point x level terms per block of _phase_terms and per thread's
-# workspace (a block has at least one grid row); of 8192 to 65536 terms,
-# 32768 ran fastest.
+# workspace (so at most this many levels per block); of 8192 to 65536
+# terms, 32768 ran fastest.
 _BLOCK_LEVEL_POINTS = 32768
 # Table nodes per cycle: a power of two, so f * _CYCLE_STEPS and its split
 # into node and remainder are exact.
@@ -104,46 +104,43 @@ def _check_cycles(n_top: int, mu: float, t_max: float) -> None:
         )
 
 
-def frac(hi, lo):
-    """Fractional part of hi + lo, to the cycle error stated above."""
+def mul_frac(m_hi, m_lo, t, out=None):
+    """frac((m_hi + m_lo) * t) to a few ulp of a cycle: ``two_prod`` of m_hi
+    and t, then the fractional part of p + (e + m_lo t), each step in place
+    in ``out``, three float arrays of the broadcast shape (new ones if
+    None), of which the first is returned."""
     import numpy as np
-    f = hi - np.floor(hi)  # exact: the low bits of hi are representable
-    f = f + lo
-    return f - np.floor(f)
-
-
-def mul_frac(m_hi, m_lo, t):
-    """frac((m_hi + m_lo) * t) to a few ulp of a cycle."""
-    p, e = two_prod(m_hi, t)
-    return frac(p, e + m_lo * t)
-
-
-def phase_parts(m_hi, m_lo, t, out=None):
-    """The real and imaginary parts of exp(-2 pi i (m_hi + m_lo) t) as two
-    arrays: cos 2 pi f and -sin 2 pi f of the cycle f in [0, 1] that
-    ``mul_frac`` returns, by the table and series above, each step in place
-    in five float arrays and one intp array: ``out`` where they hold the
-    broadcast shape, else new ones.  The parts are two of those arrays."""
-    global _cycle_table
-    import numpy as np
-    if _cycle_table is None:
-        a = _STEP * np.arange(_CYCLE_STEPS + 1)
-        _cycle_table = (np.cos(a), -np.sin(a))
-    terms = np.broadcast(m_hi, m_lo, t)
-    shape, size = terms.shape, terms.size
-    if out is None or len(out[0]) < size:
-        out = [np.empty(size) for _ in range(5)] + [np.empty(size, np.intp)]
-    a, b, c, d, e, j = (x[:size].reshape(shape) for x in out)
-    # two_prod(m_hi, t), then frac(p, e + m_lo t), step for step
+    if out is None:
+        out = [np.empty(np.broadcast(m_hi, m_lo, t).shape) for _ in range(3)]
+    a, b, c = out
     (a_hi, a_lo), (b_hi, b_lo) = _split(m_hi), _split(t)
     np.multiply(m_hi, t, out=a)
     np.multiply(a_hi, b_hi, out=b)
     b -= a
     for x, y in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo), (m_lo, t)):
         b += np.multiply(x, y, out=c)
-    a -= np.floor(a, out=c)
+    a -= np.floor(a, out=c)  # exact: the low bits of a are representable
     a += b
     a -= np.floor(a, out=c)
+    return a
+
+
+def phase_parts(m_hi, m_lo, t, out=None):
+    """The real and imaginary parts of exp(-2 pi i (m_hi + m_lo) t) as two
+    arrays: cos 2 pi f and -sin 2 pi f of the cycle f in [0, 1] that
+    ``mul_frac`` returns, by the table and series above, each step in place
+    in ``out``, five float arrays and one intp array of at least the
+    broadcast size (new ones if None).  The parts are two of those arrays."""
+    global _cycle_table
+    import numpy as np
+    if _cycle_table is None:
+        a = _STEP * np.arange(_CYCLE_STEPS + 1)
+        _cycle_table = (np.cos(a), -np.sin(a))
+    terms = np.broadcast(m_hi, m_lo, t)
+    if out is None:
+        out = [np.empty(terms.size) for _ in range(5)] + [np.empty(terms.size, np.intp)]
+    a, b, c, d, e, j = (x[: terms.size].reshape(terms.shape) for x in out)
+    mul_frac(m_hi, m_lo, t, (a, b, c))
     # the table node j and the remainder r of f * _CYCLE_STEPS
     a *= _CYCLE_STEPS
     a -= np.floor(a, out=b)
@@ -169,23 +166,25 @@ def phase_parts(m_hi, m_lo, t, out=None):
 
 
 def _buffers():
-    """This thread's buffers, made on first use and kept: five float and one
-    intp array of _BLOCK_LEVEL_POINTS for ``phase_parts``, then twice that
-    for the kernel's BLAS products."""
+    """This thread's (work, product), made on first use and kept: the
+    ``phase_parts`` workspace for blocks of _BLOCK_LEVEL_POINTS terms, and
+    twice that many floats for the kernel's BLAS products."""
     if not hasattr(_local, "buffers"):
         import numpy as np
         n = _BLOCK_LEVEL_POINTS
-        _local.buffers = [*(np.empty(n) for _ in range(5)), np.empty(n, np.intp), np.empty(2 * n)]
+        work = [*(np.empty(n) for _ in range(5)), np.empty(n, np.intp)]
+        _local.buffers = work, np.empty(2 * n)
     return _local.buffers
 
 
 def _phase_terms(n_lo: int, count: int, mu: float, t):
     """Yield (i, re, im) over the 1-D grid t: re[k, j] + i im[k, j] is
     exp(-2 pi i (mu n + n^2) t[i + k]) for level n = n_lo + j, j < count,
-    each block at most _BLOCK_LEVEL_POINTS terms (at least one grid row),
-    in this thread's workspace: a block's parts hold until the next."""
+    in blocks of _BLOCK_LEVEL_POINTS // count grid rows (count is at most
+    _BLOCK_LEVEL_POINTS), in this thread's workspace: a block's parts hold
+    until the next."""
     import numpy as np
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
-    rows = max(1, _BLOCK_LEVEL_POINTS // count)
+    rows, work = _BLOCK_LEVEL_POINTS // count, _buffers()[0]
     for i in range(0, len(t), rows):
-        yield (i, *phase_parts(m_hi, m_lo, t[i : i + rows, None], _buffers()[:6]))
+        yield (i, *phase_parts(m_hi, m_lo, t[i : i + rows, None], work))

@@ -183,7 +183,7 @@ def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
     groups = [[q for q in qs if q in _SCAN_Q], *([q] for q in qs if q not in _SCAN_Q)]
     sums = [np.zeros((len(t), sum(min(q, size) for q in g)), dtype=complex) for g in groups]
     step = min(size, max(1, _MATRIX_ENTRIES // size))
-    buf = _buffers()[6]
+    _, buf = _buffers()
     for a in range(0, size, step):
         chunk = [_weight_matrix(a, w[a : a + step], g, size) for g in groups]
         for i, re, im in _phase_terms(lo + a, min(step, size - a), state.params.mu, t):

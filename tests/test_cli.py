@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, specfun
@@ -568,30 +568,41 @@ def _command_args(draw, command):
 _FAR = ["--j", "1e4", "--mu", "1e3", "--tail-tol", "1e-300"]
 
 
-# each dataset command is its own case with its own draws, so every
-# command is drawn; each also runs once at the far end of the drawn
-# ranges, every example only under the case of its command
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
-@settings(max_examples=5, deadline=None, derandomize=True)
-@given(lines=st.fixed_dictionaries({c: _command_args(c) for c in sorted(_COMMANDS)}))
-@example(lines={"weights": ["weights", *_FAR]})
-@example(lines={"timescales": ["timescales", *_FAR]})
-@example(lines={"mandel": ["mandel", *_FAR, "--j-max", "1e4", "--points", "200"]})
-@example(lines={"overlap": ["overlap", *_FAR, "--points", "200"]})
-@example(lines={"unity": ["unity", *_FAR, "--n-max", "20", "--abs-tol", "1e-300", "--rel-tol", "1e-300"]})
-@example(lines={"survival": ["survival", "--q", "1000000", "--delta", "3", "--points", "200"]})
-@example(lines={"survival-intensity": ["survival-intensity", "--q", "1000000", "--points", "200"]})
-@example(lines={"mandel": ["mandel", "--points", "40000000"]})
-@example(lines={"survival": ["survival", "--q", "100000000000000000000", "--delta", "3", "--points", "200"]})
-def test_channel_commands_bounded_memory(command, lines):
-    # a kernel that keeps a dense (T, q) matrix needs 3.2 GB at the
-    # examples' q = 1e6 and 200 points; 4e7 sweep points need more than
+# the far ends of the drawn ranges, and past the --points and --q bounds
+_FAR_ARGS = {
+    "weights": ["weights", *_FAR],
+    "timescales": ["timescales", *_FAR],
+    "mandel": ["mandel", *_FAR, "--j-max", "1e4", "--points", "200"],
+    "overlap": ["overlap", *_FAR, "--points", "200"],
+    "unity": ["unity", *_FAR, "--n-max", "20", "--abs-tol", "1e-300", "--rel-tol", "1e-300"],
+    "survival-q1e6": ["survival", "--q", "1000000", "--delta", "3", "--points", "200"],
+    "survival-intensity-q1e6": ["survival-intensity", "--q", "1000000", "--points", "200"],
+    "mandel-4e7-points": ["mandel", "--points", "40000000"],
+    "survival-q1e20": ["survival", "--q", "100000000000000000000", "--delta", "3", "--points", "200"],
+}
+
+
+def _run_capped(args):
+    # a kernel that keeps a dense (T, q) matrix needs 3.2 GB at the far
+    # cases' q = 1e6 and 200 points; 4e7 sweep points need more than
     # 1 GiB of floats, and q = 1e20 overflows int64 channel offsets, so a
     # CLI without the --points and --q bounds fails those with exit 1
-    assume(command in lines)
-    args = lines[command]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _LIMITED, *args, "--out", os.devnull],
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode in (0, 2, 3), out.stderr[-2000:]
+
+
+# each dataset command is its own case with its own draws, so every
+# command is drawn
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_channel_commands_bounded_memory(command, data):
+    _run_capped(data.draw(_command_args(command)))
+
+
+@pytest.mark.parametrize("case", sorted(_FAR_ARGS))
+def test_channel_commands_bounded_memory_far(case):
+    _run_capped(_FAR_ARGS[case])

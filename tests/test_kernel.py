@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, revival
-from gkrevival._dd import mul_frac, phase_parts, quadratic_in_n
+from gkrevival._dd import mul_frac, phase_parts, quadratic_in_n, two_prod
 from gkrevival.cli import RunConfig, _channel_rows, _rows_survival_intensity
 from gkrevival.gkstate import build_state, evolve, mean_energy, overlap
 from gkrevival.revival import (
@@ -202,7 +202,9 @@ def test_figure_grids_near_libm_phases(mu, q):
 
 
 def test_level_count_above_block_size():
-    # More levels than one block holds: one grid row per block.
+    # More levels than one block holds: the kernel contracts the window in
+    # level chunks of at most 2^20 // L levels, so every block, of many grid
+    # rows, fits this thread's workspace.
     s = _state(2e9, 1.0)
     assert s.n_max + 1 > _dd._BLOCK_LEVEL_POINTS
     t = np.array([0.0, 0.125, 1.0 / 3.0, 0.5, 1.0])
@@ -250,13 +252,18 @@ def test_chunked_window_near_reference(q):
 )
 @example(n_lo=0, count=5, mu=28.0, grid=[0.0, -0.0, -1.5, 0.25], rows=3, scalar_lo=True)
 def test_workspace_parts_bit_identical(n_lo, count, mu, grid, rows, scalar_lo):
-    # phase_parts into a used workspace longer than the block equals
-    # phase_parts with new arrays, bit for bit; and the blocks of
-    # _phase_terms, rows grid rows each (a partial last block whenever
-    # rows does not divide the grid), concatenate to one call over the grid
+    # mul_frac's in-place steps give the bits of two_prod and the
+    # fractional part out of place; phase_parts into a used workspace
+    # longer than the block equals phase_parts with new arrays, bit for
+    # bit; and the blocks of _phase_terms, rows grid rows each (a partial
+    # last block whenever rows does not divide the grid), concatenate to
+    # one call over the grid
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
     lo = float(m_lo[0]) if scalar_lo else m_lo
     t = np.array(grid)[:, None]
+    p, e = two_prod(m_hi, t)
+    f = (p - np.floor(p)) + (e + lo * t)
+    assert mul_frac(m_hi, lo, t).tobytes() == (f - np.floor(f)).tobytes()
     size = t.size * count + 3
     work = [np.full(size, np.nan) for _ in range(5)] + [np.full(size, -1, np.intp)]
     for x, y in zip(phase_parts(m_hi, lo, t, work), phase_parts(m_hi, lo, t)):
