@@ -31,10 +31,15 @@ contracts one row of parts, at its one time, with its weight vector.
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
 about 1e-12 of a cycle, and raises ValueError past it.
+
+NumPy is imported, and the table built, when the module executes: ``import
+gkrevival`` leaves it a lazy module, which executes on first use.
 """
 
 import math
 import threading
+
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 _TWO_PI = 2.0 * math.pi
@@ -51,9 +56,9 @@ _STEP = _TWO_PI / _CYCLE_STEPS
 # sin(_STEP r) / r in u = r**2, for the remainder r in [0, 1).
 _COS = (-_STEP**6 / 720.0, _STEP**4 / 24.0, -_STEP**2 / 2.0, 1.0)
 _SIN = (_STEP**5 / 120.0, -_STEP**3 / 6.0, _STEP)
-# (cos, -sin) of j * _STEP for j = 0 .. _CYCLE_STEPS, built on first use
-# so that importing this module loads no NumPy.
-_cycle_table = None
+# (cos, -sin) of the nodes j * _STEP, j = 0 .. _CYCLE_STEPS
+_NODES = _STEP * np.arange(_CYCLE_STEPS + 1)
+_cycle_table = (np.cos(_NODES), -np.sin(_NODES))
 _local = threading.local()  # holds this thread's _buffers
 
 
@@ -85,7 +90,6 @@ def quadratic_in_n(n, mu):
     Exact whenever n < 2**26 (n*n representable) and mu*n fits a double,
     which covers every quantum number this package touches.
     """
-    import numpy as np
     p, e = two_prod(np.asarray(mu, dtype=float), np.asarray(n, dtype=float))
     hi, lo = two_sum(n * n, p)
     return hi, lo + e
@@ -109,7 +113,6 @@ def mul_frac(m_hi, m_lo, t, out=None):
     and t, then the fractional part of p + (e + m_lo t), each step in place
     in ``out``, three float arrays of the broadcast shape (new ones if
     None), of which the first is returned."""
-    import numpy as np
     if out is None:
         out = [np.empty(np.broadcast(m_hi, m_lo, t).shape) for _ in range(3)]
     a, b, c = out
@@ -131,11 +134,6 @@ def phase_parts(m_hi, m_lo, t, out=None):
     ``mul_frac`` returns, by the table and series above, each step in place
     in ``out``, five float arrays and one intp array of at least the
     broadcast size (new ones if None).  The parts are two of those arrays."""
-    global _cycle_table
-    import numpy as np
-    if _cycle_table is None:
-        a = _STEP * np.arange(_CYCLE_STEPS + 1)
-        _cycle_table = (np.cos(a), -np.sin(a))
     terms = np.broadcast(m_hi, m_lo, t)
     if out is None:
         out = [np.empty(terms.size) for _ in range(5)] + [np.empty(terms.size, np.intp)]
@@ -170,7 +168,6 @@ def _buffers():
     ``phase_parts`` workspace for blocks of _BLOCK_LEVEL_POINTS terms, and
     twice that many floats for the kernel's BLAS products."""
     if not hasattr(_local, "buffers"):
-        import numpy as np
         n = _BLOCK_LEVEL_POINTS
         work = [*(np.empty(n) for _ in range(5)), np.empty(n, np.intp)]
         _local.buffers = work, np.empty(2 * n)
@@ -183,7 +180,6 @@ def _phase_terms(n_lo: int, count: int, mu: float, t):
     in blocks of _BLOCK_LEVEL_POINTS // count grid rows (count is at most
     _BLOCK_LEVEL_POINTS), in this thread's workspace: a block's parts hold
     until the next."""
-    import numpy as np
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
     rows, work = _BLOCK_LEVEL_POINTS // count, _buffers()[0]
     for i in range(0, len(t), rows):

@@ -25,12 +25,12 @@ directly and build no state: `--tail-tol` is still validated and
 recorded in their preamble, but it does not change their rows.
 
 A command executes only the modules it runs; `import gkrevival` runs
-`specfun` and `spectrum`.  So `timescales`, `mandel` and `figure --id 2`
-(two `mandel` sweeps) execute no other package module, and they never
-load NumPy: no module imports it when it is executed, each function that
-builds or reads an array imports it itself, and the time and sweep grids
-come from `_linspace`, which reproduces np.linspace bit for bit.  Every
-other command loads NumPy at its first array.
+`specfun` and `spectrum`, and this module imports no NumPy.  So
+`timescales`, `mandel` and `figure --id 2` (two `mandel` sweeps) execute
+no other package module and never load NumPy: NumPy is imported inside
+functions only in `specfun`, which `import gkrevival` executes, and the
+grids come from `_linspace`, which reproduces np.linspace bit for bit.
+Every other command executes a module that imports NumPy.
 """
 
 import argparse
@@ -207,9 +207,8 @@ def _sweep_grid(upper: float, points: int) -> list:
 
 
 def _rows_weights(cfg: RunConfig):
-    import numpy as np
     s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
-    return ["n", "weight"], list(enumerate(np.exp(s.ln_weights).tolist()))
+    return ["n", "weight"], list(enumerate(gkstate.weights(s).tolist()))
 
 
 def _rows_mandel(cfg: RunConfig):

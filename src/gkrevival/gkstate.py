@@ -9,18 +9,13 @@ held in the log domain so that large J and large mu never overflow.  The
 basis expansion is truncated at both ends of the weight peak, wherever a
 geometric tail bound drops below ``tail_tol`` of the peak weight:
 ``n_min`` is the first retained level and ``n_max`` the last.  Near J = 0
-the weights fall from n = 0 and ``n_min`` is 0; at large J they peak
-near sqrt(J mu) with a spread below sqrt(<n>), so most levels below the
-peak are dropped.  The weights are the terms of the ascending series of
-N^2 ~ I_mu(2 sqrt(J mu)), walked out from the peak p by
-``specfun._peak_walk`` as ``ln_bessel_i`` sums them, each level once,
-until each side's tail test closes: the cost follows the window
-n_min .. n_max, not n_max itself (``ln_weights`` holds -inf below n_min).
-The ladder enters only through the term ratio r_n = a_{n-1} / a_n =
-n (n + mu) / (J mu): one ``lgamma`` pair gives ln a_p, and ln(a_n / a_p)
-is a running sum of ln r_k from p (``overlap`` walks below a window the
-same way, from n_min), so a weight is exact to a few roundings per level
-from p.
+``n_min`` is 0; at large J the weights peak near sqrt(J mu), and most
+levels below the peak are dropped.  The weights are the terms of the
+ascending series of N^2 ~ I_mu(2 sqrt(J mu)), walked out from the peak by
+``specfun._peak_walk`` as ``ln_bessel_i`` sums them, so the cost follows
+the window, not n_max (``build_state`` states the tests).  The ladder
+enters only through the term ratio r_n = a_{n-1} / a_n = n (n + mu) /
+(J mu), so a weight is exact to a few roundings per level from the peak.
 
 Phase evolution is exact by construction: evolving by t only shifts
 gamma -> gamma + alpha t, and overlaps reduce the accumulated phase
@@ -32,7 +27,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
 from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
@@ -113,7 +111,6 @@ def build_state(
     of the lgamma pair, an absolute error of about 2^-52 times the larger
     of ln Gamma(1 + mu) and p ln(J mu): 2.69 at J = 2, mu = 1e200, not 2.
     """
-    import numpy as np
     if not (math.isfinite(J) and J >= 0.0):
         raise ValueError(f"J must be finite and >= 0, got {J}")
     if not math.isfinite(gamma):
@@ -200,33 +197,27 @@ def normalization_sq(J: float, p: SpectrumParams) -> float:
 
 def weights(state: CoherentState) -> np.ndarray:
     """Number distribution w_n for n = 0 .. n_max; 0 below n_min."""
-    import numpy as np
     return np.exp(state.ln_weights)
 
 
 def weight(n: int, state: CoherentState) -> float:
     """Single weight w_n; zero outside the window n_min .. n_max."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if n > state.n_max:
         return 0.0
     return float(math.exp(state.ln_weights[n]))
 
 
 def mean_n(state: CoherentState) -> float:
-    """<n> in closed form, sqrt(J mu) I_{mu+1}/I_mu at 2 sqrt(J mu);
-
-    always below sqrt(J mu) since the ratio is below one.  Evaluated by
-    ``spectrum._mean_n(J, mu)``, the single path (the CLI calls it
-    without a state); the direct sum over the weights is the oracle this
-    must agree with.
-    """
+    """<n> in closed form, sqrt(J mu) I_{mu+1}/I_mu at 2 sqrt(J mu), below
+    sqrt(J mu) since the ratio is below one: ``spectrum._mean_n(J, mu)``,
+    the one path, which the CLI calls without a state."""
     return _mean_n(state.J, state.params.mu)
 
 
 def mean_energy(state: CoherentState) -> float:
     """<e_n>; equals the action J up to the truncation tail."""
-    import numpy as np
     mu = state.params.mu
     n = np.arange(state.n_min, state.n_max + 1, dtype=float)
     return float(np.exp(state.ln_weights[state.n_min :]) @ (n * (n + mu) / mu))
@@ -241,8 +232,7 @@ def mandel_q(state: CoherentState) -> float:
     ladder (sub-Poissonian statistics).  Undefined at J = 0 (ValueError);
     raises ConvergenceError past J mu = 1e12, where cancellation in the
     ratio difference would exceed 1e-7 (no state is built that far).
-    Evaluated by ``spectrum._mandel_q(J, mu)``, the single path (the
-    CLI's J sweeps call it without building states).
+    ``spectrum._mandel_q(J, mu)`` is the one path, which the CLI calls.
     """
     return _mandel_q(state.J, state.params.mu)
 
@@ -262,7 +252,6 @@ def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
     # n_max, and below n_min the terms its window dropped, walked down
     # from w_{n_min} by the term ratio, so that the partner's weights
     # there meet their true terms
-    import numpy as np
     ln = np.full(n_up + 1 - n_lo, -math.inf)
     ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:]
     if s.n_min > n_lo:
@@ -287,7 +276,6 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
     the phase reduction bound of ``_dd`` (1e20).
     """
-    import numpy as np
     if s1.params != s2.params:
         raise ValueError("overlap requires both states on the same ladder parameters")
     n_lo = min(s1.n_min, s2.n_min)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import ConvergenceError, bessel_i_scaled, bessel_k_scaled, ln_bessel_k, ln_gamma
 from .spectrum import _ABS_TOL, _MAX_N, _REL_TOL, SpectrumParams, moment_rho
 
@@ -113,7 +115,6 @@ def measure_k(J: float, p: SpectrumParams) -> float:
 def _ln_integrand_u(u, ln_k, n, mu: float):
     # ln of u^(2n+mu+1) K_mu(u) 2^(-2n-mu) mu^(-n) / Gamma(1+mu), given
     # ln_k = ln K_mu(u); arrays broadcast, so one ln K row serves every n
-    import numpy as np
     return (
         (2.0 * n + mu + 1.0) * np.log(u)
         + ln_k
@@ -128,7 +129,6 @@ def _u_window(n: np.ndarray, mu: float, ln_shift: np.ndarray, cfg: QuadratureCon
     # steps of an eighth of it until each scaled integrand has decayed
     # below its own truncation threshold.  The walk's points are tried
     # _BATCH at a time, so ln K is evaluated once per batch for every n.
-    import numpy as np
     peaks = 2.0 * n + mu + 0.5
     ln_peak = _ln_integrand_u(peaks, ln_bessel_k(mu, peaks), n, mu) - ln_shift
     threshold = np.minimum(math.log(cfg.abs_tol * _CUTOFF_FACTOR), ln_peak - 46.0)
@@ -150,7 +150,6 @@ def _u_window(n: np.ndarray, mu: float, ln_shift: np.ndarray, cfg: QuadratureCon
 def _tanh_sinh(t: np.ndarray, u_max: float):
     # Nodes and weights of u = u_max (1 + tanh(pi/2 sinh t)) / 2, the
     # node written so that it keeps full relative precision near u = 0.
-    import numpy as np
     s = 0.5 * math.pi * np.sinh(t)
     u = u_max / (1.0 + np.exp(-2.0 * s))
     w = 0.25 * math.pi * u_max * np.cosh(t) / np.cosh(s) ** 2
@@ -159,9 +158,7 @@ def _tanh_sinh(t: np.ndarray, u_max: float):
 
 def _scaled_moments(ns, ln_shift: np.ndarray, mu: float, cfg: QuadratureConfig) -> np.ndarray:
     # Nested tanh-sinh rule for every moment in ns at once, each scaled
-    # by exp(-ln_shift) so its value is 1.  ln K_mu is evaluated once per
-    # node and shared by every n; the window is the widest one.
-    import numpy as np
+    # by exp(-ln_shift) so its value is 1, on one window and one ln K row.
     n = np.asarray(ns, dtype=float)
     u_max = _u_window(n, mu, ln_shift, cfg)
     n, ln_shift = n[:, None], ln_shift[:, None]
@@ -201,7 +198,6 @@ def moment_checks(
     ValueError where rho_n overflows a double and ConvergenceError where
     the rule's levels never agree.
     """
-    import numpy as np
     ns = list(ns)
     for n in ns:
         if not 0 <= n <= _MAX_N:

@@ -44,14 +44,16 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._dd import _TWO_PI, _buffers, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
 from .gkstate import CoherentState
+from .spectrum import phase  # noqa: F401  (revival.phase is spectrum.phase)
 
 __all__ = [
     "TimeSeries",
     "FractionalDecomposition",
     "PhaseGroupReport",
-    "phase",
     "channel_amplitudes",
     "autocorrelation",
     "autocorrelation_series",
@@ -72,7 +74,6 @@ class TimeSeries:
     label: str
 
     def __post_init__(self):
-        import numpy as np
         t = np.asarray(self.t_grid, dtype=float)
         v = np.asarray(self.values)
         if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
@@ -113,15 +114,7 @@ class PhaseGroupReport:
     max_deviation: float
 
 
-def phase(n: int, t: float, mu: float) -> float:
-    """Raw (unreduced) phase phi_n(t) = 2 pi (mu n + n^2) t."""
-    if not math.isfinite(t):
-        raise ValueError(f"times must be finite, got t = {t}")
-    return _TWO_PI * (mu * n + n * n) * t
-
-
 def _grid(t_grid) -> np.ndarray:
-    import numpy as np
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
         raise ValueError("t_grid must be one dimensional")
@@ -132,7 +125,6 @@ def _grid(t_grid) -> np.ndarray:
 
 
 def _check_increasing(t: np.ndarray) -> None:
-    import numpy as np
     if len(t) > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
@@ -173,7 +165,6 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
 
 
 def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
-    import numpy as np
     lo = state.n_min
     w = np.exp(state.ln_weights[lo:])
     size = len(w)
@@ -208,7 +199,6 @@ def _weight_matrix(a: int, w, qs, size: int) -> tuple:
     # per modulus q, offset j in column (j - a) mod q, 0 elsewhere, and
     # the sums' columns these reach, (a + column) mod q in q's min(q, size)
     # columns: a cyclic slice, or all in order for the whole window.
-    import numpy as np
     c = len(w)
     m = np.zeros((c, sum(min(q, c) for q in qs)))
     cols, k = [], 0
@@ -222,7 +212,6 @@ def _weight_matrix(a: int, w, qs, size: int) -> tuple:
 def _column(state: CoherentState, q: int, delta: int, t_grid) -> np.ndarray:
     # P_delta(t_k): column (delta - n_min) mod q of the kernel's block, or
     # exactly 0 where no window level falls in channel delta
-    import numpy as np
     p = _channels(state, [q], t_grid)[q]
     c = (delta - state.n_min) % q
     return p[:, c] if c < p.shape[1] else np.zeros(len(p), dtype=complex)
@@ -232,7 +221,6 @@ def _intensity_split(state: CoherentState, q: int, t_grid) -> tuple:
     # |A(t_k)|^2, the diagonal and the interference of modulus q from one
     # kernel pass, over the reached channels in channel order (that of the
     # prefix sum), C-ordered so that the row sums are the dense matrix's
-    import numpy as np
     ch = _channels(state, [1, q], t_grid)
     p = ch[q]
     p = p.take(np.argsort((state.n_min + np.arange(p.shape[1])) % q), axis=1)
@@ -249,7 +237,6 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     order, and the result is a new array, expanded from the kernel's
     min(q, n_max - n_min + 1) columns.
     """
-    import numpy as np
     p = _channels(state, [q], t_grid)[q]
     out = np.zeros((len(p), q), dtype=complex)
     out[:, (state.n_min + np.arange(p.shape[1])) % q] = p
@@ -258,7 +245,6 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
 
 def _intensities(amplitudes: np.ndarray) -> np.ndarray:
     # |z|^2 through Python's abs (hypot), which np.abs can miss by an ulp.
-    import numpy as np
     return np.array([abs(z) ** 2 for z in amplitudes.tolist()])
 
 
@@ -306,13 +292,11 @@ def fractional_decomposition(state: CoherentState, q: int, t_grid) -> Fractional
 
 def _diagonal(p: np.ndarray) -> np.ndarray:
     # sum_Delta |P_Delta|^2 for each row of channels in channel order
-    import numpy as np
     return (np.abs(p) ** 2).sum(axis=1)
 
 
 def _interference(p: np.ndarray) -> np.ndarray:
     # 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), row by row
-    import numpy as np
     below = np.cumsum(p[:, :-1], axis=1)
     return 2.0 * np.real(p[:, 1:] * np.conj(below)).sum(axis=1)
 
@@ -344,7 +328,6 @@ def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
     rejected.  mu n + n^2 is exact only for n < 2^26, so
     (k_max + 1) q > 2^26 is rejected too.
     """
-    import numpy as np
     _check_residue(q)
     if not (math.isfinite(mu) and mu > 0.0 and float(mu).is_integer()):
         raise ValueError(f"phase grouping requires a positive integer mu, got {mu}")

@@ -181,10 +181,9 @@ def ln_bessel_i(nu: float, x: float) -> float:
     summed in the log domain (every term positive) from its largest term
     outward by ``_peak_walk`` (q = x^2/4): one ``lgamma`` pair gives the
     peak term, and each side stops once its geometric tail bound is below
-    ``_REL_TOL`` e^-3 of it.  The walk takes about 8.6 sqrt(x) terms, at
-    most about 26 sqrt(x), so the cost grows like sqrt(x).  Returns
-    ``-inf`` at ``x = 0`` for ``nu > 0``; raises ConvergenceError where
-    the walk would pass ``_term_budget`` terms, and past ``x = 1e16``.
+    ``_REL_TOL`` e^-3 of it (``_term_budget`` gives the walk's length).
+    Returns ``-inf`` at ``x = 0`` for ``nu > 0``; raises ConvergenceError
+    where the walk would pass ``_term_budget`` terms, and past x = 1e16.
     """
     _check_domain(nu, x)
     if x == 0.0:

@@ -28,6 +28,7 @@ __all__ = [
     "revival_time",
     "classical_period",
     "time_scales",
+    "phase",
 ]
 
 # Defaults and limits of gkstate and measure, stated here so that the CLI
@@ -68,11 +69,17 @@ class TimeScales:
     t_revival: float
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite, got {value}")
+    return value
+
+
 def energy_level(n: int, p: SpectrumParams) -> float:
     """Dimensionless level e_n = n (n + mu) / mu, in units of hbar*alpha."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return n * (n + p.mu) / p.mu
+    return _finite(n * (n + p.mu) / p.mu, "e_n")
 
 
 def moment_rho(n: int, p: SpectrumParams) -> float:
@@ -83,32 +90,43 @@ def moment_rho(n: int, p: SpectrumParams) -> float:
     realistic n and needs no SciPy.  Raises ValueError where ln rho_n
     itself overflows.
     """
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
     mu = p.mu
     try:
         ln_fact, ln_rise = math.lgamma(n + 1.0), math.lgamma(n + 1.0 + mu)
     except OverflowError:
         raise ValueError(f"ln rho_n overflows for mu={mu}") from None
-    return ln_fact + ln_rise - n * math.log(mu) - ln_gamma(1.0 + mu)
+    return _finite(ln_fact + ln_rise - n * math.log(mu) - ln_gamma(1.0 + mu), "ln rho_n")
 
 
 def revival_time(p: SpectrumParams) -> float:
     """Full revival time t_rev = 2 pi mu / alpha."""
-    return 2.0 * math.pi * p.mu / p.alpha
+    return _finite(2.0 * math.pi * p.mu / p.alpha, "t_rev")
 
 
 def classical_period(n_bar: float, p: SpectrumParams) -> float:
     """Classical period at central level n_bar, from the exact derivative
     of the ladder: T_cl = 2 pi / (alpha (2 n_bar + mu) / mu)."""
-    if n_bar < 0.0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
-    return 2.0 * math.pi * p.mu / (p.alpha * (2.0 * n_bar + p.mu))
+    if not 0.0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
+    d = p.alpha * (2.0 * n_bar + p.mu)  # 0.0 only where the product underflows
+    return _finite(2.0 * math.pi * p.mu / d if d else math.inf, "T_cl")
 
 
 def time_scales(n_bar: float, p: SpectrumParams) -> TimeScales:
     """Both wavepacket time scales at central level n_bar."""
     return TimeScales(t_classical=classical_period(n_bar, p), t_revival=revival_time(p))
+
+
+def phase(n: int, t: float, mu: float) -> float:
+    """Raw (unreduced) phase phi_n(t) = 2 pi (mu n + n^2) t of level n, t in
+    revival-time units (see :mod:`gkrevival.revival`)."""
+    if not math.isfinite(t):
+        raise ValueError(f"times must be finite, got t = {t}")
+    if not (n >= 0 and 0.0 < mu < math.inf):
+        raise ValueError(f"phase needs n >= 0 and a finite mu > 0, got n = {n}, mu = {mu}")
+    return _finite(2.0 * math.pi * (mu * n + n * n) * t, "phi_n(t)")
 
 
 def _mean_n(J: float, mu: float) -> float:

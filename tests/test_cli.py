@@ -606,3 +606,11 @@ def test_channel_commands_bounded_memory(command, data):
 @pytest.mark.parametrize("case", sorted(_FAR_ARGS))
 def test_channel_commands_bounded_memory_far(case):
     _run_capped(_FAR_ARGS[case])
+
+
+@pytest.mark.parametrize("j", ["0", "10"])
+def test_timescales_out_of_range_exit_2(j, capsys):
+    # T_cl past the float range: alpha (2 n_bar + mu) underflows to 0 at
+    # J = 0, and the quotient overflows at J = 10; no row of inf or nan
+    assert main(["timescales", "--j", j, "--mu", "0.5", "--alpha", "5e-324", "--out", "-"]) == 2
+    assert capsys.readouterr().out == ""

@@ -1,9 +1,11 @@
 """Import tests: the package exports exactly its modules' public names;
 every command runs on NumPy alone, so SciPy is never imported by the
-package or by any command; NumPy is imported only where an array is
-built, so the package import and the closed-form commands load none; and
-a command executes only the package modules it runs, while every layer
-module stays in sys.modules for benchmarks/tracer.py to find."""
+package or by any command; NumPy is imported inside functions only in
+specfun, which import gkrevival executes, and the lazy modules (_dd,
+gkstate, revival, measure) import it when they execute, so the package
+import and the closed-form commands load none; and a command executes
+only the package modules it runs, while every layer module stays in
+sys.modules for benchmarks/tracer.py to find."""
 
 import os
 import subprocess
@@ -113,7 +115,7 @@ def test_cli_import_registers_every_layer(tmp_path):
 
 def test_phase_loads_no_numpy(tmp_path):
     # one scalar time is checked with math, not with a one-element array
-    code = ("import sys; from gkrevival.revival import phase; "
+    code = ("import sys; from gkrevival.spectrum import phase; "
             "phase(1, 0.5, 28.0); print('numpy' in sys.modules)")
     assert _last_line(tmp_path, code) == "False"
 

@@ -1,17 +1,22 @@
-"""Ladder tests: level values, finite differences, moment products, and
-the two revival time scales."""
+"""Ladder tests: level values, finite differences, moment products, the
+two revival time scales, and the scalar entry points' inputs (a finite
+float or ValueError, never NaN, inf or another exception)."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkrevival.gkstate import build_state, weight
 from gkrevival.spectrum import (
     SpectrumParams,
     TimeScales,
     classical_period,
     energy_level,
     moment_rho,
+    phase,
     revival_time,
     time_scales,
 )
@@ -148,3 +153,35 @@ def test_scale_ratio(mu, n_bar):
     assert math.isclose(ts.t_revival / ts.t_classical, 2.0 * n_bar + mu, rel_tol=1e-12)
     if 2.0 * n_bar + mu > 1.0:
         assert ts.t_revival > ts.t_classical
+
+
+# A level, mean level, time or mu as a caller may pass one: any float
+# (NaN, +-inf, negatives, non-integers, subnormals), an integer or a bool.
+# Integers stay within 2**53: past the float range Python's own int to
+# float conversion raises OverflowError.
+_SCALARS = st.one_of(st.floats(), st.integers(-2**53, 2**53), st.booleans())
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_STATE = build_state(10.0, 0.0, SpectrumParams(28.0))
+_SCALAR_ENTRY_POINTS = {
+    "energy_level": lambda x, y, p: energy_level(x, p),
+    "moment_rho": lambda x, y, p: moment_rho(x, p),
+    "classical_period": lambda x, y, p: classical_period(x, p),
+    "time_scales": lambda x, y, p: time_scales(x, p),
+    "phase_level_time": lambda x, y, p: phase(x, y, p.mu),
+    "phase_mu": lambda x, y, p: phase(2, 0.5, x),
+    "weight": lambda x, y, p: weight(x, _STATE),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRY_POINTS))
+@settings(max_examples=200, deadline=None)
+@given(x=_SCALARS, y=_SCALARS, p=st.builds(SpectrumParams, _POSITIVE, _POSITIVE))
+def test_scalar_entry_points_return_finite_or_raise(entry, x, y, p):
+    # a finite float, or ValueError: never NaN, inf or another exception
+    try:
+        v = _SCALAR_ENTRY_POINTS[entry](x, y, p)
+    except ValueError:
+        return
+    values = [v.t_classical, v.t_revival] if isinstance(v, TimeScales) else [v]
+    for value in values:
+        assert isinstance(value, float) and math.isfinite(value), (x, y, p, v)
