@@ -13,16 +13,13 @@ files.  Diagnostics go to stderr, never into the CSV.  Exit codes:
 
 Commands: weights, mandel, autocorr, survival, survival-intensity,
 unity, overlap, timescales, figure.  A flag is one `RunConfig` field,
-which carries its default, help line and accepted range, plus its entry
-in `_COMMANDS`, which names the commands that take it; the parser and
-the preamble are read from both, and `_FIGURES` lists each figure's
-datasets.
+which carries its default, help line and accepted range.  A dataset
+command takes exactly the fields its rows read, which its `_COMMANDS`
+entry names, plus --out; its preamble records those fields and
+`_COMMON`, so a field it does not take is recorded at its default.
+`_FIGURES` lists each figure's datasets.
 Times are given and reported in revival-time units; `timescales`
 reports the physical conversion.
-
-`mandel` and `timescales` evaluate their closed forms in (J, mu)
-directly and build no state: `--tail-tol` is still validated and
-recorded in their preamble, but it does not change their rows.
 
 A command executes only the modules it runs; `import gkrevival` runs
 `specfun` and `spectrum`, and this module imports no NumPy.  So
@@ -78,7 +75,9 @@ def _positive(need: str = "be finite and > 0"):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully validated invocation.  Construction raises ValueError for
+    """One fully validated invocation.  A command reads only the fields
+    its `_COMMANDS` entry names and takes only those as flags; the
+    preamble also records `_COMMON`.  Construction raises ValueError for
     an unknown command, then for the first field outside its declared
     range, then for delta >= q or an overlap sweep at J = 0."""
 
@@ -178,10 +177,6 @@ def read_dataset(path: str):
     return params, header, rows
 
 
-def _params(cfg: RunConfig) -> SpectrumParams:
-    return SpectrumParams(mu=cfg.mu, alpha=cfg.alpha)
-
-
 def _linspace(start: float, stop: float, num: int) -> list:
     """np.linspace(start, stop, num) for num >= 2, bit for bit, as floats:
     point i is i * step + start, or (i / div) * delta + start where the
@@ -207,7 +202,7 @@ def _sweep_grid(upper: float, points: int) -> list:
 
 
 def _rows_weights(cfg: RunConfig):
-    s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
+    s = gkstate.build_state(cfg.j, 0.0, SpectrumParams(cfg.mu), cfg.tail_tol)
     return ["n", "weight"], list(enumerate(gkstate.weights(s).tolist()))
 
 
@@ -219,7 +214,7 @@ def _rows_mandel(cfg: RunConfig):
 
 def _channel_rows(cfg: RunConfig, q: int, delta: int):
     # P_delta(t) of modulus q on the time grid: A(t) for q = 1, delta = 0
-    s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
+    s = gkstate.build_state(cfg.j, 0.0, SpectrumParams(cfg.mu), cfg.tail_tol)
     t = _t_grid(cfg)
     p = revival._column(s, q, delta, t)
     return ["t", "re", "im", "abs2"], list(zip(t, p.real.tolist(), p.imag.tolist(),
@@ -227,7 +222,7 @@ def _channel_rows(cfg: RunConfig, q: int, delta: int):
 
 
 def _rows_survival_intensity(cfg: RunConfig):
-    s = gkstate.build_state(cfg.j, 0.0, _params(cfg), cfg.tail_tol)
+    s = gkstate.build_state(cfg.j, 0.0, SpectrumParams(cfg.mu), cfg.tail_tol)
     t = _t_grid(cfg)
     abs2, diag, cross = revival._intensity_split(s, cfg.q, t)
     rows = list(zip(t, abs2.tolist(), diag.tolist(), cross.tolist()))
@@ -235,7 +230,7 @@ def _rows_survival_intensity(cfg: RunConfig):
 
 
 def _rows_unity(cfg: RunConfig):
-    p = _params(cfg)
+    p = SpectrumParams(cfg.mu)
     qc = measure.QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
     reps = measure.moment_checks(range(cfg.n_max + 1), p, qc)
     rows = [(r.n, r.integral, r.rho_n, r.rel_err) for r in reps]
@@ -244,7 +239,7 @@ def _rows_unity(cfg: RunConfig):
 
 def _rows_overlap(cfg: RunConfig):
     # non-orthogonality profile: <J,0|J',0> as J' sweeps (0, 2J]
-    p = _params(cfg)
+    p = SpectrumParams(cfg.mu)
     s1 = gkstate.build_state(cfg.j, 0.0, p, cfg.tail_tol)
     rows = []
     for j2 in _sweep_grid(2.0 * cfg.j, cfg.points):
@@ -255,7 +250,7 @@ def _rows_overlap(cfg: RunConfig):
 
 
 def _rows_timescales(cfg: RunConfig):
-    p = _params(cfg)
+    p = SpectrumParams(cfg.mu, cfg.alpha)
     n_bar = _mean_n(cfg.j, cfg.mu)
     ts = time_scales(n_bar, p)
     ratio = ts.t_revival / ts.t_classical
@@ -265,23 +260,24 @@ def _rows_timescales(cfg: RunConfig):
     )
 
 
-# Each command's row builder, its help line and the RunConfig fields it
-# takes beyond _COMMON and --out: a flag is one RunConfig field plus its
-# entry here.  The parser's flags and the preamble's keys are read from it.
+_STATE = ("j", "mu", "tail_tol")  # the fields a state is built from
+# Each command's row builder, its help line and every RunConfig field its
+# rows read: its flags besides --out, and with _COMMON its preamble's keys.
 _COMMANDS = {
-    "weights": (_rows_weights, "number distribution w_n", ()),
-    "mandel": (_rows_mandel, "Mandel Q over a J sweep", ("j_max", "points")),
-    "autocorr": (lambda cfg: _channel_rows(cfg, 1, 0), "|A(t)|^2 series", ("t_max", "points")),
+    "weights": (_rows_weights, "number distribution w_n", _STATE),
+    "mandel": (_rows_mandel, "Mandel Q over a J sweep", ("mu", "j_max", "points")),
+    "autocorr": (lambda cfg: _channel_rows(cfg, 1, 0), "|A(t)|^2 series",
+                 _STATE + ("t_max", "points")),
     "survival": (lambda cfg: _channel_rows(cfg, cfg.q, cfg.delta), "one channel P_delta(t)",
-                 ("t_max", "points", "q", "delta")),
-    "survival-intensity": (_rows_survival_intensity,
-                           "|A|^2 split into diagonal + interference", ("t_max", "points", "q")),
+                 _STATE + ("t_max", "points", "q", "delta")),
+    "survival-intensity": (_rows_survival_intensity, "|A|^2 split into diagonal + interference",
+                           _STATE + ("t_max", "points", "q")),
     "unity": (_rows_unity, "moment checks of the measure density",
-              ("n_max", "abs_tol", "rel_tol")),
-    "overlap": (_rows_overlap, "<J,0|J',0> as J' sweeps (0, 2J]", ("points",)),
-    "timescales": (_rows_timescales, "classical period and revival time", ()),
+              ("mu", "n_max", "abs_tol", "rel_tol")),
+    "overlap": (_rows_overlap, "<J,0|J',0> as J' sweeps (0, 2J]", _STATE + ("points",)),
+    "timescales": (_rows_timescales, "classical period and revival time", ("j", "mu", "alpha")),
 }
-# taken by every dataset command and recorded in every preamble
+# recorded in every preamble, also where the command does not read them
 _COMMON = ("j", "mu", "alpha", "tail_tol")
 
 def _exit_code(action, *args) -> int:
@@ -376,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (_, help_line, flags) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_line)
-        for name in _COMMON + ("out_path",) + flags:
+        # no abbreviations: mandel's --j would otherwise mean --j-max
+        sp = sub.add_parser(command, help=help_line, allow_abbrev=False)
+        for name in flags + ("out_path",):
             _add_flag(sp, name)
 
-    sp = sub.add_parser("figure", help="write every dataset behind one figure")
+    sp = sub.add_parser("figure", help="write every dataset behind one figure", allow_abbrev=False)
     sp.add_argument("--id", type=int, required=True, help="figure number, 1..7")
     sp.add_argument("--out-dir", required=True, help="target directory")
     _add_flag(sp, "tail_tol")

@@ -75,10 +75,20 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _real(x, what: str) -> float:
+    # x * 1.0 converts an integer as arithmetic does, so one past the float
+    # range is a ValueError here and not an OverflowError later
+    try:
+        return x * 1.0
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer past the float range") from None
+
+
 def energy_level(n: int, p: SpectrumParams) -> float:
     """Dimensionless level e_n = n (n + mu) / mu, in units of hbar*alpha."""
     if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    n = _real(n, "n")
     return _finite(n * (n + p.mu) / p.mu, "e_n")
 
 
@@ -108,6 +118,7 @@ def revival_time(p: SpectrumParams) -> float:
 def classical_period(n_bar: float, p: SpectrumParams) -> float:
     """Classical period at central level n_bar, from the exact derivative
     of the ladder: T_cl = 2 pi / (alpha (2 n_bar + mu) / mu)."""
+    n_bar = _real(n_bar, "n_bar")
     if not 0.0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
     d = p.alpha * (2.0 * n_bar + p.mu)  # 0.0 only where the product underflows
@@ -122,6 +133,7 @@ def time_scales(n_bar: float, p: SpectrumParams) -> TimeScales:
 def phase(n: int, t: float, mu: float) -> float:
     """Raw (unreduced) phase phi_n(t) = 2 pi (mu n + n^2) t of level n, t in
     revival-time units (see :mod:`gkrevival.revival`)."""
+    n, t, mu = _real(n, "n"), _real(t, "t"), _real(mu, "mu")
     if not math.isfinite(t):
         raise ValueError(f"times must be finite, got t = {t}")
     if not (n >= 0 and 0.0 < mu < math.inf):

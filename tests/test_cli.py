@@ -4,6 +4,7 @@ against np.linspace, the column-wise CSV writer against a per-cell
 oracle, round-tripping through the bundled reader, and random dataset
 commands in a child with 1 GiB of address space."""
 
+import argparse
 import dataclasses
 import io
 import math
@@ -19,11 +20,13 @@ from hypothesis import strategies as st
 from gkrevival import _dd, specfun
 from gkrevival.cli import (
     _COMMANDS,
+    _COMMON,
     RunConfig,
     _rows_mandel,
     _rows_timescales,
     _sweep_grid,
     _t_grid,
+    build_parser,
     figure_bundle,
     main,
     read_dataset,
@@ -150,7 +153,7 @@ _TINY, _HUGE = 5e-324, 1.7976931348623157e308
 _RANGES = [
     ("j", "weights", 0.0, -_TINY), ("j", "weights", _HUGE, math.inf),
     ("mu", "weights", _TINY, 0.0), ("mu", "weights", _HUGE, math.inf),
-    ("alpha", "weights", _TINY, 0.0), ("alpha", "weights", _HUGE, math.inf),
+    ("alpha", "timescales", _TINY, 0.0), ("alpha", "timescales", _HUGE, math.inf),
     ("q", "survival-intensity", 2, 1),
     ("q", "survival-intensity", 2**63 - 1, 2**63),
     ("delta", "survival", 0, -1), ("delta", "survival", 3, 4),
@@ -240,6 +243,46 @@ def test_preamble_keys(command, tmp_path):
     params, _, _ = read_dataset(str(out))
     assert set(params) == _PREAMBLE_KEYS[command]
     assert params["command"] == command
+
+
+def _subparsers():
+    """build_parser()'s subparser of each command."""
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# a small invocation of every dataset command, and another in-range value
+# of every field it may read
+_BASE = {"points": 5, "n_max": 2}
+_OTHER = {"j": 3.0, "mu": 5.5, "alpha": 2.0, "tail_tol": 1e-6, "q": 3, "delta": 1,
+          "t_max": 0.5, "points": 4, "n_max": 1, "j_max": 7.0, "abs_tol": 1e-3,
+          "rel_tol": 1e-2}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_flags_are_the_fields_the_rows_read(command, tmp_path, capsys):
+    # every flag changes the rows, and every _COMMON field without a flag
+    # leaves them byte-identical and is refused on the command line
+    out = tmp_path / "d.csv"
+
+    def rows(**field):
+        assert run(RunConfig(command, **{**_BASE, **field}, out_path=str(out))) == 0
+        return out.read_bytes().split(b"\n", 1)[1]
+
+    base = rows()
+    flags = {a.dest for a in _subparsers()[command]._actions} - {"help", "out"}
+    assert flags <= set(_OTHER)
+    for name in flags:
+        assert rows(**{name: _OTHER[name]}) != base, name
+    out.unlink()
+    for name in sorted(set(_COMMON) - flags):
+        assert rows(**{name: _OTHER[name]}) == base, name
+        out.unlink()
+        flag = "--" + name.replace("_", "-")
+        assert main([command, flag, repr(_OTHER[name]), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err and not out.exists()
 
 
 def test_nonconvergence_exit_3(capsys):
@@ -535,6 +578,10 @@ sys.exit(main(sys.argv[1:]))
 
 
 _DRAWS = {
+    "j": st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)),
+    "mu": _log_uniform(1e-2, 1e3),
+    "alpha": _log_uniform(1e-3, 1e3),
+    "tail_tol": _log_uniform(1e-300, 1e-6),
     "t_max": _log_uniform(1e-3, 1e3),
     "j_max": _log_uniform(1e-3, 1e4),
     "points": st.integers(min_value=2, max_value=200),
@@ -551,10 +598,7 @@ def _command_args(draw, command):
     # log-uniform up to 1e7; J mu <= 1e7, so a window stays below about
     # 2000 levels, and at most 200 grid or sweep points keep each run to
     # seconds
-    j = draw(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)))
-    args = [command, "--j", repr(j), "--mu", repr(draw(_log_uniform(1e-2, 1e3))),
-            "--alpha", repr(draw(_log_uniform(1e-3, 1e3))),
-            "--tail-tol", repr(draw(_log_uniform(1e-300, 1e-6)))]
+    args = [command]
     drawn = {}
     for name in _COMMANDS[command][2]:
         if name == "delta":
@@ -565,16 +609,17 @@ def _command_args(draw, command):
     return args
 
 
-_FAR = ["--j", "1e4", "--mu", "1e3", "--tail-tol", "1e-300"]
+_FAR = ["--j", "1e4", "--mu", "1e3"]
 
 
 # the far ends of the drawn ranges, and past the --points and --q bounds
 _FAR_ARGS = {
-    "weights": ["weights", *_FAR],
+    "weights": ["weights", *_FAR, "--tail-tol", "1e-300"],
     "timescales": ["timescales", *_FAR],
-    "mandel": ["mandel", *_FAR, "--j-max", "1e4", "--points", "200"],
-    "overlap": ["overlap", *_FAR, "--points", "200"],
-    "unity": ["unity", *_FAR, "--n-max", "20", "--abs-tol", "1e-300", "--rel-tol", "1e-300"],
+    "mandel": ["mandel", "--mu", "1e3", "--j-max", "1e4", "--points", "200"],
+    "overlap": ["overlap", *_FAR, "--tail-tol", "1e-300", "--points", "200"],
+    "unity": ["unity", "--mu", "1e3", "--n-max", "20", "--abs-tol", "1e-300",
+              "--rel-tol", "1e-300"],
     "survival-q1e6": ["survival", "--q", "1000000", "--delta", "3", "--points", "200"],
     "survival-intensity-q1e6": ["survival-intensity", "--q", "1000000", "--points", "200"],
     "mandel-4e7-points": ["mandel", "--points", "40000000"],

@@ -2,10 +2,12 @@
 every command runs on NumPy alone, so SciPy is never imported by the
 package or by any command; NumPy is imported inside functions only in
 specfun, which import gkrevival executes, and the lazy modules (_dd,
-gkstate, revival, measure) import it when they execute, so the package
-import and the closed-form commands load none; and a command executes
-only the package modules it runs, while every layer module stays in
-sys.modules for benchmarks/tracer.py to find."""
+gkstate, revival, measure, each a gkrevival._LazyModule until it runs)
+import it when they execute, so the package import and the closed-form
+commands load none; a command executes only the package modules it runs,
+while every layer module stays in sys.modules for benchmarks/tracer.py
+to find; and threads that race on a lazy module's first use all see it
+fully executed."""
 
 import os
 import subprocess
@@ -34,7 +36,7 @@ def test_export_list_is_the_module_lists():
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gkrevival.__file__)))
 
 # Prints the sorted modules of the given package executed after the
-# given commands ran.  A lazy module (importlib.util.LazyLoader) sits in
+# given commands ran.  A lazy module (gkrevival._LazyModule) sits in
 # sys.modules as a subclass of ModuleType until its first use executes it.
 _PROBE = """
 import sys, types
@@ -147,3 +149,36 @@ def test_unity_loads_quadrature(tmp_path):
     loaded = _loaded(tmp_path, [["unity", "--n-max", "3", "--out", "out.csv"]], "scipy")
     assert loaded == "[]"
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 2 + 4
+
+
+# Four threads at a time read a name each lazy module defines last, on
+# the module's first use; a thread that sees a half-executed module fails
+# its read.  _dd goes first, so the modules a later one imports have run.
+_RACE = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import gkrevival
+failed = []
+
+def read(module, name, barrier):
+    barrier.wait()
+    try:
+        getattr(module, name)
+    except AttributeError as exc:
+        failed.append(exc)
+
+for m, name in [("_dd", "_phase_terms"), ("gkstate", "overlap"),
+                ("revival", "phase_group_check"), ("measure", "moment_integral")]:
+    barrier = threading.Barrier(4)
+    threads = [threading.Thread(target=read, args=(sys.modules["gkrevival." + m], name, barrier))
+               for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+print(len(failed))
+"""
+
+
+def test_lazy_modules_execute_once_across_threads(tmp_path):
+    assert [_last_line(tmp_path, _RACE) for _ in range(5)] == ["0"] * 5

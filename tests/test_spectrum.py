@@ -156,10 +156,9 @@ def test_scale_ratio(mu, n_bar):
 
 
 # A level, mean level, time or mu as a caller may pass one: any float
-# (NaN, +-inf, negatives, non-integers, subnormals), an integer or a bool.
-# Integers stay within 2**53: past the float range Python's own int to
-# float conversion raises OverflowError.
-_SCALARS = st.one_of(st.floats(), st.integers(-2**53, 2**53), st.booleans())
+# (NaN, +-inf, negatives, non-integers, subnormals), an integer, one past
+# the float range included, or a bool.
+_SCALARS = st.one_of(st.floats(), st.integers(), st.integers(-10**400, 10**400), st.booleans())
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _STATE = build_state(10.0, 0.0, SpectrumParams(28.0))
 _SCALAR_ENTRY_POINTS = {
