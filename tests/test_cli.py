@@ -5,7 +5,9 @@ oracle, round-tripping through the bundled reader, and random dataset
 commands in a child with 1 GiB of address space."""
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import io
 import math
 import os
@@ -21,6 +23,8 @@ from gkrevival import _dd, specfun
 from gkrevival.cli import (
     _COMMANDS,
     _COMMON,
+    _FIGURE_FLAGS,
+    _FIGURES,
     RunConfig,
     _rows_mandel,
     _rows_timescales,
@@ -377,6 +381,89 @@ def test_figure_command(tmp_path, capsys):
         "fig3_autocorr_mu28.csv",
         "fig3_autocorr_mu80.csv",
     ]
+
+
+@pytest.mark.parametrize("name", _FIGURE_FLAGS)
+@pytest.mark.parametrize("figure_id", sorted(_FIGURES))
+def test_figure_takes_the_flags_its_datasets_read(figure_id, name, tmp_path, capsys):
+    # a flag the figure's command reads changes at least one row of its
+    # files; any other is refused with one error line, and no directory
+    reads = _COMMANDS[_FIGURES[figure_id][0]][2]
+    flag = "--" + name.replace("_", "-")
+
+    def rows(out, **flags):
+        args = ["figure", "--id", str(figure_id), "--out-dir", str(out)]
+        for k, v in flags.items():
+            args += ["--" + k.replace("_", "-"), repr(v)]
+        code = main(args)
+        return code, [f.read_bytes().split(b"\n", 1)[1] for f in sorted(out.glob("*.csv"))]
+
+    if name not in reads:
+        assert rows(tmp_path / "figs", **{name: _OTHER[name]}) == (2, [])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} is not read by figure {figure_id}\n"
+        assert not (tmp_path / "figs").exists()
+        return
+    base = {"points": _BASE["points"]} if "points" in reads else {}
+    code, got = rows(tmp_path / "a", **base)
+    assert code == 0 and got
+    code, other = rows(tmp_path / "b", **{**base, name: _OTHER[name]})
+    assert code == 0 and other != got
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("args,code", [
+    (["timescales", "--out", os.devnull], 0),
+    (["timescales", "--mu", "0"], 2),
+    (["timescales", "--j", "1e300"], 3),
+])
+def test_main_restores_the_collector(args, code, enabled, capsys):
+    # whichever exit, main leaves the collector as it found it, and
+    # repeated calls keep one gc.freeze exit hook
+    was = gc.isenabled()
+    hooks = atexit._ncallbacks()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for _ in range(3):
+            assert main(args) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert atexit._ncallbacks() <= hooks + 1
+    capsys.readouterr()
+
+
+def test_main_computes_without_the_collector(monkeypatch, tmp_path):
+    # the rows are built with the collector off under main, and with the
+    # caller's setting under run
+    build, help_line, flags = _COMMANDS["timescales"]
+    seen = []
+
+    def spy(cfg):
+        seen.append(gc.isenabled())
+        return build(cfg)
+
+    monkeypatch.setitem(_COMMANDS, "timescales", (spy, help_line, flags))
+    assert gc.isenabled()
+    assert main(["timescales", "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(RunConfig("timescales", out_path=str(tmp_path / "b.csv"))) == 0
+    assert seen == [False, True]
+
+
+def test_stdout_matches_out_file(tmp_path):
+    # a fresh interpreter writes the same bytes to stdout as to --out, so
+    # the gc.freeze exit hook loses no buffered output
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "gkrevival.cli", "autocorr", "--points", "2001"]
+    out = tmp_path / "a.csv"
+    to_file = subprocess.run(args + ["--out", str(out)], env=env, capture_output=True,
+                             timeout=60)
+    to_stdout = subprocess.run(args, env=env, capture_output=True, timeout=60)
+    assert (to_file.returncode, to_stdout.returncode) == (0, 0)
+    assert to_file.stdout == b"" and len(to_stdout.stdout) > 100_000
+    assert to_stdout.stdout == out.read_bytes()
 
 
 # mu from integers and non-integers in [0.5, 80]

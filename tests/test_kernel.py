@@ -440,17 +440,18 @@ def test_ground_state_and_physical_time(log_j, mu, tau):
     assert abs(overlap(s, evolve(s, tau * revival_time(s.params))) - a) <= 1e-12 + rounding
 
 
-def _unwindowed_ln_weights(s):
-    # the weights without the lower cut, normalised over every level
-    # 0 .. n_max, in 30-digit arithmetic: a_0 = 1 and
-    # a_n = a_{n-1} J mu / (n (n + mu)), the product J^n / rho_n itself
+def _unwindowed_ln_weights(s, n_up=None):
+    # the weights without the lower cut on levels 0 .. n_up (n_max by
+    # default), normalised over every level 0 .. n_max, in 30-digit
+    # arithmetic: a_0 = 1 and a_n = a_{n-1} J mu / (n (n + mu)), the
+    # product J^n / rho_n itself
     import mpmath
     with mpmath.workdps(30):
         jmu = mpmath.mpf(s.J) * mpmath.mpf(s.params.mu)
         a = [mpmath.mpf(1)]
-        for n in range(1, s.n_max + 1):
+        for n in range(1, (s.n_max if n_up is None else n_up) + 1):
             a.append(a[-1] * jmu / (n * (n + mpmath.mpf(s.params.mu))))
-        total = mpmath.fsum(a)
+        total = mpmath.fsum(a[: s.n_max + 1])
         return np.array([float(mpmath.log(x / total)) for x in a])
 
 
@@ -491,14 +492,12 @@ def test_window_matches_unwindowed_sums(mu, frac, ratio, gamma, tail_tol, q, gri
     for d in range(q):
         assert np.max(np.abs(p_q[:, d] - terms[:, d::q].sum(axis=1))) <= tol
 
-    # <s|s2> against the same sum over both states' un-windowed weights
+    # <s|s2> against the same sum over both states' un-windowed weights,
+    # each carried past its own n_max up to the other's by the term ratio
     s2 = build_state(min(J * ratio, 1e7 / mu), gamma, p, tail_tol)
-    ln_full2 = _unwindowed_ln_weights(s2)
     n_up = max(s.n_max, s2.n_max)
-    ln1 = np.full(n_up + 1, -math.inf)
-    ln2 = np.full(n_up + 1, -math.inf)
-    ln1[: s.n_max + 1] = ln_full
-    ln2[: s2.n_max + 1] = ln_full2
+    ln1 = _unwindowed_ln_weights(s, n_up)
+    ln2 = _unwindowed_ln_weights(s2, n_up)
     n = np.arange(n_up + 1, dtype=float)
     m_hi, m_lo = quadratic_in_n(n, mu)
     phases = np.exp(-1j * (TWO_PI * mul_frac(m_hi, m_lo, gamma / (TWO_PI * mu))))

@@ -1,5 +1,5 @@
 """The peak-outward walk of the I_mu series terms: built states and the
-overlap's terms below a window against the range-doubling build they
+overlap's terms on both sides of a window against the range-doubling build they
 replaced, bit for bit, and ln N^2 against 40-digit arithmetic."""
 
 import math
@@ -67,13 +67,18 @@ def _build_reference(J, mu, tail_tol):
 
 
 def _overlap_terms_reference(s, n_lo, n_up):
-    # ln w_n on n_lo .. n_up, stepped down from w_{n_min} by the term ratio
+    # ln w_n on n_lo .. n_up, stepped down from w_{n_min} and up from
+    # w_{n_max} by the term ratio
     ln = np.full(n_up + 1 - n_lo, -math.inf)
     ln[: s.n_max + 1 - n_lo] = s.ln_weights[n_lo:]
     if s.n_min > n_lo:
         k = np.arange(n_lo + 1, s.n_min + 1, dtype=float)
         steps = np.log(k * (k + s.params.mu) / (s.J * s.params.mu))
         ln[: s.n_min - n_lo] = ln[s.n_min - n_lo] + np.cumsum(steps[::-1])[::-1]
+    if n_up > s.n_max:
+        k = np.arange(s.n_max + 1, n_up + 1, dtype=float)
+        steps = np.log(k * (k + s.params.mu) / (s.J * s.params.mu))
+        ln[s.n_max + 1 - n_lo :] = ln[s.n_max - n_lo] - np.cumsum(steps)
     return ln
 
 
@@ -105,7 +110,7 @@ _TAIL_TOL = st.one_of(
 )
 def test_walk_matches_range_doubling(log_j, log_mu, tail_tol, ratio):
     # the same state bit for bit, and for a pair of states the same
-    # overlap terms, including those walked below each window
+    # overlap terms, including those walked below and above each window
     J, mu = 10.0**log_j, 10.0**log_mu
     s1 = _assert_same_state(J, mu, tail_tol)
     s2 = _assert_same_state(J * ratio, mu, tail_tol)
