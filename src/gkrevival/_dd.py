@@ -26,7 +26,8 @@ buffer): a block's parts are valid until the next block.  The weights
 enter by contraction, re @ M and im @ M: the kernel's M is a weight
 matrix that also groups the levels into channels, and ``gkstate.overlap``
 (evolving only shifts gamma, so A(t) and an overlap are one series)
-contracts one row of parts, at its one time, with its weight vector.
+contracts slices of one row of parts, at its one time, with the weight
+vector of each partner.
 
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by

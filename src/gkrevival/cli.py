@@ -29,21 +29,25 @@ functions only in `specfun`, which `import gkrevival` executes, and the
 grids come from `_linspace`, which reproduces np.linspace bit for bit.
 Every other command executes a module that imports NumPy.
 
-`main`, which the console script and ``python -m gkrevival.cli`` call,
-runs with the cyclic garbage collector disabled and restores the
-caller's setting on return, and it registers ``gc.freeze`` as one exit
-hook.  At interpreter exit that hook moves every live object into the
+`main` runs with the cyclic garbage collector disabled, restores the
+caller's setting on return, and registers ``gc.freeze`` as one exit
+hook.  The console script and ``python -m gkrevival.cli`` call
+`_script`, which is `main` without the restore: the process exits next,
+and a collector switched back on would collect at its next allocation,
+over everything the command allocated (3-4 ms after a `figure --id 4`).
+At interpreter exit the hook moves every live object into the
 collector's permanent generation, so the final collection skips the
 module objects of NumPy and this package.  Nothing is lost: a command's
 lists, tuples, arrays and frozen dataclasses hold no reference cycles,
 so reference counting frees them with the collector off (the cyclic
-garbage that imports leave waits for the first collection after `main`
-returns), the CSV file is closed by its ``with`` block and the standard
-streams are flushed by the interpreter, not by a collection.  What it
-saves is the collections that ran while NumPy executed (36 gen-0 and 3
-gen-1 in a `figure --id 4` child, 8-10 ms) and most of the exit's
-collection (that child's exit fell from about 32 to 8 ms; 2-vCPU x86-64
-VM, Python 3.11, NumPy 2.4).  `run` and `figure_bundle`, called as a
+garbage that imports leave is never collected in a CLI process, and in
+a library caller waits for the first collection after `main` returns),
+the CSV file is closed by its ``with`` block and the standard streams
+are flushed by the interpreter, not by a collection.  What it saves is
+the collections that ran while NumPy executed (36 gen-0 and 3 gen-1 in
+a `figure --id 4` child, 8-10 ms) and most of the exit's collection
+(that child's exit fell from about 32 to 8 ms; 2-vCPU x86-64 VM,
+Python 3.11, NumPy 2.4).  `run` and `figure_bundle`, called as a
 library, leave the collector alone.
 """
 
@@ -258,15 +262,14 @@ def _rows_unity(cfg: RunConfig):
 
 
 def _rows_overlap(cfg: RunConfig):
-    # non-orthogonality profile: <J,0|J',0> as J' sweeps (0, 2J]
+    # non-orthogonality profile: <J,0|J',0> as J' sweeps (0, 2J], in one
+    # overlap call, which takes the partners in batches as they are built
     p = SpectrumParams(cfg.mu)
     s1 = gkstate.build_state(cfg.j, 0.0, p, cfg.tail_tol)
-    rows = []
-    for j2 in _sweep_grid(2.0 * cfg.j, cfg.points):
-        s2 = gkstate.build_state(j2, 0.0, p, cfg.tail_tol)
-        v = gkstate.overlap(s1, s2)
-        rows.append((j2, v.real, v.imag, abs(v) ** 2))
-    return ["j2", "re", "im", "abs2"], rows
+    grid = _sweep_grid(2.0 * cfg.j, cfg.points)
+    values = gkstate.overlap(s1, (gkstate.build_state(j2, 0.0, p, cfg.tail_tol) for j2 in grid))
+    return ["j2", "re", "im", "abs2"], [(j2, v.real, v.imag, abs(v) ** 2)
+                                        for j2, v in zip(grid, values)]
 
 
 def _rows_timescales(cfg: RunConfig):
@@ -446,14 +449,20 @@ def main(argv=None) -> int:
     ``gc.freeze`` registered once as an exit hook (see the module
     docstring)."""
     enabled = gc.isenabled()
-    gc.disable()
-    _freeze_at_exit()
     try:
-        return _main(argv)
+        return _script(argv)
     finally:
         if enabled:
             gc.enable()
 
 
+def _script(argv=None) -> int:
+    # main for a process that exits when it returns, the console script
+    # and python -m gkrevival.cli: the collector stays off
+    gc.disable()
+    _freeze_at_exit()
+    return _main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_script())

@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 _HARD_CAP = 10**6
+# Levels (ln_weights entries) of the partners in one batch of an overlap
+# sweep, at most, unless one partner alone has more: a sweep's memory does
+# not grow with its length.
+_OVERLAP_LEVELS = 1 << 16
 _UNCAPPED = "weight tail did not close within %d levels (J=%r, mu=%r)"
 
 
@@ -264,8 +268,9 @@ def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
     return ln
 
 
-def overlap(s1: CoherentState, s2: CoherentState) -> complex:
-    """Inner product <s1|s2> of two states on the same ladder.
+def overlap(s1: CoherentState, s2):
+    """Inner product <s1|s2> of two states on the same ladder, or, for an
+    iterable of partner states of one angle, the list of <s1|s2> over it.
 
     The series runs over levels min(n_min) .. max(n_max) of the two
     windows.  Outside its own window a state's terms are rebuilt from its
@@ -278,19 +283,54 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     is the revival kernel's at t = dgamma / (2 pi mu): one row of
     ``_dd.phase_parts`` at that time, contracted with the weights as the
     kernel contracts its blocks (re @ a, im @ a).
-    Raises ValueError when (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds
-    the phase reduction bound of ``_dd`` (1e20).
+
+    Partners are taken in batches of at most ``_OVERLAP_LEVELS`` levels,
+    so a sweep's memory does not grow with its length.  s1's terms and
+    the row of parts are built once per batch, over the union of the
+    pairwise windows, and each partner's series runs on slices of them:
+    every entry has the bits of the one-state call, a batch of one.
+    Raises ValueError for partners of two angles, and when
+    (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds the phase reduction
+    bound of ``_dd`` (1e20).
     """
-    if s1.params != s2.params:
-        raise ValueError("overlap requires both states on the same ladder parameters")
-    n_lo = min(s1.n_min, s2.n_min)
-    n_up = max(s1.n_max, s2.n_max)
-    ln_a = 0.5 * (_overlap_terms(s1, n_lo, n_up) + _overlap_terms(s2, n_lo, n_up))
-    c = float(ln_a.max())
+    one = isinstance(s2, CoherentState)
+    values, batch, levels, gamma = [], [], 0, None
+    for s in (s2,) if one else s2:
+        if s.params != s1.params:
+            raise ValueError("overlap requires both states on the same ladder parameters")
+        if gamma is None:
+            gamma = s.gamma
+        elif s.gamma != gamma:
+            raise ValueError("overlap partners must share one angle")
+        if batch and levels + len(s.ln_weights) > _OVERLAP_LEVELS:
+            values += _overlaps(s1, batch)
+            batch, levels = [], 0
+        batch.append(s)
+        levels += len(s.ln_weights)
+    if batch:
+        values += _overlaps(s1, batch)
+    return values[0] if one else values
+
+
+def _overlaps(s1: CoherentState, batch: list) -> list:
+    # <s1|s2> for each s2 of a batch of one angle.  A slice of s1's terms
+    # over the union window has the bits of its terms over the pairwise
+    # one (its walks are sequential cumsums from its window ends), and a
+    # slice of the row of parts those of the pairwise row (elementwise)
+    n_lo = min(s1.n_min, min(s.n_min for s in batch))
+    n_up = max(s1.n_max, max(s.n_max for s in batch))
     mu = s1.params.mu
-    t = (s2.gamma - s1.gamma) / (_TWO_PI * mu)
+    t = (batch[0].gamma - s1.gamma) / (_TWO_PI * mu)
     _check_cycles(n_up, mu, abs(t))
+    ln1 = _overlap_terms(s1, n_lo, n_up)
     re, im = phase_parts(*quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu), t)
-    a = np.exp(ln_a - c)
-    scale = math.exp(c)
-    return complex((re @ a) * scale, (im @ a) * scale)
+    values = []
+    for s2 in batch:
+        lo, up = min(s1.n_min, s2.n_min), max(s1.n_max, s2.n_max)
+        i, j = lo - n_lo, up + 1 - n_lo
+        ln_a = 0.5 * (ln1[i:j] + _overlap_terms(s2, lo, up))
+        c = float(ln_a.max())
+        a = np.exp(ln_a - c)
+        scale = math.exp(c)
+        values.append(complex((re[i:j] @ a) * scale, (im[i:j] @ a) * scale))
+    return values

@@ -11,6 +11,7 @@ import gc
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -466,6 +467,56 @@ def test_stdout_matches_out_file(tmp_path):
     assert to_stdout.stdout == out.read_bytes()
 
 
+# Runs a command line as `python -m gkrevival.cli` does, or through the
+# module:function target of a console script (argv[1] says which), and
+# prints from an exit hook how often the command's _main returned and the
+# generation of each collection that started after that.
+_COLLECTIONS_AFTER_RETURN = """
+import atexit, gc, importlib, os, runpy, sys
+entry = sys.argv.pop(1)
+cli = os.path.join("gkrevival", "cli.py")
+returned, after = [], []
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "return" and code.co_name == "_main" and code.co_filename.endswith(cli):
+        returned.append(True)
+
+def collection(phase, info):
+    if phase == "start" and returned:
+        after.append(info["generation"])
+
+def report():
+    sys.setprofile(None)
+    print(len(returned), after)
+
+atexit.register(report)
+gc.callbacks.append(collection)
+sys.setprofile(profile)
+if entry == "-m":
+    runpy.run_module("gkrevival.cli", run_name="__main__", alter_sys=True)
+else:
+    module, _, name = entry.partition(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+
+@pytest.mark.parametrize("entry", ["-m", "console script"])
+def test_no_collection_between_return_and_exit(entry):
+    # the console script and python -m leave the collector off after the
+    # command: no collection starts before the exit hooks run
+    if entry == "console script":
+        with open(os.path.join(os.path.dirname(_SRC), "pyproject.toml"), encoding="utf-8") as fh:
+            entry = re.search(r'^gkrevival = "(.+)"$', fh.read(), re.M).group(1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _COLLECTIONS_AFTER_RETURN, entry, "weights",
+                          "--out", os.devnull], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "1 []\n"
+
+
 # mu from integers and non-integers in [0.5, 80]
 _mu = st.one_of(
     st.integers(min_value=1, max_value=80).map(float),
@@ -705,6 +756,10 @@ _FAR_ARGS = {
     "timescales": ["timescales", *_FAR],
     "mandel": ["mandel", "--mu", "1e3", "--j-max", "1e4", "--points", "200"],
     "overlap": ["overlap", *_FAR, "--tail-tol", "1e-300", "--points", "200"],
+    # a sweep whose partners, all held at once, would pass 1 GiB (about
+    # 24 kB a partner); in batches it peaks near 50 MB, as a loop of
+    # one-state calls does
+    "overlap-50000-points": ["overlap", *_FAR, "--points", "50000"],
     "unity": ["unity", "--mu", "1e3", "--n-max", "20", "--abs-tol", "1e-300",
               "--rel-tol", "1e-300"],
     "survival-q1e6": ["survival", "--q", "1000000", "--delta", "3", "--points", "200"],

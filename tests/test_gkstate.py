@@ -2,6 +2,7 @@
 (the module's master property), observables, evolution, and overlaps."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gkrevival import gkstate
 from gkrevival._dd import phase_parts, quadratic_in_n
+from gkrevival.cli import RunConfig, _lines, _rows_overlap, _sweep_grid
 from gkrevival.gkstate import (
     CoherentState,
     build_state,
@@ -367,21 +369,44 @@ def _inline_overlap(s1, s2):
     return complex((re @ a) * math.exp(c), (im @ a) * math.exp(c))
 
 
+def _bits(v):
+    return v.real.hex(), v.imag.hex()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     mu=_WINDOW_MU,
     frac=st.floats(min_value=0.0, max_value=1.0),
-    partner=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=2.0)),
+    ratios=st.lists(st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=2.0)),
+                    min_size=1, max_size=6).map(lambda r: [1e-6, 2.0, *r]),
     gammas=st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 2),
+    levels=st.sampled_from([1, 500, 5000, gkstate._OVERLAP_LEVELS]),
+    points=st.integers(min_value=2, max_value=12),
 )
-def test_overlap_keeps_inline_sum_bits(mu, frac, partner, gammas):
+def test_overlap_keeps_inline_sum_bits(mu, frac, ratios, gammas, levels, points):
     """overlap's one row of parts sums to the inline series bit for bit:
     equal J, J' <= 2J, and partners down to 1e-6 J, whose n_min lies far
-    below (the other state's terms walked down to it)."""
+    below (the other state's terms walked down to it).  Over an iterable
+    of partners, in batches of at most ``levels`` levels, each entry has
+    the bits of the one-state call, and the ``overlap`` command's rows
+    are those of a loop over one-state calls, byte for byte."""
     J = _window_j(mu, frac)
-    s1, s2 = _state(J, mu, gammas[0]), _state(J * partner, mu, gammas[1])
-    assert overlap(s1, s2) == _inline_overlap(s1, s2)
-    assert overlap(s2, s1) == _inline_overlap(s2, s1)
+    s1 = _state(J, mu, gammas[0])
+    partners = [_state(J * r, mu, gammas[1]) for r in ratios]
+    for s2 in partners:
+        assert overlap(s1, s2) == _inline_overlap(s1, s2)
+        assert overlap(s2, s1) == _inline_overlap(s2, s1)
+    with mock.patch.object(gkstate, "_OVERLAP_LEVELS", levels):
+        swept = overlap(s1, iter(partners))
+        cfg = RunConfig("overlap", j=J, mu=mu, points=points)
+        _, rows = _rows_overlap(cfg)
+    assert [_bits(v) for v in swept] == [_bits(overlap(s1, s2)) for s2 in partners]
+    s0 = _state(J, mu)
+    loop = []
+    for j2 in _sweep_grid(2.0 * J, points):
+        v = overlap(s0, _state(j2, mu))
+        loop.append((j2, v.real, v.imag, abs(v) ** 2))
+    assert _lines(rows) == _lines(loop)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 28.0, 80.0])
@@ -441,6 +466,12 @@ def test_overlap_param_mismatch():
     s3 = build_state(1.0, 0.0, SpectrumParams(mu=2.0, alpha=2.0))
     with pytest.raises(ValueError):
         overlap(s1, s3)
+    # partners: the same ladder and one angle, and none gives no entries
+    with pytest.raises(ValueError, match="same ladder"):
+        overlap(s1, [s1, s2])
+    with pytest.raises(ValueError, match="one angle"):
+        overlap(s1, [s1, _state(2.0, 2.0, 0.5)])
+    assert overlap(s1, []) == []
 
 
 @pytest.mark.parametrize("J1,J2,mu", [(1.0, 4.0, 2.0), (10.0, 4.2, 28.0), (10.0, 4.2, 80.0)])
