@@ -383,6 +383,8 @@ _RATIO_X_PER_ORDER = 1e8
 # below one rounding (its next term has that relative size), while the
 # Lentz seed is no longer negligible once the ratio nears 1e-300.
 _RATIO_SERIES_X2 = 4e-17
+# a Lentz step converges once its factor is within this of 1
+_RATIO_STEP_TOL = 0.01 * _REL_TOL
 
 
 def bessel_i_ratio(nu: float, x: float) -> float:
@@ -423,7 +425,7 @@ def bessel_i_ratio(nu: float, x: float) -> float:
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < 0.01 * _REL_TOL:
+        if abs(delta - 1.0) < _RATIO_STEP_TOL:
             return f
     raise ConvergenceError(
         f"ratio continued fraction for nu={nu}, x={x} did not converge"

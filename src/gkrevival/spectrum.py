@@ -16,7 +16,6 @@ identically, so there is no superrevival scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .specfun import ConvergenceError, bessel_i_ratio, ln_gamma
 
@@ -45,28 +44,62 @@ _REL_TOL = 1e-8
 _MANDEL_JMU_MAX = 1e12
 
 
-@dataclass(frozen=True)
-class SpectrumParams:
+class _Record:
+    """Immutable record with the equality, hash and repr of a frozen
+    dataclass, without importing dataclasses: that module loads inspect
+    (and with it ast, dis and tokenize), which the closed-form commands
+    would otherwise spend most of their package import on.  A subclass
+    names its fields in order in ``_fields`` and stores them in its
+    ``__init__`` through ``self.__dict__``; assignment and deletion raise
+    AttributeError, and copy and pickle restore that dict as they do for
+    any plain instance."""
+
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({items})"
+
+
+class SpectrumParams(_Record):
     """Deformation parameter ``mu`` and angular frequency ``alpha`` of the
     energy ladder.  ``mu`` is real; integrality matters only for the phase
     regrouping in :mod:`gkrevival.revival` and is checked there."""
 
-    mu: float
-    alpha: float = 1.0
+    _fields = ("mu", "alpha")
 
-    def __post_init__(self):
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+    def __init__(self, mu: float, alpha: float = 1.0):
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {mu}")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+        self.__dict__.update(mu=mu, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class TimeScales:
+class TimeScales(_Record):
     """Classical period and revival time of a wavepacket on the ladder."""
 
-    t_classical: float
-    t_revival: float
+    _fields = ("t_classical", "t_revival")
+
+    def __init__(self, t_classical: float, t_revival: float):
+        self.__dict__.update(t_classical=t_classical, t_revival=t_revival)
 
 
 def _finite(value: float, what: str) -> float:

@@ -6,7 +6,6 @@ commands in a child with 1 GiB of address space."""
 
 import argparse
 import atexit
-import dataclasses
 import gc
 import io
 import math
@@ -26,6 +25,7 @@ from gkrevival.cli import (
     _COMMON,
     _FIGURE_FLAGS,
     _FIGURES,
+    _FLAGS,
     RunConfig,
     _rows_mandel,
     _rows_timescales,
@@ -174,7 +174,7 @@ _RANGES = [
 
 
 def test_ranges_cover_every_bounded_field():
-    bounded = {f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("bounds")}
+    bounded = {name for name, (_, _, bounds) in _FLAGS.items() if bounds}
     assert bounded == {name for name, *_ in _RANGES}
 
 
@@ -255,6 +255,24 @@ def _subparsers():
     (action,) = [a for a in build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "weights"], ["bogus"], ["--j", "3", "weights"], ["--", "weights"],
+    *([command, "--help"] for command in [*_COMMANDS, "figure"]),
+    ["weights", "--bogus"], ["mandel", "--j", "3"], ["survival", "--q"], ["figure"],
+    ["figure", "--id", "x", "--out-dir", "d"], ["timescales", "--out"],
+])
+def test_main_prints_what_build_parser_prints(argv, capsys):
+    # main gives only the invoked command's subparser flags: its help
+    # text, usage errors and exit codes are build_parser()'s
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (exc.value.code or 0, want.out, want.err)
+    assert got.out or got.err
 
 
 # a small invocation of every dataset command, and another in-range value

@@ -35,16 +35,19 @@ def test_export_list_is_the_module_lists():
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(gkrevival.__file__)))
 
-# Prints the sorted modules of the given package executed after the
-# given commands ran.  A lazy module (gkrevival._LazyModule) sits in
-# sys.modules as a subclass of ModuleType until its first use executes it.
+# Prints the sorted modules of the given packages that importing
+# gkrevival.cli and running the given commands loaded, beyond those the
+# interpreter loaded at start-up (where site may import typing).  A lazy
+# module (gkrevival._LazyModule) sits in sys.modules as a subclass of
+# ModuleType until its first use executes it.
 _PROBE = """
 import sys, types
+start = set(sys.modules)
 import gkrevival, gkrevival.cli
 for args in {commands!r}:
     assert gkrevival.cli.main(args) == 0, args
 print(sorted(m for m, mod in sys.modules.items() if type(mod) is types.ModuleType
-             and (m == {package!r} or m.startswith({package!r} + "."))))
+             and m not in start and m.partition(".")[0] in {packages!r}))
 """
 
 
@@ -59,8 +62,8 @@ def _last_line(tmp_path, code):
     return out.stdout.strip().splitlines()[-1]
 
 
-def _loaded(tmp_path, commands, package):
-    return _last_line(tmp_path, _PROBE.format(commands=commands, package=package))
+def _loaded(tmp_path, commands, *packages):
+    return _last_line(tmp_path, _PROBE.format(commands=commands, packages=packages))
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -86,6 +89,15 @@ def test_closed_forms_load_no_numpy(tmp_path, command):
 
 def _package(*modules):
     return str(sorted(["gkrevival"] + [f"gkrevival.{m}" for m in modules]))
+
+
+@pytest.mark.parametrize("commands", [[]] + [[command] for command in _CLOSED_FORMS],
+                         ids=["import", "timescales", "mandel", "figure-2"])
+def test_closed_forms_load_no_inspect(tmp_path, commands):
+    # the records are not dataclasses, whose module loads inspect and
+    # with it ast, dis and tokenize, and cli needs no typing
+    chain = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    assert _loaded(tmp_path, commands, *chain) == "[]"
 
 
 @pytest.mark.parametrize("command", _CLOSED_FORMS)

@@ -1,14 +1,19 @@
 """Ladder tests: level values, finite differences, moment products, the
-two revival time scales, and the scalar entry points' inputs (a finite
-float or ValueError, never NaN, inf or another exception)."""
+two revival time scales, the scalar entry points' inputs (a finite
+float or ValueError, never NaN, inf or another exception), and the
+immutable records (SpectrumParams, TimeScales and cli.RunConfig): their
+repr, equality, hash, copies and pickles, and validation messages."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkrevival.cli import RunConfig
 from gkrevival.gkstate import build_state, weight
 from gkrevival.spectrum import (
     SpectrumParams,
@@ -31,6 +36,79 @@ def test_params_validation():
         SpectrumParams(mu=2.0, alpha=0.0)
     p = SpectrumParams(mu=2.0)
     assert p.alpha == 1.0
+
+
+# a record's constructor arguments, its repr (as the frozen dataclasses
+# printed it) and one field with another value of it
+_RECORDS = [
+    (SpectrumParams, (28.0,), {}, "SpectrumParams(mu=28.0, alpha=1.0)", ("alpha", 2.0)),
+    (SpectrumParams, (), dict(mu=2, alpha=0.5), "SpectrumParams(mu=2, alpha=0.5)", ("mu", 3)),
+    (TimeScales, (), dict(t_classical=0.25, t_revival=175.92918860102841),
+     "TimeScales(t_classical=0.25, t_revival=175.92918860102841)", ("t_revival", 1.0)),
+    (RunConfig, ("weights",), {},
+     "RunConfig(command='weights', j=10.0, mu=28.0, alpha=1.0, q=4, delta=0, t_max=1.0, "
+     "points=2001, n_max=5, j_max=20.0, tail_tol=1e-14, abs_tol=1e-10, rel_tol=1e-08, "
+     "out_path='-', figure=None)", ("points", 3)),
+    (RunConfig, ("survival",), dict(q=5, delta=2, out_path="s.csv", figure=4),
+     "RunConfig(command='survival', j=10.0, mu=28.0, alpha=1.0, q=5, delta=2, t_max=1.0, "
+     "points=2001, n_max=5, j_max=20.0, tail_tol=1e-14, abs_tol=1e-10, rel_tol=1e-08, "
+     "out_path='s.csv', figure=4)", ("delta", 1)),
+]
+
+
+@pytest.mark.parametrize("cls, args, kw, text, other", _RECORDS, ids=[
+    "params", "params-int-mu", "timescales", "runconfig", "runconfig-figure"])
+def test_records(cls, args, kw, text, other):
+    record = cls(*args, **kw)
+    assert repr(record) == text
+    twin = cls(*args, **kw)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    name, value = other
+    differs = cls(*args, **{**kw, name: value})
+    assert differs != record and not differs == record
+    assert record != tuple(vars(record).values()) and record != text
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for dup in [record] + copies:
+        assert type(dup) is cls and dup == record and hash(dup) == hash(record)
+        assert repr(dup) == text
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(dup, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(dup, name)
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            dup.extra = value
+        assert repr(dup) == text
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SpectrumParams(0.0), ValueError, "mu must be finite and > 0, got 0.0"),
+    (lambda: SpectrumParams(2.0, math.inf), ValueError, "alpha must be finite and > 0, got inf"),
+    (lambda: SpectrumParams(2.0, beta=1.0), TypeError, "unexpected keyword argument 'beta'"),
+    (lambda: TimeScales(1.0), TypeError, "'t_revival'"),
+    (lambda: RunConfig("figure", bogus=1), TypeError,
+     r"^RunConfig.__init__\(\) got an unexpected keyword argument 'bogus'$"),
+    (lambda: RunConfig("figure"), ValueError, "^unknown command 'figure'$"),
+    (lambda: RunConfig("weights", mu=0.0, points=1), ValueError, "^--mu must be > 0, got 0.0$"),
+    (lambda: RunConfig("weights", points=1), ValueError, "^--points must be >= 2, got 1$"),
+    (lambda: RunConfig("weights", points=10**6 + 1), ValueError,
+     "^--points must be <= 1000000, got 1000001$"),
+    (lambda: RunConfig("survival", q=3, delta=3), ValueError,
+     r"^--delta must lie in \[0, q\), got 3$"),
+    (lambda: RunConfig("overlap", j=0.0), ValueError, "^--j must be > 0 for overlap sweeps$"),
+])
+def test_record_validation(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_run_config_defaults():
+    # the class attributes are the flag defaults, which figure_bundle reads
+    cfg = RunConfig("weights")
+    assert (RunConfig.points, RunConfig.tail_tol, RunConfig.delta, RunConfig.figure) == (
+        2001, 1e-14, 0, None)
+    assert (cfg.points, cfg.tail_tol, cfg.delta, cfg.figure) == (2001, 1e-14, 0, None)
 
 
 @pytest.mark.parametrize(
