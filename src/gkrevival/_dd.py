@@ -101,10 +101,11 @@ def _check_cycles(n_top: int, mu: float, t_max: float) -> None:
     part of ``quadratic_in_n`` rounds it, exceeds the reduction bound:
     n_top is the top level and t_max the largest |t| of one set of phases.
     """
-    m_top = n_top * n_top + mu * n_top
-    if m_top * t_max > _MAX_CYCLES:
+    # in Python floats, which overflow to inf without a warning
+    cycles = (n_top * n_top + float(mu) * n_top) * float(t_max)
+    if cycles > _MAX_CYCLES:
         raise ValueError(
-            f"phase argument (mu*n_max + n_max**2)*max|t| = {m_top * t_max:.3g} is past "
+            f"phase argument (mu*n_max + n_max**2)*max|t| = {cycles:.3g} is past "
             f"{_MAX_CYCLES:g}, where its reduction mod 1 loses over 1e-12 of a cycle"
         )
 

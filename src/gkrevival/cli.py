@@ -32,18 +32,14 @@ three load `dataclasses`, and with it `inspect`, `ast`, `dis` and
 `tokenize`: `RunConfig`, `SpectrumParams` and `TimeScales` are records
 on `spectrum._Record`, and this module imports no `typing`.  `_main`
 gives flags only to the subparser of the command it runs, where
-`build_parser` gives every subparser its flags.  Those imports and the
-full parser would cost a `timescales` child about 9 ms: it takes
-49.6 ms without them and took 58.8 ms with them, against 38.1 ms for a
-bare interpreter (medians of 31 alternating runs without a bytecode
-cache; 2-vCPU x86-64 VM, Python 3.11).
+`build_parser` gives every subparser its flags.
 
 `main` runs with the cyclic garbage collector disabled, restores the
 caller's setting on return, and registers ``gc.freeze`` as one exit
 hook.  The console script and ``python -m gkrevival.cli`` call
 `_script`, which is `main` without the restore: the process exits next,
 and a collector switched back on would collect at its next allocation,
-over everything the command allocated (3-4 ms after a `figure --id 4`).
+over everything the command allocated.
 At interpreter exit the hook moves every live object into the
 collector's permanent generation, so the final collection skips the
 module objects of NumPy and this package.  Nothing is lost: a command's
@@ -53,11 +49,9 @@ garbage that imports leave is never collected in a CLI process, and in
 a library caller waits for the first collection after `main` returns),
 the CSV file is closed by its ``with`` block and the standard streams
 are flushed by the interpreter, not by a collection.  What it saves is
-the collections that ran while NumPy executed (36 gen-0 and 3 gen-1 in
-a `figure --id 4` child, 8-10 ms) and most of the exit's collection
-(that child's exit fell from about 32 to 8 ms; 2-vCPU x86-64 VM,
-Python 3.11, NumPy 2.4).  `run` and `figure_bundle`, called as a
-library, leave the collector alone.
+the collections that ran while NumPy executed and most of the exit's
+collection.  `run` and `figure_bundle`, called as a library, leave the
+collector alone.
 """
 
 import argparse
@@ -272,7 +266,7 @@ def _channel_rows(cfg: RunConfig, q: int, delta: int):
 def _rows_survival_intensity(cfg: RunConfig):
     s = gkstate.build_state(cfg.j, 0.0, SpectrumParams(cfg.mu), cfg.tail_tol)
     t = _t_grid(cfg)
-    abs2, diag, cross = revival._intensity_split(s, cfg.q, t)
+    abs2, diag, cross = revival.intensity_split(s, cfg.q, t)
     rows = list(zip(t, abs2.tolist(), diag.tolist(), cross.tolist()))
     return ["t", "abs2", "diagonal", "interference"], rows
 

@@ -35,7 +35,8 @@ import numpy as np
 from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
 from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
                       ln_bessel_i, ln_gamma)
-from .spectrum import _TAIL_TOL, _TAIL_TOL_MAX, SpectrumParams, _mandel_q, _mean_n, moment_rho
+from .spectrum import (_TAIL_TOL, _TAIL_TOL_MAX, SpectrumParams, _mandel_q, _mean_n, _real,
+                       moment_rho)
 
 __all__ = [
     "CoherentState",
@@ -115,9 +116,9 @@ def build_state(
     of the lgamma pair, an absolute error of about 2^-52 times the larger
     of ln Gamma(1 + mu) and p ln(J mu): 2.69 at J = 2, mu = 1e200, not 2.
     """
-    if not (math.isfinite(J) and J >= 0.0):
+    if not (math.isfinite(_real(J, "J")) and J >= 0.0):
         raise ValueError(f"J must be finite and >= 0, got {J}")
-    if not math.isfinite(gamma):
+    if not math.isfinite(_real(gamma, "gamma")):
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0.0 < tail_tol <= _TAIL_TOL_MAX:
         raise ValueError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
@@ -190,7 +191,7 @@ def normalization_sq(J: float, p: SpectrumParams) -> float:
     ln Gamma(1 + mu), (mu/2) ln(J mu) and p ln(J mu), the last from the
     ``lgamma`` pair of the I series' peak term (p the weight peak).
     """
-    if not (math.isfinite(J) and J >= 0.0):
+    if not (math.isfinite(_real(J, "J")) and J >= 0.0):
         raise ValueError(f"J must be finite and >= 0, got {J}")
     mu = p.mu
     if J * mu == 0.0:
@@ -243,7 +244,7 @@ def mandel_q(state: CoherentState) -> float:
 
 def evolve(state: CoherentState, t: float) -> CoherentState:
     """Time evolution: |J, gamma> -> |J, gamma + alpha t>."""
-    if not math.isfinite(t):
+    if not math.isfinite(_real(t, "t")):
         raise ValueError(f"t must be finite, got {t}")
     gamma = state.gamma + state.params.alpha * t
     if not math.isfinite(gamma):

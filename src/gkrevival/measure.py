@@ -29,16 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import ConvergenceError, bessel_i_scaled, bessel_k_scaled, ln_bessel_k, ln_gamma
-from .spectrum import _ABS_TOL, _MAX_N, _REL_TOL, SpectrumParams, moment_rho
+from .specfun import ConvergenceError, ln_bessel_i, ln_bessel_k, ln_gamma
+from .spectrum import _ABS_TOL, _MAX_N, _REL_TOL, SpectrumParams, _real, moment_rho
 
 __all__ = [
     "QuadratureConfig",
     "MomentReport",
     "density_rho",
     "measure_k",
-    "moment_integral",
-    "moment_check",
     "moment_checks",
 ]
 
@@ -69,7 +67,7 @@ class QuadratureConfig:
     rel_tol: float = _REL_TOL
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+        if not (_real(self.abs_tol, "abs_tol") > 0.0 and _real(self.rel_tol, "rel_tol") > 0.0):
             raise ValueError("quadrature tolerances must be positive")
 
 
@@ -85,7 +83,7 @@ class MomentReport:
 
 def density_rho(J: float, p: SpectrumParams) -> float:
     """Measure density rho(J) > 0; rho(0+) = 1 and integral over J is 1."""
-    if not J > 0.0:
+    if not _real(J, "J") > 0.0:
         raise ValueError(f"J must be > 0, got {J}")
     mu = p.mu
     y = 2.0 * math.sqrt(J * mu)
@@ -101,15 +99,15 @@ def density_rho(J: float, p: SpectrumParams) -> float:
 def measure_k(J: float, p: SpectrumParams) -> float:
     """Positive measure weight k(J) = 2 mu I_mu(y) K_mu(y), y = 2 sqrt(J mu).
 
-    Equals N^2(J) rho(J); for large J it falls off like sqrt(mu/J)/2.
-    Both factors are the kernel's scaled Bessel functions, whose term
-    budget grows with y, so any finite J > 0 is served.
+    Equals N^2(J) rho(J); for large J it falls off like sqrt(mu/J)/2,
+    and as J -> 0 it tends to 1.  The product is taken in logs, so it stays
+    finite where I_mu(y) underflows and K_mu(y) overflows.
     """
-    if not J > 0.0:
+    if not _real(J, "J") > 0.0:
         raise ValueError(f"J must be > 0, got {J}")
     mu = p.mu
     y = 2.0 * math.sqrt(J * mu)
-    return 2.0 * mu * bessel_i_scaled(mu, y) * bessel_k_scaled(mu, y)
+    return math.exp(math.log(2.0 * mu) + ln_bessel_i(mu, y) + ln_bessel_k(mu, y))
 
 
 def _ln_integrand_u(u, ln_k, n, mu: float):
@@ -216,19 +214,3 @@ def moment_checks(
         MomentReport(n=n, integral=s * r, rho_n=r, rel_err=abs(s * r - r) / r)
         for n, s, r in zip(ns, scaled, rho)
     ]
-
-
-def moment_check(
-    n: int, p: SpectrumParams, cfg: QuadratureConfig = QuadratureConfig()
-) -> MomentReport:
-    """The n-th moment alone; see moment_checks."""
-    return moment_checks([n], p, cfg)[0]
-
-
-def moment_integral(
-    n: int, p: SpectrumParams, cfg: QuadratureConfig = QuadratureConfig()
-) -> float:
-    """The n-th moment of rho as a number: the tanh-sinh rule in
-    u = 2 sqrt(J mu) over [0, u_max], to the tolerances of cfg (see
-    QuadratureConfig)."""
-    return moment_check(n, p, cfg).integral

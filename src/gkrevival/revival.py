@@ -26,10 +26,9 @@ of min(q, chunk) columns its residues reach.  Each channel is within
 gamma_L sum_n |w_n| (gamma_L = L u / (1 - L u), u = 2^-53) of the exact
 sum of the same float parts and weights.  The scan moduli q = 1 .. 6
 share one weight matrix and every other modulus has its own, so a
-modulus's bits do not depend on what else was asked.  Only
-``channel_amplitudes`` and ``fractional_decomposition`` build the dense
-(T, q) form; the other readers take one column, or the columns in channel
-order.
+modulus's bits do not depend on what else was asked.  The two readers
+return arrays: ``channel_amplitudes`` the dense (T, q) form, and
+``intensity_split`` the columns in channel order, reduced row by row.
 
 The kernel keeps one memo entry, the read-only column blocks of the last
 (state, grid) it evaluated, keyed on what the sums read: (mu, n_min,
@@ -48,21 +47,19 @@ import numpy as np
 
 from ._dd import _TWO_PI, _buffers, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
 from .gkstate import CoherentState
-from .spectrum import phase  # noqa: F401  (revival.phase is spectrum.phase)
+from .spectrum import _real
 
 __all__ = [
-    "TimeSeries",
-    "FractionalDecomposition",
     "PhaseGroupReport",
     "channel_amplitudes",
+    "intensity_split",
+    "phase_group_check",
+    # kept only while benchmarks/large_j.py calls them
+    "TimeSeries",
+    "FractionalDecomposition",
     "autocorrelation",
     "autocorrelation_series",
-    "survival_fraction",
-    "survival_fraction_series",
     "fractional_decomposition",
-    "diagonal_term",
-    "interference_term",
-    "phase_group_check",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +112,10 @@ class PhaseGroupReport:
 
 
 def _grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
+    try:
+        t = np.asarray(t_grid, dtype=float)
+    except OverflowError:
+        raise ValueError("times must be finite, got an integer past the float range") from None
     if t.ndim != 1:
         raise ValueError("t_grid must be one dimensional")
     bad = ~np.isfinite(t)
@@ -217,16 +217,6 @@ def _column(state: CoherentState, q: int, delta: int, t_grid) -> np.ndarray:
     return p[:, c] if c < p.shape[1] else np.zeros(len(p), dtype=complex)
 
 
-def _intensity_split(state: CoherentState, q: int, t_grid) -> tuple:
-    # |A(t_k)|^2, the diagonal and the interference of modulus q from one
-    # kernel pass, over the reached channels in channel order (that of the
-    # prefix sum), C-ordered so that the row sums are the dense matrix's
-    ch = _channels(state, [1, q], t_grid)
-    p = ch[q]
-    p = p.take(np.argsort((state.n_min + np.arange(p.shape[1])) % q), axis=1)
-    return _intensities(ch[1][:, 0]), _diagonal(p), _interference(p)
-
-
 def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     """(T, q) complex matrix: column Delta holds P_Delta(t_k).
 
@@ -241,6 +231,20 @@ def channel_amplitudes(state: CoherentState, q: int, t_grid) -> np.ndarray:
     out = np.zeros((len(p), q), dtype=complex)
     out[:, (state.n_min + np.arange(p.shape[1])) % q] = p
     return out
+
+
+def intensity_split(state: CoherentState, q: int, t_grid) -> tuple:
+    """|A(t_k)|^2, the diagonal sum_Delta |P_Delta|^2 and the interference
+    2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}) of modulus q, three
+    float arrays from one kernel pass: the interference is one prefix sum
+    over the reached channels in channel order, exactly real, in
+    O(min(q, n_max - n_min + 1)) per row, and adds to the diagonal to give
+    |A|^2 to rounding."""
+    # C-ordered channels, so that the row sums are the dense matrix's
+    ch = _channels(state, [1, q], t_grid)
+    p = ch[q]
+    p = p.take(np.argsort((state.n_min + np.arange(p.shape[1])) % q), axis=1)
+    return _intensities(ch[1][:, 0]), _diagonal(p), _interference(p)
 
 
 def _intensities(amplitudes: np.ndarray) -> np.ndarray:
@@ -260,25 +264,9 @@ def autocorrelation_series(state: CoherentState, t_grid) -> TimeSeries:
     return _series(t, vals, "|A(t)|^2")
 
 
-def _check_residue(q: int, delta: int = 0, least: int = 2):
+def _check_residue(q: int, least: int = 2):
     if not (isinstance(q, numbers.Integral) and q >= least):
         raise ValueError(f"q must be an integer >= {least}, got {q}")
-    if not (isinstance(delta, numbers.Integral) and 0 <= delta < q):
-        raise ValueError(f"delta must lie in [0, {q}), got {delta}")
-
-
-def survival_fraction(state: CoherentState, q: int, delta: int, t: float) -> complex:
-    """Channel amplitude P_Delta(t) = sum_k w_{kq+Delta} exp(-i phi(t))."""
-    _check_residue(q, delta)
-    return complex(_column(state, q, delta, [t])[0])
-
-
-def survival_fraction_series(state: CoherentState, q: int, delta: int, t_grid) -> TimeSeries:
-    """|P_Delta(t)|^2 sampled on the grid."""
-    _check_residue(q, delta)
-    t = _series_grid(t_grid)
-    vals = _intensities(_column(state, q, delta, t))
-    return _series(t, vals, f"|P_{delta}(t)|^2")
 
 
 def fractional_decomposition(state: CoherentState, q: int, t_grid) -> FractionalDecomposition:
@@ -301,22 +289,6 @@ def _interference(p: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(p[:, 1:] * np.conj(below)).sum(axis=1)
 
 
-def diagonal_term(state: CoherentState, q: int, t: float) -> float:
-    """Sum of channel intensities sum_Delta |P_Delta(t)|^2."""
-    return float(_intensity_split(state, q, [t])[1][0])
-
-
-def interference_term(state: CoherentState, q: int, t: float) -> float:
-    """Cross-channel term sum_{Delta != Gamma} P_Delta conj(P_Gamma).
-
-    Computed as 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one
-    prefix sum over the channels the window reaches, so the result is
-    exactly real and costs O(min(q, n_max - n_min + 1)); equals
-    |A(t)|^2 - diagonal_term to rounding.
-    """
-    return float(_intensity_split(state, q, [t])[2][0])
-
-
 def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
     """Verify the residue-class phase collapse at t = 1/q.
 
@@ -326,15 +298,16 @@ def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
     distance between the numerically reduced phases and those targets
     over all k <= k_max.  Non-integer mu breaks the collapse and is
     rejected.  mu n + n^2 is exact only for n < 2^26, so
-    (k_max + 1) q > 2^26 is rejected too.
+    (k_max + 1) q > 2^26 is rejected too, as is a phase past 1e20 cycles.
     """
     _check_residue(q)
-    if not (math.isfinite(mu) and mu > 0.0 and float(mu).is_integer()):
+    if not (math.isfinite(_real(mu, "mu")) and mu > 0.0 and float(mu).is_integer()):
         raise ValueError(f"phase grouping requires a positive integer mu, got {mu}")
     if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
     if (k_max + 1) * q > 1 << 26:
         raise ValueError(f"(k_max + 1) q must be at most 2^26, got {(k_max + 1) * q}")
+    _check_cycles((k_max + 1) * q - 1, mu, 1.0 / q)
 
     mu_i = int(mu)
     targets = np.array(

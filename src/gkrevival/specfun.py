@@ -88,10 +88,17 @@ def _term_budget(x: float) -> int:
     return 5000 + int(30.0 * math.sqrt(x))
 
 
+_PAST_FLOAT_RANGE = "order and argument must be finite, got an integer past the float range"
+
+
 def _check_domain(nu: float, x: float, x_positive: bool = False) -> None:
     # A NaN or infinite input would otherwise run a loop to its budget or
     # come back as a meaningless number.
-    if not (math.isfinite(nu) and math.isfinite(x)):
+    try:
+        finite = math.isfinite(nu) and math.isfinite(x)
+    except OverflowError:
+        raise ValueError(_PAST_FLOAT_RANGE) from None
+    if not finite:
         raise ValueError(f"order and argument must be finite, got nu={nu}, x={x}")
     if nu < 0.0:
         raise ValueError(f"order must be >= 0, got {nu}")
@@ -260,7 +267,10 @@ def ln_bessel_k(nu, x):
     leaves the sweep once two of its sweeps agree.
     """
     import numpy as np
-    nu_a, x_a = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
+    try:
+        nu_a, x_a = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
+    except OverflowError:
+        raise ValueError(_PAST_FLOAT_RANGE) from None
     shape = nu_a.shape
     nu_a, x_a = nu_a.ravel(), x_a.ravel()
     ok = np.isfinite(nu_a) & np.isfinite(x_a) & (nu_a >= 0.0) & (x_a > 0.0)

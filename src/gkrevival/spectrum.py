@@ -86,9 +86,9 @@ class SpectrumParams(_Record):
     _fields = ("mu", "alpha")
 
     def __init__(self, mu: float, alpha: float = 1.0):
-        if not 0.0 < mu < math.inf:
+        if not 0.0 < _real(mu, "mu") < math.inf:
             raise ValueError(f"mu must be finite and > 0, got {mu}")
-        if not 0.0 < alpha < math.inf:
+        if not 0.0 < _real(alpha, "alpha") < math.inf:
             raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         self.__dict__.update(mu=mu, alpha=alpha)
 

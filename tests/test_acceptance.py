@@ -19,13 +19,8 @@ from gkrevival.gkstate import (
     overlap,
     weights,
 )
-from gkrevival.measure import moment_check
-from gkrevival.revival import (
-    autocorrelation,
-    diagonal_term,
-    interference_term,
-    survival_fraction,
-)
+from gkrevival.measure import moment_checks
+from gkrevival.revival import autocorrelation, channel_amplitudes, intensity_split
 from gkrevival.specfun import (
     bessel_i_ratio,
     bessel_i_scaled,
@@ -161,7 +156,7 @@ def test_criterion_08_regrouping():
     for q in (2, 3, 4):
         for t in np.linspace(0.0, 1.0, 401):
             a = autocorrelation(s, float(t))
-            total = sum(survival_fraction(s, q, d, float(t)) for d in range(q))
+            total = sum(channel_amplitudes(s, q, [float(t)])[0].tolist())
             worst = max(worst, abs(total - a))
     _report(8, "channel sums regroup A(t) exactly", worst < 1e-12,
             f"worst={worst:.3e} tol=1e-12")
@@ -173,7 +168,8 @@ def test_criterion_09_survival_intensity():
     for q in (2, 3, 4):
         for t in np.linspace(0.0, 1.0, 401):
             a2 = abs(autocorrelation(s, float(t))) ** 2
-            split = diagonal_term(s, q, float(t)) + interference_term(s, q, float(t))
+            _, diag, cross = intensity_split(s, q, [float(t)])
+            split = float(diag[0]) + float(cross[0])
             worst = max(worst, abs(a2 - split))
     _report(9, "|A|^2 equals diagonal + interference", worst < 1e-12,
             f"worst={worst:.3e} tol=1e-12")
@@ -206,7 +202,7 @@ def test_criterion_11_resolution_of_unity():
     worst = 0.0
     for mu in (0.5, 1.0, 2.0, 28.0):
         for n in range(6):
-            worst = max(worst, moment_check(n, SpectrumParams(mu=mu)).rel_err)
+            worst = max(worst, moment_checks([n], SpectrumParams(mu=mu))[0].rel_err)
     _report(11, "measure moments reproduce the ladder products", worst < 1e-6,
             f"worst rel={worst:.3e} tol=1e-6")
 

@@ -30,11 +30,8 @@ from gkrevival.revival import (
     autocorrelation,
     autocorrelation_series,
     channel_amplitudes,
-    diagonal_term,
     fractional_decomposition,
-    interference_term,
-    survival_fraction,
-    survival_fraction_series,
+    intensity_split,
 )
 from gkrevival.spectrum import SpectrumParams, revival_time
 
@@ -363,9 +360,9 @@ def test_compact_readers_match_dense_matrix(J, mu, q):
         return
     deltas = {0, 1, q - 1, s.n_min % q, s.n_max % q, (s.n_min - 1) % q, (s.n_max + 1) % q}
     for d in sorted(deltas):
-        assert [survival_fraction(s, q, d, x) for x in t] == [z[d] for z in one]
+        assert [revival._column(s, q, d, [x])[0] for x in t] == [z[d] for z in one]
         abs2 = revival._intensities(p[:, d])
-        assert np.array_equal(survival_fraction_series(s, q, d, t).values, abs2)
+        assert np.array_equal(revival._intensities(revival._column(s, q, d, t)), abs2)
         _, rows = _channel_rows(RunConfig("survival", delta=d, **cfg), q, d)
         assert rows == list(zip(t, p[:, d].real, p[:, d].imag, abs2))
         if d not in reached:
@@ -376,7 +373,7 @@ def test_compact_readers_match_dense_matrix(J, mu, q):
     _, rows = _rows_survival_intensity(RunConfig("survival-intensity", **cfg))
     assert [r[1] for r in rows] == revival._intensities(channel_amplitudes(s, 1, t)[:, 0]).tolist()
     got = [[[r[2] for r in rows], [r[3] for r in rows]]]
-    got += [[[diagonal_term(s, q, x)], [interference_term(s, q, x)]] for x in t]
+    got += [[a.tolist() for a in intensity_split(s, q, [x])[1:]] for x in t]
     gamma = size * 2.0**-53 / (1.0 - size * 2.0**-53)
     for (d_got, c_got), (d_ref, c_ref), z in zip(got, dense, [p, *(z[None] for z in one)]):
         if q <= size:
@@ -688,11 +685,11 @@ def test_scan_moduli_bits_do_not_depend_on_larger_moduli(monkeypatch, J, mu, t_m
 def test_rebuilt_states_share_one_evaluation(monkeypatch):
     # figure 4: one identically rebuilt state per channel
     rows = _count_rows(monkeypatch)
-    series = [survival_fraction_series(_state(10.0, 28.0), 4, d, FIGURE_GRID) for d in range(4)]
+    columns = [revival._column(_state(10.0, 28.0), 4, d, FIGURE_GRID) for d in range(4)]
     assert sum(rows) == len(FIGURE_GRID)
     p = _fresh(_state(10.0, 28.0), 4, FIGURE_GRID)
-    for d, ts in enumerate(series):
-        assert np.array_equal(ts.values, revival._intensities(p[:, d]))
+    for d, column in enumerate(columns):
+        assert np.array_equal(column, p[:, d])
 
 
 def test_survival_intensity_rows_one_evaluation(monkeypatch):
@@ -738,9 +735,8 @@ def test_series_check_grid_once(monkeypatch):
     checks = []
     check = revival._check_increasing
     monkeypatch.setattr(revival, "_check_increasing", lambda t: checks.append(1) or check(t))
-    series = [autocorrelation_series(s, grid), survival_fraction_series(s, 3, 1, grid),
-              *fractional_decomposition(s, 4, grid).fractions]
-    assert len(checks) == 3
+    series = [autocorrelation_series(s, grid), *fractional_decomposition(s, 4, grid).fractions]
+    assert len(checks) == 2
     for ts in series:
         ref = TimeSeries(t_grid=ts.t_grid, values=ts.values, label=ts.label)
         assert ref.t_grid is ts.t_grid and ref.values is ts.values and ref.label == ts.label
@@ -759,7 +755,6 @@ def test_series_reject_unordered_grid_before_kernel(monkeypatch, grid):
     rows = _count_rows(monkeypatch)
     for call in (
         lambda: autocorrelation_series(s, grid),
-        lambda: survival_fraction_series(s, 2, 1, grid),
         lambda: fractional_decomposition(s, 3, grid),
     ):
         with pytest.raises(ValueError, match="strictly increasing"):

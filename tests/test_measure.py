@@ -18,9 +18,7 @@ from gkrevival.measure import (
     _u_window,
     density_rho,
     measure_k,
-    moment_check,
     moment_checks,
-    moment_integral,
 )
 from gkrevival.specfun import ConvergenceError
 from gkrevival.spectrum import SpectrumParams, moment_rho
@@ -35,6 +33,9 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1.0)
+    for name in ("abs_tol", "rel_tol"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer past"):
+            QuadratureConfig(**{name: 10**400})
 
 
 @pytest.mark.parametrize("mu", [0.5, 2.0, 28.0, 80.0])
@@ -85,6 +86,14 @@ def test_k_identity(J, mu):
     assert lhs > 0.0
 
 
+def test_k_small_j_limit():
+    # I K -> 1/(2 mu) gives k -> 1; at J = 1e-163, mu = 4, I_mu underflows
+    # and K_mu overflows, and their product in linear scale was nan
+    for mu in (0.5, 4.0, 28.0):
+        for J in (1e-163, 1e-300):
+            assert math.isclose(measure_k(J, SpectrumParams(mu=mu)), 1.0, rel_tol=1e-12)
+
+
 def test_k_large_j_asymptote():
     # I K -> 1/(2y) gives k -> sqrt(mu/J)/2; correction is O(mu^2/(J mu))
     p = SpectrumParams(mu=28.0)
@@ -95,13 +104,13 @@ def test_k_large_j_asymptote():
 def test_moment_check_requires_small_n():
     p = SpectrumParams(mu=2.0)
     with pytest.raises(ValueError):
-        moment_check(21, p)
+        moment_checks([21], p)
     with pytest.raises(ValueError):
-        moment_check(-1, p)
+        moment_checks([-1], p)
 
 
 def test_moment_zero_is_unity():
-    rep = moment_check(0, SpectrumParams(mu=2.0))
+    rep = moment_checks([0], SpectrumParams(mu=2.0))[0]
     assert isinstance(rep, MomentReport)
     assert rep.rho_n == 1.0
     assert abs(rep.integral - 1.0) < 1e-8
@@ -110,20 +119,20 @@ def test_moment_zero_is_unity():
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 28.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_resolution_of_unity(mu, n):
-    rep = moment_check(n, SpectrumParams(mu=mu))
+    rep = moment_checks([n], SpectrumParams(mu=mu))[0]
     assert rep.rel_err < 1e-6
 
 
 def test_moment_examples():
-    rep = moment_check(1, SpectrumParams(mu=2.0))
+    rep = moment_checks([1], SpectrumParams(mu=2.0))[0]
     assert math.isclose(rep.rho_n, 1.5, rel_tol=1e-12)
     assert rep.rel_err < 1e-6
-    rep = moment_check(3, SpectrumParams(mu=28.0))
+    rep = moment_checks([3], SpectrumParams(mu=28.0))[0]
     assert rep.rel_err < 1e-6
 
 
 def test_high_moment():
-    rep = moment_check(20, SpectrumParams(mu=28.0))
+    rep = moment_checks([20], SpectrumParams(mu=28.0))[0]
     assert rep.rel_err < 1e-6
 
 
@@ -156,7 +165,7 @@ def _moment_integral_in_j(n, p, cfg=QuadratureConfig()):
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_substitution_consistency(mu, n):
     p = SpectrumParams(mu=mu)
-    a = moment_integral(n, p)
+    a = moment_checks([n], p)[0].integral
     b = _moment_integral_in_j(n, p)
     assert math.isclose(a, b, rel_tol=1e-8)
 
@@ -175,7 +184,7 @@ def test_moment_checks_match_single_rho():
     p = SpectrumParams(mu=28.0)
     batch = moment_checks(range(6), p)
     for n, rep in enumerate(batch):
-        single = moment_check(n, p)
+        single = moment_checks([n], p)[0]
         assert rep.rho_n == single.rho_n
         assert math.isclose(rep.integral, single.integral, rel_tol=1e-12)
 
@@ -190,7 +199,7 @@ def test_level_cap_exits_3(monkeypatch, tmp_path, capsys):
     # with one halving the two levels cannot agree: a loud failure, no rows
     monkeypatch.setattr(measure, "_MAX_LEVELS", 1)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        moment_check(3, SpectrumParams(mu=28.0))
+        moment_checks([3], SpectrumParams(mu=28.0))
     out = tmp_path / "u.csv"
     assert main(["unity", "--mu", "28", "--n-max", "5", "--out", str(out)]) == 3
     assert not out.exists()

@@ -20,15 +20,11 @@ from gkrevival.revival import (
     autocorrelation,
     autocorrelation_series,
     channel_amplitudes,
-    diagonal_term,
     fractional_decomposition,
-    interference_term,
-    phase,
+    intensity_split,
     phase_group_check,
-    survival_fraction,
-    survival_fraction_series,
 )
-from gkrevival.spectrum import SpectrumParams
+from gkrevival.spectrum import SpectrumParams, phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,11 +55,8 @@ _TIME_ENTRY_POINTS = {
     "channel_amplitudes": lambda s, t: channel_amplitudes(s, 1, [0.0, t]),
     "autocorrelation": lambda s, t: autocorrelation(s, t),
     "autocorrelation_series": lambda s, t: autocorrelation_series(s, [0.0, t]),
-    "survival_fraction": lambda s, t: survival_fraction(s, 2, 1, t),
-    "survival_fraction_series": lambda s, t: survival_fraction_series(s, 2, 0, [0.0, 0.5, t]),
     "fractional_decomposition": lambda s, t: fractional_decomposition(s, 3, [t]),
-    "diagonal_term": lambda s, t: diagonal_term(s, 2, t),
-    "interference_term": lambda s, t: interference_term(s, 2, t),
+    "intensity_split": lambda s, t: intensity_split(s, 2, [0.0, 0.5, t]),
 }
 
 
@@ -137,29 +130,18 @@ def test_regrouping_identity(q):
     s = _state(10.0, 28.0)
     for t in np.linspace(0.0, 1.0, 101):
         a = autocorrelation(s, float(t))
-        total = sum(survival_fraction(s, q, d, float(t)) for d in range(q))
+        total = sum(channel_amplitudes(s, q, [float(t)])[0].tolist())
         assert abs(total - a) < 1e-12
-
-
-def test_survival_validation():
-    s = _state(10.0, 28.0)
-    with pytest.raises(ValueError):
-        survival_fraction(s, 1, 0, 0.0)
-    with pytest.raises(ValueError):
-        survival_fraction(s, 4, 4, 0.0)
-    with pytest.raises(ValueError):
-        survival_fraction(s, 4, -1, 0.0)
 
 
 def test_survival_bounds_and_t0():
     s = _state(10.0, 28.0)
     w = weights(s)
+    p2 = np.abs(channel_amplitudes(s, 4, np.linspace(0.0, 1.0, 51))) ** 2
     for d in range(4):
         cap = float(w[d::4].sum()) ** 2
-        p0 = abs(survival_fraction(s, 4, d, 0.0)) ** 2
-        assert abs(p0 - cap) < 1e-13
-        for t in np.linspace(0.0, 1.0, 51):
-            assert abs(survival_fraction(s, 4, d, float(t))) ** 2 <= cap + 1e-12
+        assert abs(p2[0, d] - cap) < 1e-13
+        assert np.all(p2[:, d] <= cap + 1e-12)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -168,14 +150,13 @@ def test_group_phase_at_revival_fraction(q):
     mu = 28.0
     s = _state(10.0, mu)
     w = weights(s)
-    for d in range(q):
-        pd = survival_fraction(s, q, d, 1.0 / q)
+    p = channel_amplitudes(s, q, [1.0 / q])[0].tolist()
+    for d, pd in enumerate(p):
         wsum = float(w[d::q].sum())
         target = cmath.exp(-2j * math.pi * ((int(mu) * d + d * d) % q) / q) * wsum
         assert abs(pd - target) < 1e-12
-    p0 = survival_fraction(s, q, 0, 1.0 / q)
-    assert p0.real > 0.0
-    assert abs(p0.imag) < 1e-12
+    assert p[0].real > 0.0
+    assert abs(p[0].imag) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,10 +190,10 @@ def test_channels_at_revival_fraction_offset(log_j, mu, fraction, tau):
 def test_channel_periodicity(delta, period):
     # q=4, mu=28: even channels repeat at t_rev/16, odd at t_rev/8
     s = _state(10.0, 28.0)
-    for t in np.linspace(0.0, 0.5, 41):
-        a = abs(survival_fraction(s, 4, delta, float(t))) ** 2
-        b = abs(survival_fraction(s, 4, delta, float(t) + period)) ** 2
-        assert abs(a - b) < 1e-12
+    t = np.linspace(0.0, 0.5, 41)
+    a = np.abs(channel_amplitudes(s, 4, t)[:, delta]) ** 2
+    b = np.abs(channel_amplitudes(s, 4, t + period)[:, delta]) ** 2
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_fractional_decomposition_container():
@@ -230,10 +211,9 @@ def test_fractional_decomposition_container():
 def test_survival_series():
     s = _state(10.0, 80.0)
     grid = np.linspace(0.0, 1.0, 101)
-    ts = survival_fraction_series(s, 4, 1, grid)
-    assert ts.label == "|P_1(t)|^2"
+    p1 = channel_amplitudes(s, 4, grid)[:, 1]
     w = weights(s)
-    assert abs(ts.values[0] - float(w[1::4].sum()) ** 2) < 1e-13
+    assert abs(abs(p1[0]) ** 2 - float(w[1::4].sum()) ** 2) < 1e-13
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -242,29 +222,29 @@ def test_intensity_split(q):
     for t in np.linspace(0.0, 1.0, 101):
         t = float(t)
         a2 = abs(autocorrelation(s, t)) ** 2
-        diag = diagonal_term(s, q, t)
-        cross = interference_term(s, q, t)
-        assert abs(a2 - (diag + cross)) < 1e-12
-        assert diag >= 0.0
+        abs2, diag, cross = intensity_split(s, q, [t])
+        assert abs2[0] == a2
+        assert abs(a2 - (diag[0] + cross[0])) < 1e-12
+        assert diag[0] >= 0.0
 
 
 def test_diagonal_at_zero_strictly_below_one():
     s = _state(10.0, 28.0)
-    assert diagonal_term(s, 4, 0.0) < 1.0
+    assert intensity_split(s, 4, [0.0])[1][0] < 1.0
 
 
 def test_interference_is_real_symmetrization():
     # the full complex double sum has negligible imaginary part
     s = _state(10.0, 80.0)
     for t in (0.17, 0.25, 0.334):
-        ps = [survival_fraction(s, 4, d, t) for d in range(4)]
+        ps = channel_amplitudes(s, 4, [t])[0].tolist()
         acc = 0.0 + 0.0j
         for d in range(4):
             for g in range(4):
                 if d != g:
                     acc += ps[d] * ps[g].conjugate()
         assert abs(acc.imag) < 1e-12
-        assert math.isclose(acc.real, interference_term(s, 4, t), rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(acc.real, intensity_split(s, 4, [t])[2][0], rel_tol=0, abs_tol=1e-12)
 
 
 def test_phase_group_check():

@@ -258,7 +258,8 @@ _KERNEL = [ln_bessel_i, bessel_i_scaled, ln_bessel_k, bessel_k_scaled, bessel_i_
 
 
 @pytest.mark.parametrize("fn", _KERNEL, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "10**400", "-10**400"])
 @pytest.mark.parametrize("slot", ["nu", "x"])
 def test_non_finite_input_rejected(fn, bad, slot):
     nu, x = (bad, 5.0) if slot == "nu" else (1.0, bad)
