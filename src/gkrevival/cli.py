@@ -27,10 +27,10 @@ A command executes only the modules it runs; `import gkrevival` runs
 no other package module and never load NumPy: NumPy is imported inside
 functions only in `specfun`, which `import gkrevival` executes, and the
 grids come from `_linspace`, which reproduces np.linspace bit for bit.
-Every other command executes a module that imports NumPy.  Nor do the
-three load `dataclasses`, and with it `inspect`, `ast`, `dis` and
-`tokenize`: `RunConfig`, `SpectrumParams` and `TimeScales` are records
-on `spectrum._Record`, and this module imports no `typing`.  `_main`
+Every other command executes a module that imports NumPy.  No command
+loads `dataclasses`, and the three load neither it nor `inspect`, `ast`,
+`dis` and `tokenize`: every record, `RunConfig` included, is a
+`spectrum._Record`, and this module imports no `typing`.  `_main`
 gives flags only to the subparser of the command it runs, where
 `build_parser` gives every subparser its flags.
 
@@ -133,24 +133,18 @@ class RunConfig(_Record):
     figure = None
 
     def __init__(self, command: str, *, figure: int | None = None, **flags):
-        for name in flags:
-            if name not in _FLAGS:
-                raise TypeError(
-                    f"RunConfig.__init__() got an unexpected keyword argument {name!r}")
+        super().__init__(command, figure=figure, **flags)
         if command not in _COMMANDS:
             raise ValueError(f"unknown command {command!r}")
-        values = {"command": command}
-        for name, (default, _, bounds) in _FLAGS.items():
-            v = values[name] = flags.get(name, default)
+        for name, (_, _, bounds) in _FLAGS.items():
+            v = getattr(self, name)
             for test, need in bounds:
                 if not test(v):
                     raise ValueError(f"{_option(name)} must {need}, got {v}")
-        if values["delta"] >= values["q"]:
-            raise ValueError(f"--delta must lie in [0, q), got {values['delta']}")
-        if command == "overlap" and values["j"] == 0.0:
+        if self.delta >= self.q:
+            raise ValueError(f"--delta must lie in [0, q), got {self.delta}")
+        if command == "overlap" and self.j == 0.0:
             raise ValueError("--j must be > 0 for overlap sweeps")
-        values["figure"] = figure
-        self.__dict__.update(values)
 
 
 # the class-level defaults: RunConfig.points and the like

@@ -25,10 +25,8 @@ errors stay near machine level even after many revival periods.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
 from .specfun import (ConvergenceError, _first_half_width, _peak_level, _peak_walk,
                       ln_bessel_i, ln_gamma)
 from .spectrum import (_TAIL_TOL, _TAIL_TOL_MAX, SpectrumParams, _mandel_q, _mean_n, _real,
-                       moment_rho)
+                       _Record, moment_rho)
 
 __all__ = [
     "CoherentState",
@@ -59,8 +57,7 @@ _OVERLAP_LEVELS = 1 << 16
 _UNCAPPED = "weight tail did not close within %d levels (J=%r, mu=%r)"
 
 
-@dataclass(frozen=True, eq=False)
-class CoherentState:
+class CoherentState(_Record):
     """Truncated number-basis representation of one coherent state.
 
     The retained levels are the window n_min .. n_max.  ``ln_weights[n]``
@@ -68,18 +65,12 @@ class CoherentState:
     -inf (weight 0) below ``n_min``, so weights stay indexed by level;
     ``ln_norm_sq`` is ln N^2(J) from the same partial sum.  ``n_min`` is
     the largest level whose geometric lower-tail bound is below
-    ``tail_tol`` of the peak weight, or 0.  Instances are immutable;
-    build them with :func:`build_state`.
+    ``tail_tol`` of the peak weight, or 0.  Instances are immutable and
+    equal only to themselves; build them with :func:`build_state`.
     """
 
-    J: float
-    gamma: float
-    params: SpectrumParams
-    n_min: int
-    n_max: int
-    ln_weights: np.ndarray
-    ln_norm_sq: float
-    tail_tol: float
+    _fields = ("J", "gamma", "params", "n_min", "n_max", "ln_weights", "ln_norm_sq", "tail_tol")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def build_state(
@@ -132,6 +123,8 @@ def build_state(
     if not jmu < _HARD_CAP * (_HARD_CAP + mu):  # the peak lies past the cap
         raise ConvergenceError(_UNCAPPED % (_HARD_CAP, J, mu))
     p = _peak_level(jmu, mu)
+    # ln a_p before the walk: where ln rho_p overflows, a ValueError at once
+    ln_peak = p * math.log(J) - moment_rho(p, params)
     # the upper test asks a_n J < tail_tol a_p, and the peak root lies in
     # [p, p + 1), so the variance is taken at p + 1 (p = 0 has one too)
     w = _first_half_width(p + 1, mu, math.log(tail_tol) - max(0.0, math.log(J)))
@@ -144,11 +137,12 @@ def build_state(
         blocks.insert(0, walk.send(-1))
         lo, ln, d = blocks[0]
         bottom = _lower_end(lo, np.exp(ln), d, jmu, tail_tol)
-    while top is None:  # closes, since the terms fall to 0 above the peak
+    # the terms fall to 0 above the peak, so this closes unless d_n overflows
+    while top is None and blocks[-1][0] <= _HARD_CAP:
         blocks.append(walk.send(1))
         a, ln, d = blocks[-1]
         top = _upper_end(a, np.exp(ln), d, J, jmu, tail_tol)
-    if top > _HARD_CAP:
+    if top is None or top > _HARD_CAP:
         raise ConvergenceError(_UNCAPPED % (_HARD_CAP, J, mu))
 
     ln = np.concatenate([b[1] for b in blocks]) if len(blocks) > 1 else blocks[0][1]
@@ -157,7 +151,7 @@ def build_state(
     ln_weights = np.concatenate((np.full(bottom, -math.inf), shifted - ln_sum))
     return CoherentState(J=J, gamma=gamma, params=params, n_min=bottom, n_max=top,
                          ln_weights=ln_weights, tail_tol=tail_tol,
-                         ln_norm_sq=p * math.log(J) - moment_rho(p, params) + ln_sum)
+                         ln_norm_sq=ln_peak + ln_sum)
 
 
 def _lower_end(a: int, rel: np.ndarray, d: np.ndarray, jmu: float, tail_tol: float):
@@ -249,7 +243,7 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
     gamma = state.gamma + state.params.alpha * t
     if not math.isfinite(gamma):
         raise ValueError(f"gamma + alpha t must be finite, got {gamma} at t = {t}")
-    return dataclasses.replace(state, gamma=gamma)
+    return CoherentState(**{**state.__dict__, "gamma": gamma})
 
 
 def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:

@@ -25,12 +25,11 @@ one window, the widest any of them needs, and one ln K_mu value per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import ConvergenceError, ln_bessel_i, ln_bessel_k, ln_gamma
-from .spectrum import _ABS_TOL, _MAX_N, _REL_TOL, SpectrumParams, _real, moment_rho
+from .spectrum import _ABS_TOL, _MAX_N, _REL_TOL, SpectrumParams, _real, _Record, moment_rho
 
 __all__ = [
     "QuadratureConfig",
@@ -51,9 +50,8 @@ _BATCH = 8
 _U_LIMIT = 1e6
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Quadrature tolerances for the moments scaled to 1.
+class QuadratureConfig(_Record):
+    """Quadrature tolerances, finite and > 0, for the moments scaled to 1.
 
     The tanh-sinh rule halves its step until, for every moment, the last
     two levels differ by at most max(abs_tol, rel_tol * |value|); the
@@ -63,22 +61,20 @@ class QuadratureConfig:
     below abs_tol * 1e-3 (and at least 46 nats below its peak).
     """
 
-    abs_tol: float = _ABS_TOL
-    rel_tol: float = _REL_TOL
+    _fields = ("abs_tol", "rel_tol")
 
-    def __post_init__(self):
-        if not (_real(self.abs_tol, "abs_tol") > 0.0 and _real(self.rel_tol, "rel_tol") > 0.0):
+    def __init__(self, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL):
+        if not (_real(abs_tol, "abs_tol") > 0.0 and _real(rel_tol, "rel_tol") > 0.0):
             raise ValueError("quadrature tolerances must be positive")
+        if not (abs_tol < math.inf and rel_tol < math.inf):
+            raise ValueError("quadrature tolerances must be finite")
+        self.__dict__.update(abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Comparison of one numerical moment against the ladder product."""
 
-    n: int
-    integral: float
-    rho_n: float
-    rel_err: float
+    _fields = ("n", "integral", "rho_n", "rel_err")
 
 
 def density_rho(J: float, p: SpectrumParams) -> float:

@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._dd import _TWO_PI, _buffers, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
 from .gkstate import CoherentState
-from .spectrum import _real
+from .spectrum import _real, _Record
 
 __all__ = [
     "PhaseGroupReport",
@@ -62,53 +61,44 @@ __all__ = [
     "fractional_decomposition",
 ]
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(_Record):
     """Samples of one observable on a strictly increasing time grid."""
 
-    t_grid: np.ndarray
-    values: np.ndarray
-    label: str
+    _fields = ("t_grid", "values", "label")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        v = np.asarray(self.values)
+    def __init__(self, t_grid, values, label: str):
+        t = np.asarray(t_grid, dtype=float)
+        v = np.asarray(values)
         if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
             raise ValueError("t_grid and values must be 1-d arrays of equal length")
         _check_increasing(t)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "values", v)
+        self.__dict__.update(t_grid=t, values=v, label=label)
 
 
 def _series(t: np.ndarray, values: np.ndarray, label: str) -> TimeSeries:
     # A TimeSeries on a grid that _series_grid has checked, with 1-d
-    # values of its length: the fields are set as __post_init__ would set
+    # values of its length: the fields are set as __init__ would set
     # them, without checking the grid again.
     ts = object.__new__(TimeSeries)
-    for name, value in (("t_grid", t), ("values", values), ("label", label)):
-        object.__setattr__(ts, name, value)
+    ts.__dict__.update(t_grid=t, values=values, label=label)
     return ts
 
 
-@dataclass(frozen=True, eq=False)
-class FractionalDecomposition:
+class FractionalDecomposition(_Record):
     """The q complex channels P_Delta(t), Delta = 0 .. q-1, whose sum
     reproduces A(t) exactly at every grid point."""
 
-    q: int
-    fractions: list = field(default_factory=list)
+    _fields = ("q", "fractions")
+    fractions = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
-@dataclass(frozen=True)
-class PhaseGroupReport:
+class PhaseGroupReport(_Record):
     """Result of checking that phi_{kq+Delta}(1/q) mod 2 pi does not
     depend on k and matches the closed-form group phase."""
 
-    q: int
-    mu: float
-    k_max: int
-    group_phases: np.ndarray
-    max_deviation: float
+    _fields = ("q", "mu", "k_max", "group_phases", "max_deviation")
 
 
 def _grid(t_grid) -> np.ndarray:

@@ -134,7 +134,8 @@ def _first_half_width(peak: int, nu: float, ln_stop: float) -> int:
 def _peak_level(q: float, nu: float) -> int:
     # p = max{k : k (k + nu) <= q}: the terms of a series with ratio
     # t_{k-1} / t_k = k (k + nu) / q rise up to t_p and fall after it
-    p = int(2.0 * q / (nu + math.hypot(nu, 2.0 * math.sqrt(q)))) if q >= 1.0 + nu else 0
+    # q / (D / 2), not 2 q / D: the same quotient, without 2 q overflowing
+    p = int(q / (0.5 * (nu + math.hypot(nu, 2.0 * math.sqrt(q))))) if q >= 1.0 + nu else 0
     while p * (p + nu) > q:
         p -= 1
     while (p + 1) * (p + 1 + nu) <= q:
@@ -202,7 +203,7 @@ def ln_bessel_i(nu: float, x: float) -> float:
     ln_half = math.log(0.5 * x)
     q = 0.25 * x * x
     peak = _peak_level(q, nu)
-    ln_peak = (nu + 2.0 * peak) * ln_half - math.lgamma(peak + 1.0) - math.lgamma(nu + peak + 1.0)
+    ln_peak = (nu + 2.0 * peak) * ln_half - ln_gamma(peak + 1.0) - ln_gamma(nu + peak + 1.0)
     ln_stop = math.log(_REL_TOL) - 3.0
     first = min(_first_half_width(peak, nu, ln_stop), _WALK_BLOCK, _term_budget(x) // 2)
     walk = _peak_walk(q, nu, peak, min(peak, first), first)
@@ -395,6 +396,10 @@ _RATIO_X_PER_ORDER = 1e8
 _RATIO_SERIES_X2 = 4e-17
 # a Lentz step converges once its factor is within this of 1
 _RATIO_STEP_TOL = 0.01 * _REL_TOL
+# Lentz steps allowed, whatever the term budget: about a second of them.
+# The served nu <= 80 need at most about 5.2e5; past about nu = 1e16 the
+# steps stop changing, as nu + k rounds to nu, and never converge.
+_RATIO_MAX_STEPS = 1 << 22
 
 
 def bessel_i_ratio(nu: float, x: float) -> float:
@@ -410,7 +415,8 @@ def bessel_i_ratio(nu: float, x: float) -> float:
     ``(0, 1)`` for every ``x > 0`` and tends to ``x / (2(nu+1))`` as
     ``x -> 0``; that limit is returned wherever the next term,
     ``x^2 / (4(nu+1)(nu+2))``, is below 1e-17.  Raises ConvergenceError
-    past ``x = 1e8 (nu + 1)``, where the first Lentz step would overflow.
+    past ``x = 1e8 (nu + 1)``, where the first Lentz step would overflow,
+    and where the fraction has not converged in ``_RATIO_MAX_STEPS`` steps.
     """
     _check_domain(nu, x)
     # ratios, not a product, so a huge order cannot overflow the test
@@ -428,7 +434,8 @@ def bessel_i_ratio(nu: float, x: float) -> float:
     f = tiny
     c = f
     d = 0.0
-    for k in range(1, _term_budget(x) + 1):
+    steps = min(_term_budget(x), _RATIO_MAX_STEPS)
+    for k in range(1, steps + 1):
         b = 2.0 * (nu + k) / x
         d = b + d
         c = b + 1.0 / c
@@ -438,7 +445,7 @@ def bessel_i_ratio(nu: float, x: float) -> float:
         if abs(delta - 1.0) < _RATIO_STEP_TOL:
             return f
     raise ConvergenceError(
-        f"ratio continued fraction for nu={nu}, x={x} did not converge"
+        f"ratio continued fraction for nu={nu}, x={x} did not converge in {steps} steps"
     )
 
 

@@ -45,16 +45,37 @@ _MANDEL_JMU_MAX = 1e12
 
 
 class _Record:
-    """Immutable record with the equality, hash and repr of a frozen
-    dataclass, without importing dataclasses: that module loads inspect
-    (and with it ast, dis and tokenize), which the closed-form commands
-    would otherwise spend most of their package import on.  A subclass
-    names its fields in order in ``_fields`` and stores them in its
-    ``__init__`` through ``self.__dict__``; assignment and deletion raise
-    AttributeError, and copy and pickle restore that dict as they do for
-    any plain instance."""
+    """The package's one record type: immutable, with the constructor,
+    equality, hash and repr of a frozen dataclass, but without importing
+    dataclasses, which loads inspect (and with it ast, dis and tokenize)
+    and generates each class's methods as its module runs.  A subclass
+    names its fields in order in ``_fields``; one that validates has its
+    own ``__init__``, and one with identity equality (``eq=False``) takes
+    object's ``__eq__`` and ``__hash__``.  Assignment and deletion raise AttributeError, and copy
+    and pickle restore that dict as they do for any plain instance."""
 
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        cls, fields, values = type(self), self._fields, self.__dict__
+        values.update(zip(fields, args), **kwargs)
+        need = [f for f in fields if f not in values]
+        fn = f"{cls.__qualname__}.__init__()"
+        # a surplus positional argument, a field given twice, or an unknown keyword
+        if len(values) < len(args) + len(kwargs) or len(values) + len(need) > len(fields):
+            if len(args) > len(fields):
+                least = len([f for f in fields if not hasattr(cls, f)]) + 1
+                takes = f"from {least} to " * (least <= len(fields)) + str(len(fields) + 1)
+                raise TypeError(f"{fn} takes {takes} positional arguments but {len(args) + 1} "
+                                "were given")
+            name = next(k for k in kwargs if k not in fields[len(args) :])
+            why = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{fn} got {why} argument {name!r}")
+        if missing := [repr(f) for f in need if not hasattr(cls, f)]:
+            n, s = len(missing), "s" * (len(missing) > 1)
+            names = ", ".join(missing[:-1]) + "," * (n > 2) + " and " * (n > 1) + missing[-1]
+            raise TypeError(f"{fn} missing {n} required positional argument{s}: {names}")
+        values.update({f: getattr(cls, f) for f in need})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,19 +83,16 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.__dict__ == other.__dict__
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
 
     def __repr__(self):
-        items = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        items = ", ".join(f"{k}={self.__dict__[k]!r}" for k in self._fields)
         return f"{type(self).__qualname__}({items})"
 
 
@@ -97,9 +115,6 @@ class TimeScales(_Record):
     """Classical period and revival time of a wavepacket on the ladder."""
 
     _fields = ("t_classical", "t_revival")
-
-    def __init__(self, t_classical: float, t_revival: float):
-        self.__dict__.update(t_classical=t_classical, t_revival=t_revival)
 
 
 def _finite(value: float, what: str) -> float:

@@ -635,6 +635,31 @@ def test_closed_form_range_exit_3(args, capsys):
     assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("mu", ["3e305", "8.99e306", "1.7e308"])
+@pytest.mark.parametrize("command", ["weights", "autocorr", "overlap", "survival-intensity"])
+def test_huge_mu_one_error_line(command, mu, tmp_path, capsys):
+    # ln rho_n or the weight walk fails: exit 2 or 3 with one error line,
+    # where 8.99e306 raised OverflowError (2 J mu overflowing in the peak
+    # level) and left a traceback
+    out = tmp_path / "h.csv"
+    assert main([command, "--mu", mu, "--out", str(out)]) in (2, 3)
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_huge_order_ratio_exit_3():
+    # at mu = 1e100, J = 1e110 the Lentz steps stop changing; their old
+    # budget, 30 sqrt(x) at x = 2e105, was about 1e54 steps
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "gkrevival.cli", "timescales", "--mu", "1e100",
+                          "--j", "1e110", "--out", os.devnull],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("error: ratio continued fraction") and out.stderr.count("\n") == 1
+
+
 def test_phase_bound_exit_2(tmp_path, monkeypatch, capsys):
     out = tmp_path / "a.csv"
     assert main(["autocorr", "--mu", "28.3", "--t-max", "1e25", "--out", str(out)]) == 2

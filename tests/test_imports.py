@@ -100,6 +100,14 @@ def test_closed_forms_load_no_inspect(tmp_path, commands):
     assert _loaded(tmp_path, commands, *chain) == "[]"
 
 
+@pytest.mark.parametrize("command", [["weights"], ["autocorr", "--points", "50"],
+                                     ["unity", "--n-max", "2"]])
+def test_array_commands_load_no_dataclasses(tmp_path, command):
+    # every record is a spectrum._Record, so gkstate, revival and measure
+    # generate no dataclass methods; NumPy itself loads inspect and typing
+    assert _loaded(tmp_path, [command + ["--out", "out.csv"]], "dataclasses") == "[]"
+
+
 @pytest.mark.parametrize("command", _CLOSED_FORMS)
 def test_closed_forms_execute_only_spectrum(tmp_path, command):
     # no state, no kernel, no quadrature: an eager import in cli fails this

@@ -36,6 +36,11 @@ def test_config_validation():
     for name in ("abs_tol", "rel_tol"):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer past"):
             QuadratureConfig(**{name: 10**400})
+        # an infinite abs_tol passed 1.509 for rho_1 = 1.5 at mu = 2
+        with pytest.raises(ValueError, match="^quadrature tolerances must be finite$"):
+            QuadratureConfig(**{name: math.inf})
+        with pytest.raises(ValueError, match="^quadrature tolerances must be positive$"):
+            QuadratureConfig(**{name: math.nan})
 
 
 @pytest.mark.parametrize("mu", [0.5, 2.0, 28.0, 80.0])

@@ -298,6 +298,22 @@ def test_ratio_lentz_range(nu):
         bessel_i_ratio(nu, 3.7e8 * (nu + 1.0))
 
 
+def test_ratio_step_cap():
+    # the Lentz steps stop at _RATIO_MAX_STEPS, not at the term budget of
+    # about 1e54 steps at x = 1e105; at nu = 1e100, nu + k rounds to nu,
+    # so the steps stop changing and never converge
+    with pytest.raises(ConvergenceError, match=f"did not converge in {1 << 22} steps"):
+        bessel_i_ratio(1e100, 1e105)
+
+
+def test_huge_order_is_value_error():
+    # lgamma(nu + 1) overflows past about 2.5e305: ValueError, not
+    # OverflowError; and the peak level's quotient no longer doubles q
+    with pytest.raises(ValueError, match="overflows"):
+        ln_bessel_i(2.56e305, 0.15)
+    assert specfun._peak_level(8.99e307, 8.99e306) == 10
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     nu=st.floats(min_value=0.0, max_value=100.0),

@@ -1,10 +1,12 @@
 """Ladder tests: level values, finite differences, moment products, the
 two revival time scales, the scalar entry points' inputs (a finite
 float or ValueError, never NaN, inf or another exception), and the
-immutable records (SpectrumParams, TimeScales and cli.RunConfig): their
-repr, equality, hash, copies and pickles, and validation messages."""
+immutable records on spectrum._Record: their repr, equality, hash,
+copies and pickles, their constructor's TypeErrors against a
+dataclass's, and validation messages."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -15,8 +17,11 @@ from hypothesis import strategies as st
 
 from gkrevival.cli import RunConfig
 from gkrevival.gkstate import build_state, evolve, normalization_sq, weight
-from gkrevival.measure import QuadratureConfig, density_rho, measure_k, moment_checks
-from gkrevival.revival import autocorrelation, phase_group_check
+from gkrevival.gkstate import CoherentState
+from gkrevival.measure import (MomentReport, QuadratureConfig, density_rho, measure_k,
+                               moment_checks)
+from gkrevival.revival import (FractionalDecomposition, TimeSeries, autocorrelation,
+                               phase_group_check)
 from gkrevival.specfun import ConvergenceError, bessel_i_ratio
 from gkrevival.spectrum import (
     SpectrumParams,
@@ -56,11 +61,18 @@ _RECORDS = [
      "RunConfig(command='survival', j=10.0, mu=28.0, alpha=1.0, q=5, delta=2, t_max=1.0, "
      "points=2001, n_max=5, j_max=20.0, tail_tol=1e-14, abs_tol=1e-10, rel_tol=1e-08, "
      "out_path='s.csv', figure=4)", ("delta", 1)),
+    (QuadratureConfig, (), {}, "QuadratureConfig(abs_tol=1e-10, rel_tol=1e-08)",
+     ("rel_tol", 1e-6)),
+    (QuadratureConfig, (1e-6,), dict(rel_tol=0.5), "QuadratureConfig(abs_tol=1e-06, rel_tol=0.5)",
+     ("rel_tol", 0.25)),
+    (MomentReport, (1, 1.5), dict(rho_n=1.5, rel_err=0.0),
+     "MomentReport(n=1, integral=1.5, rho_n=1.5, rel_err=0.0)", ("rel_err", 1e-3)),
 ]
 
 
 @pytest.mark.parametrize("cls, args, kw, text, other", _RECORDS, ids=[
-    "params", "params-int-mu", "timescales", "runconfig", "runconfig-figure"])
+    "params", "params-int-mu", "timescales", "runconfig", "runconfig-figure", "quadrature",
+    "quadrature-args", "moment-report"])
 def test_records(cls, args, kw, text, other):
     record = cls(*args, **kw)
     assert repr(record) == text
@@ -83,6 +95,89 @@ def test_records(cls, args, kw, text, other):
         with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
             dup.extra = value
         assert repr(dup) == text
+
+
+# the records with identity equality and hash (eq=False dataclasses
+# before): a record whose arrays and lists are not compared
+_ENTITIES = {
+    "state": lambda: build_state(10.0, 0.5, SpectrumParams(28.0)),
+    "series": lambda: TimeSeries([0.0, 0.5], [1.0, 2.0], "x"),
+    "decomposition": lambda: FractionalDecomposition(2, [TimeSeries([0.0], [1j], "P_0(t)")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTITIES))
+def test_identity_records(name):
+    record, twin = _ENTITIES[name](), _ENTITIES[name]()
+    assert record == record and record != twin and not record == twin
+    assert hash(record) == object.__hash__(record) and len({record, twin, record}) == 2
+    fields = record._fields
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for dup in copies:
+        assert type(dup) is type(record) and dup != record and vars(dup).keys() == set(fields)
+        assert repr(dup) == repr(record)
+    for dup in [record] + copies:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
+            setattr(dup, fields[0], 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{fields[-1]}'"):
+            delattr(dup, fields[-1])
+
+
+def test_record_reprs():
+    # as the frozen dataclasses printed them
+    assert repr(build_state(0.0, 0.5, SpectrumParams(2.0))) == (
+        "CoherentState(J=0.0, gamma=0.5, params=SpectrumParams(mu=2.0, alpha=1.0), n_min=0, "
+        "n_max=0, ln_weights=array([0.]), ln_norm_sq=0.0, tail_tol=1e-14)")
+    assert repr(TimeSeries([0.0, 0.5], [1, 2], "x")) == (
+        "TimeSeries(t_grid=array([0. , 0.5]), values=array([1, 2]), label='x')")
+    assert repr(phase_group_check(3, 2.0, 2)) == (
+        "PhaseGroupReport(q=3, mu=2.0, k_max=2, group_phases=array([0.       , 0.       , "
+        "4.1887902]), max_deviation=8.881784197001252e-15)")
+    # the one deliberate change: an empty tuple, where a class-level
+    # list would be shared by every default instance
+    assert repr(FractionalDecomposition(3)) == "FractionalDecomposition(q=3, fractions=())"
+
+
+def test_shared_constructor_binds_like_a_dataclass():
+    state = build_state(0.0, 0.5, SpectrumParams(2.0))
+    fields = {name: getattr(state, name) for name in CoherentState._fields}
+    by_position = CoherentState(*fields.values())
+    mixed = CoherentState(*list(fields.values())[:3], **dict(list(fields.items())[3:]))
+    for built in (by_position, mixed, CoherentState(**fields)):
+        assert vars(built).keys() == fields.keys()
+        assert all(vars(built)[k] is v for k, v in fields.items())
+    assert TimeScales(1.0, t_revival=2.0) == TimeScales(t_classical=1.0, t_revival=2.0)
+    assert FractionalDecomposition(q=3).fractions == ()
+
+
+def _dataclass_twin(cls):
+    # a dataclass of the record's name, fields and class-attribute defaults
+    specs = [(f, object, dataclasses.field(default=getattr(cls, f))) if hasattr(cls, f) else f
+             for f in cls._fields]
+    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)
+
+
+@pytest.mark.parametrize("cls", [TimeScales, CoherentState, FractionalDecomposition, MomentReport])
+@pytest.mark.parametrize("call", [
+    lambda cls, fields: cls(*range(len(fields) + 1)),  # a surplus positional argument
+    lambda cls, fields: cls(*range(len(fields)), extra=1),  # an unknown keyword
+    lambda cls, fields: cls(1, **{fields[0]: 2}),  # a field by position and by keyword
+    lambda cls, fields: cls(),  # every field missing
+    lambda cls, fields: cls(1),  # all but the first missing
+    lambda cls, fields: cls(**{fields[-1]: 1}),  # all but the last missing
+], ids=["surplus", "unknown", "twice", "none", "first-only", "last-only"])
+def test_shared_constructor_type_errors(cls, call):
+    # the message Python gives for a dataclass's __init__, or the same
+    # fields where that call binds
+    def outcome(target):
+        try:
+            return vars(call(target, cls._fields))
+        except TypeError as exc:
+            return str(exc)
+
+    assert outcome(cls) == outcome(_dataclass_twin(cls))
 
 
 @pytest.mark.parametrize("make, error, message", [
