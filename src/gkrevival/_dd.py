@@ -31,7 +31,8 @@ vector of each partner.
 
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
-about 1e-12 of a cycle, and raises ValueError past it.
+about 1e-12 of a cycle, and each of its factors to the split's range,
+and raises ValueError past either.
 
 NumPy is imported, and the table built, when the module executes: ``import
 gkrevival`` leaves it a lazy module, which executes on first use.
@@ -98,16 +99,21 @@ def quadratic_in_n(n, mu):
 
 def _check_cycles(n_top: int, mu: float, t_max: float) -> None:
     """Raise ValueError if (mu*n_top + n_top**2) * t_max, rounded as the hi
-    part of ``quadratic_in_n`` rounds it, exceeds the reduction bound:
-    n_top is the top level and t_max the largest |t| of one set of phases.
+    part of ``quadratic_in_n`` rounds it, exceeds the reduction bound, or
+    ``_split`` overflows on one of its factors (past about 1.3e300): n_top
+    is the top level and t_max the largest |t| of one set of phases.
     """
     # in Python floats, which overflow to inf without a warning
-    cycles = (n_top * n_top + float(mu) * n_top) * float(t_max)
+    m = n_top * n_top + float(mu) * n_top
+    cycles = m * float(t_max)
     if cycles > _MAX_CYCLES:
         raise ValueError(
             f"phase argument (mu*n_max + n_max**2)*max|t| = {cycles:.3g} is past "
             f"{_MAX_CYCLES:g}, where its reduction mod 1 loses over 1e-12 of a cycle"
         )
+    for name, x in (("mu", mu), ("mu*n_max + n_max**2", m), ("max|t|", t_max)):
+        if not _SPLITTER * float(x) < math.inf:
+            raise ValueError(f"phase factor {name} = {x:.3g} overflows the split x * (2**27 + 1)")
 
 
 def mul_frac(m_hi, m_lo, t, out=None):

@@ -167,10 +167,17 @@ def _lower_end(a: int, rel: np.ndarray, d: np.ndarray, jmu: float, tail_tol: flo
 def _upper_end(a: int, rel: np.ndarray, d: np.ndarray, J: float, jmu: float, tail_tol: float):
     # n_max's test on levels a >= p, a + 1, .., given a_n / a_p on them and
     # d_n on two more: the first level whose energy-weighted bound closes,
-    # or None (where s >= 1 the test fails, 1 - s <= 0)
-    closed = rel * J < tail_tol * (1.0 - jmu / d[1:-1] * (d[2:] / d[1:-1]))
-    i = int(closed.argmax())
-    return a + i if closed[i] else None
+    # or None (where s >= 1 the test fails, 1 - s <= 0).  d_n rises with
+    # n, and the test of offset m on reads the first d_n that overflows:
+    # ConvergenceError if no level before it closes
+    m = max(0, int(d.searchsorted(math.inf)) - 2)
+    closed = rel[:m] * J < tail_tol * (1.0 - jmu / d[1 : m + 1] * (d[2 : m + 2] / d[1 : m + 1]))
+    if closed.any():
+        return a + int(closed.argmax())
+    if m < len(rel):
+        raise ConvergenceError(f"weight tail did not close below level {a + m + 2}, where "
+                               f"d_n = n (n + mu) overflows (J={J!r}, J mu={jmu!r})")
+    return None
 
 
 def normalization_sq(J: float, p: SpectrumParams) -> float:

@@ -172,7 +172,9 @@ def _scaled_moments(ns, ln_shift: np.ndarray, mu: float, cfg: QuadratureConfig) 
         m *= 2
         total = total + node_sum(h * np.arange(1 - m, m, 2))
         previous, estimate = estimate, h * total
-        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(estimate))
+        # a product past the float range is inf, which every finite change meets
+        with np.errstate(over="ignore"):
+            bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(estimate))
         if (np.abs(estimate - previous) <= bound).all():
             return estimate
     worst = int(np.argmax(np.abs(estimate - previous)))

@@ -15,7 +15,7 @@ Delta summing the levels n = Delta (mod q).  |A(t)|^2 splits into the
 diagonal sum |P_Delta|^2 and the interference part
 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}), one prefix sum.
 
-Every value here comes from one kernel, ``_channels``, over the state's
+Each float-time value comes from one kernel, ``_channels``, over the state's
 window of L = n_max - n_min + 1 levels.  Modulus q has min(q, L) columns:
 column c holds the window offsets j = c (mod q), so its channel is
 (n_min + c) mod q, and a channel no column holds is exactly 0.  Blocks of
@@ -35,24 +35,27 @@ The kernel keeps one memo entry, the read-only column blocks of the last
 ln_weights[n_min:] as bytes, grid as bytes).  A call asking a modulus the
 entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and replaces
 the entry.  Validation runs before the lookup.
+
+At an exact fraction t = r/s of the revival time (Averbukh and Perelman,
+Phys. Lett. A 139, 449 (1989)) and integer mu, ``rational_channels``
+takes no float time: each phase is whole cycles plus k_n / s, with the
+residue k_n = n (n + mu) r mod s computed in integers.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
 
-from ._dd import _TWO_PI, _buffers, _check_cycles, _phase_terms, mul_frac, quadratic_in_n
+from ._dd import _buffers, _check_cycles, _phase_terms
 from .gkstate import CoherentState
-from .spectrum import _real, _Record
+from .spectrum import _Record
 
 __all__ = [
-    "PhaseGroupReport",
     "channel_amplitudes",
     "intensity_split",
-    "phase_group_check",
+    "rational_channels",
     # kept only while benchmarks/large_j.py calls them
     "TimeSeries",
     "FractionalDecomposition",
@@ -92,13 +95,6 @@ class FractionalDecomposition(_Record):
     _fields = ("q", "fractions")
     fractions = ()
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-
-class PhaseGroupReport(_Record):
-    """Result of checking that phi_{kq+Delta}(1/q) mod 2 pi does not
-    depend on k and matches the closed-form group phase."""
-
-    _fields = ("q", "mu", "k_max", "group_phases", "max_deviation")
 
 
 def _grid(t_grid) -> np.ndarray:
@@ -279,39 +275,32 @@ def _interference(p: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(p[:, 1:] * np.conj(below)).sum(axis=1)
 
 
-def phase_group_check(q: int, mu: float, k_max: int) -> PhaseGroupReport:
-    """Verify the residue-class phase collapse at t = 1/q.
+def rational_channels(state: CoherentState, q: int, r: int, s: int) -> np.ndarray:
+    """P_Delta at the exact time t = r/s for Delta = 0 .. q-1, a new (q,)
+    complex array; q = 1 gives A(r/s).
 
-    For integer mu the phase of level n = kq + Delta at t = 1/q reduces,
-    mod 2 pi, to the k-independent group phase 2 pi ((mu Delta + Delta^2)
-    mod q) / q.  Returns the q group phases and the largest circular
-    distance between the numerically reduced phases and those targets
-    over all k <= k_max.  Non-integer mu breaks the collapse and is
-    rejected.  mu n + n^2 is exact only for n < 2^26, so
-    (k_max + 1) q > 2^26 is rejected too, as is a phase past 1e20 cycles.
+    k_n = n (n + mu) r mod s is exact in int64 once n, mu and r are
+    reduced mod s < 2^31, one table holds cos and -sin of 2 pi k/s over
+    the distinct k_n, and each channel sums its window levels in level
+    order, within gamma_L sum_n w_n of the exact sum of those factors; a
+    channel no level reaches is exactly 0.  Raises ValueError for a
+    non-integer mu or r, q or s below 1, and s >= 2^31.
     """
-    _check_residue(q)
-    if not (math.isfinite(_real(mu, "mu")) and mu > 0.0 and float(mu).is_integer()):
+    mu = state.params.mu
+    if not float(mu).is_integer():
         raise ValueError(f"phase grouping requires a positive integer mu, got {mu}")
-    if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max}")
-    if (k_max + 1) * q > 1 << 26:
-        raise ValueError(f"(k_max + 1) q must be at most 2^26, got {(k_max + 1) * q}")
-    _check_cycles((k_max + 1) * q - 1, mu, 1.0 / q)
-
-    mu_i = int(mu)
-    targets = np.array(
-        [_TWO_PI * ((mu_i * d + d * d) % q) / q for d in range(q)]
-    )
-    worst = 0.0
-    t = 1.0 / q
-    for d in range(q):
-        n = np.arange(k_max + 1, dtype=float) * q + d
-        m_hi, m_lo = quadratic_in_n(n, float(mu_i))
-        reduced = _TWO_PI * mul_frac(m_hi, m_lo, t)
-        dev = np.abs(reduced - targets[d])
-        dev = np.minimum(dev, _TWO_PI - dev)
-        worst = max(worst, float(dev.max()))
-    return PhaseGroupReport(
-        q=q, mu=float(mu_i), k_max=int(k_max), group_phases=targets, max_deviation=worst
-    )
+    _check_residue(q, least=1)
+    if not isinstance(r, numbers.Integral):
+        raise ValueError(f"r must be an integer, got {r}")
+    if not (isinstance(s, numbers.Integral) and 1 <= s < 1 << 31):
+        raise ValueError(f"s must be an integer in [1, 2^31), got {s}")
+    n = np.arange(state.n_min, state.n_max + 1, dtype=np.int64)
+    m = n % s
+    k = m * ((m + int(mu) % s) % s) % s * (int(r) % s) % s
+    ks, at = np.unique(k, return_inverse=True)
+    angle = (2.0 * np.pi) * (ks / s)
+    w = np.exp(state.ln_weights[state.n_min :])
+    out = np.empty(q, dtype=complex)
+    out.real = np.bincount(n % q, w * np.cos(angle)[at], minlength=q)
+    out.imag = np.bincount(n % q, w * -np.sin(angle)[at], minlength=q)
+    return out

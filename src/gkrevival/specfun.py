@@ -153,13 +153,14 @@ def _peak_walk(q: float, nu: float, p: int, below: int, above: int):
     block below (-1) or above (+1), twice that side's last, at most
     ``_WALK_BLOCK`` levels and none below 0.  A block's cumsum is seeded
     with its neighbour's value, so each level is evaluated once and has
-    the bits of one cumsum from p (ln(d_k / q) is inf where q underflows).
+    the bits of one cumsum from p (ln(d_k / q) is inf where q underflows,
+    and d_k is inf where it overflows).
     """
     import numpy as np
     lo, hi = p - below, p + above
     k = np.arange(lo, hi + 3, dtype=float)
-    d = k * (k + nu)
     with np.errstate(divide="ignore", over="ignore"):
+        d = k * (k + nu)
         ln_r = np.log(d[1 : hi - lo + 1] / q)  # ln r_k, k = lo + 1 .. hi
     ln = np.concatenate((np.cumsum(ln_r[:below][::-1])[::-1], [0.0], -np.cumsum(ln_r[below:])))
     a, size, end = lo, {-1: below, 1: above}, {-1: ln[0], 1: ln[-1]}
@@ -168,9 +169,9 @@ def _peak_walk(q: float, nu: float, p: int, below: int, above: int):
         n = size[side] = min(2 * size[side], _WALK_BLOCK, lo if side < 0 else _WALK_BLOCK)
         lo, a, hi = (lo - n, lo - n, hi) if side < 0 else (lo, hi + 1, hi + n)
         k = np.arange(a, a + n + 2, dtype=float)
-        d = k * (k + nu)
         # outward steps ln(t_next / t_cur): ln r_k down from k = a + n, -ln r_k up from k = a
         with np.errstate(divide="ignore", over="ignore"):
+            d = k * (k + nu)
             steps = np.log(d[1 : n + 1] / q)[::-1] if side < 0 else -np.log(d[:n] / q)
         steps[0] += end[side]
         ln = np.cumsum(steps)[::side]

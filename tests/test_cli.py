@@ -1,11 +1,13 @@
 """CLI tests: dataset schema, determinism, exit codes, figure bundles,
 the state-free sweep rows against the state path, the pure-Python grids
 against np.linspace, the column-wise CSV writer against a per-cell
-oracle, round-tripping through the bundled reader, and random dataset
-commands in a child with 1 GiB of address space."""
+oracle, round-tripping through the bundled reader, random dataset
+commands in a child with 1 GiB of address space, and the input contract
+of overlap, weights and autocorr over every value their flags accept."""
 
 import argparse
 import atexit
+import contextlib
 import gc
 import io
 import math
@@ -13,10 +15,12 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkrevival import _dd, specfun
@@ -844,3 +848,83 @@ def test_timescales_out_of_range_exit_2(j, capsys):
     # J = 0, and the quotient overflows at J = 10; no row of inf or nan
     assert main(["timescales", "--j", j, "--mu", "0.5", "--alpha", "5e-324", "--out", "-"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    "overlap --j 10 --mu 1e300 --points 3",
+    "autocorr --j 0 --mu 1e301 --points 3",
+    "autocorr --j 0 --t-max 1e305 --points 3",
+    "survival-intensity --j 0 --mu 1e302 --points 3",
+])
+def test_split_overflow_exit_2(args, tmp_path, capsys):
+    # the phase reduction's Dekker split multiplies mu, mu n + n^2 and t
+    # by 2^27 + 1: past about 1.3e300 that overflows, and the rows were NaN
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args.split() + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert caught == [] and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _log_uniform(lo, hi):
+    # 2^e for e uniform on [log2 lo, log2 hi]: every binade of the range
+    # equally likely
+    return st.floats(math.log2(lo), math.log2(hi)).map(lambda e: min(2.0**e, hi))
+
+
+_MU_ANY = _log_uniform(5e-324, 1.79e308)
+_J_ANY = st.one_of(st.just(0.0), _log_uniform(5e-324, 1.79e308))
+_TOL_ANY = _log_uniform(5e-324, 1e-6)
+# seconds a contract case may take: the widest windows (near 10^6 levels
+# at tail_tol 5e-324) build and write in well under this
+_CONTRACT_SECONDS = 20.0
+
+
+def _contract(args, tmp_path):
+    # exit 0 with finite cells, or exit 2 or 3 with one error line; no
+    # warning either way, within _CONTRACT_SECONDS
+    out = tmp_path / "contract.csv"
+    start = time.perf_counter()
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in args] + ["--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert caught == [], (args, [str(w.message) for w in caught])
+    assert elapsed < _CONTRACT_SECONDS, (args, elapsed)
+    assert code in (0, 2, 3), args
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, args
+        assert not out.exists(), args
+        return
+    assert err.getvalue() == "", args
+    _, _, rows = read_dataset(str(out))
+    assert all(math.isfinite(v) for row in rows for v in row), args
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(j=_J_ANY, mu=_MU_ANY, tol=_TOL_ANY)
+@example(j=10.0, mu=1e300, tol=1e-14)  # NaN rows at exit 0 before the split guard
+def test_overlap_contract(j, mu, tol, tmp_path_factory):
+    _contract(["overlap", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol),
+               "--points", "3"], tmp_path_factory.mktemp("overlap"))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(j=_J_ANY, mu=_MU_ANY, tol=_TOL_ANY)
+@example(j=1000.0, mu=1.7e305, tol=1e-14)  # warned, then walked 10^6 levels
+def test_weights_contract(j, mu, tol, tmp_path_factory):
+    _contract(["weights", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol)],
+              tmp_path_factory.mktemp("weights"))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(j=_J_ANY, mu=_MU_ANY, tol=_TOL_ANY, t_max=_log_uniform(5e-324, 1.79e308),
+       points=st.integers(2, 5))
+@example(j=0.0, mu=1e301, tol=1e-14, t_max=1.0, points=3)
+@example(j=0.0, mu=28.0, tol=1e-14, t_max=1e305, points=3)
+def test_autocorr_contract(j, mu, tol, t_max, points, tmp_path_factory):
+    _contract(["autocorr", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol),
+               "--t-max", repr(t_max), "--points", points], tmp_path_factory.mktemp("autocorr"))

@@ -2,6 +2,7 @@
 (the module's master property), observables, evolution, and overlaps."""
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -225,6 +226,16 @@ def test_levels_capped(J):
     # or, near p = 999 500, the upper tail does
     with pytest.raises(ConvergenceError, match="did not close within 1000000 levels"):
         build_state(J, 0.0, SpectrumParams(mu=1.0))
+
+
+def test_overflowing_d_n_stops_the_walk():
+    # at J = 1000, mu = 1.7e305, d_n = n (n + mu) overflows from level 1058
+    # on, before the upper tail closes: the walk stops there, where it
+    # warned and went on to 10^6 levels
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="overflows"):
+        build_state(1000.0, 0.0, SpectrumParams(mu=1.7e305))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_levels_just_below_cap():

@@ -188,7 +188,7 @@ def read(module, name, barrier):
         failed.append(exc)
 
 for m, name in [("_dd", "_phase_terms"), ("gkstate", "overlap"),
-                ("revival", "phase_group_check"), ("measure", "moment_checks")]:
+                ("revival", "rational_channels"), ("measure", "moment_checks")]:
     barrier = threading.Barrier(4)
     threads = [threading.Thread(target=read, args=(sys.modules["gkrevival." + m], name, barrier))
                for _ in range(4)]

@@ -528,6 +528,15 @@ def test_cycle_bound_in_python_floats(n, mu):
     assert n * n + mu * n == float(quadratic_in_n(n, mu)[0])
 
 
+def test_quadratic_in_n_exact_below_2_26():
+    # mu n + n^2 is exact as a hi/lo pair while n^2 is a double: at
+    # n = 2^27 + 1 it is off by 1, a quarter cycle at t = 1/4
+    for n in (0, 1, 4437, 2**26 - 1):
+        assert sum(map(Fraction, quadratic_in_n(float(n), 28.0))) == 28 * n + n * n
+    n = 2**27 + 1
+    assert sum(map(Fraction, quadratic_in_n(float(n), 28.0))) == 28 * n + n * n - 1
+
+
 def test_phase_bound_kernel(monkeypatch):
     s = _state(10.0, 28.3)
     t_in = _bound_t(s) * (1.0 - 1e-9)

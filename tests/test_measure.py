@@ -3,6 +3,7 @@ identity, moment quadrature against the ladder products, and the
 substitution cross-check against SciPy's adaptive quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ def test_moment_checks_match_single_rho():
         single = moment_checks([n], p)[0]
         assert rep.rho_n == single.rho_n
         assert math.isclose(rep.integral, single.integral, rel_tol=1e-12)
+
+
+def test_huge_rel_tol_no_overflow_warning():
+    # rel_tol |estimate| passes the float range at rel_tol = 1.79e308: the
+    # test still reads it as met, as at 1e300, and warns of nothing
+    p = SpectrumParams(mu=28.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = moment_checks(range(3), p, QuadratureConfig(rel_tol=1.79e308))
+    assert huge == moment_checks(range(3), p, QuadratureConfig(rel_tol=1e300))
 
 
 def test_rho_overflow_is_value_error():

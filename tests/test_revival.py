@@ -1,18 +1,15 @@
 """Revival tests: phase reduction, autocorrelation identities, channel
-regrouping, diagonal/interference split, and the group-phase collapse
-and its exact-level range."""
+regrouping, diagonal/interference split, and the channels at exact
+fractional times with their group-phase collapse."""
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkrevival import revival
-from gkrevival._dd import quadratic_in_n
 from gkrevival.gkstate import build_state, mean_energy, weights
 from gkrevival.revival import (
     FractionalDecomposition,
@@ -22,7 +19,7 @@ from gkrevival.revival import (
     channel_amplitudes,
     fractional_decomposition,
     intensity_split,
-    phase_group_check,
+    rational_channels,
 )
 from gkrevival.spectrum import SpectrumParams, phase
 
@@ -247,34 +244,71 @@ def test_interference_is_real_symmetrization():
         assert math.isclose(acc.real, intensity_split(s, 4, [t])[2][0], rel_tol=0, abs_tol=1e-12)
 
 
-def test_phase_group_check():
-    rep = phase_group_check(2, 2.0, 50)
-    assert rep.max_deviation < 1e-9
-    rep = phase_group_check(4, 28.0, 50)
-    assert rep.max_deviation < 1e-9
-    assert rep.q == 4 and rep.mu == 28.0 and rep.k_max == 50
-    # (q=3, mu=1, delta=1): group phase 2 pi (1+1)/3 = 4 pi/3
-    rep3 = phase_group_check(3, 1.0, 10)
-    assert math.isclose(rep3.group_phases[1], 4.0 * math.pi / 3.0, rel_tol=1e-15)
+# (J, mu) windows of 36 to 13014 levels
+_RATIONAL_STATES = [(10.0, 28.0), (1e6, 16.0), (1e9, 80.0), (1e10, 80.0)]
 
 
-def test_phase_group_check_validation():
-    with pytest.raises(ValueError):
-        phase_group_check(4, 2.5, 50)
-    with pytest.raises(ValueError):
-        phase_group_check(1, 2.0, 50)
-    with pytest.raises(ValueError):
-        phase_group_check(4, 2.0, 0)
+@pytest.mark.parametrize("J, mu", _RATIONAL_STATES)
+def test_rational_channels_match_kernel_at_dyadic_times(J, mu):
+    # r / 2^m is an exact float, so the kernel evaluates the same time:
+    # the two agree within the kernel's summation bound gamma_L sum w
+    s = _state(J, mu)
+    w = weights(s)
+    size = s.n_max - s.n_min + 1
+    bound = size * 2.0**-53 / (1.0 - size * 2.0**-53) * math.fsum(w) + 1e-15
+    for q in (1, 4, 7):
+        for r, m in ((1, 1), (3, 3), (-5, 10), (12345, 16), (2**30 + 1, 30)):
+            exact = rational_channels(s, q, r, 2**m)
+            assert exact.shape == (q,)
+            assert np.abs(exact - channel_amplitudes(s, q, [r / 2**m])[0]).max() <= bound
 
 
-def test_phase_group_check_exact_levels_only(monkeypatch):
-    # mu n + n^2 is exact as a hi/lo pair only below 2^26: at n = 2^27 + 1
-    # it is off by 1, a quarter cycle at t = 1/4.  So a check whose top
-    # level (k_max + 1) q - 1 reaches 2^26 is rejected, before any level
-    # is built.
-    n = 2**27 + 1
-    assert sum(map(Fraction, quadratic_in_n(float(n), 28.0))) == 28 * n + n * n - 1
-    monkeypatch.setattr(revival, "quadratic_in_n", None)
-    for q, k_max in ((4, 2**24), (4, 2**25), (2**13, 2**13), (3, 10**8), (2**27, 1)):
-        with pytest.raises(ValueError, match="2\\^26"):
-            phase_group_check(q, 28.0, k_max)
+def test_rational_channels_exact_at_one_third():
+    # at J = 1e9, mu = 80 the float 1/3 is off the fraction by enough to
+    # move A by 5.4e-6; the reader takes the fraction itself
+    mpmath = pytest.importorskip("mpmath")
+    s = _state(1e9, 80.0)
+    w = weights(s)
+    with mpmath.workdps(40):
+        exact = complex(mpmath.fsum(mpmath.mpf(float(w[n])) * mpmath.expjpi(mpmath.mpf(-2 * k) / 3)
+                                    for n in range(s.n_min, s.n_max + 1)
+                                    for k in [n * (n + 80) % 3]))
+    assert abs(rational_channels(s, 1, 1, 3)[0] - exact) <= 1e-14
+    assert abs(channel_amplitudes(s, 1, [1.0 / 3.0])[0, 0] - exact) > 1e-6
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0, 28.0, 80.0])
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_rational_channels_group_phases(q, mu):
+    # at t = 1/q the levels n = kq + Delta share the group phase
+    # -2 pi ((Delta (Delta + mu)) mod q) / q, whatever k
+    s = _state(1e4, mu)
+    w = weights(s)
+    p = rational_channels(s, q, 1, q)
+    for d in range(q):
+        group = cmath.exp(-2j * math.pi * ((d * (d + int(mu))) % q) / q)
+        assert abs(p[d] - group * math.fsum(w[d::q])) <= 1e-15
+    # the ground state is 1 at every time, and every channel at s = 1
+    assert rational_channels(_state(0.0, mu), 1, 7, q).tolist() == [1.0]
+    assert np.abs(rational_channels(s, q, 3, 1) - [math.fsum(w[d::q]) for d in range(q)]).max() <= 1e-15
+    # (q, mu, Delta) = (3, 1, 1): the group phase 4 pi / 3
+    if (q, mu) == (3, 1.0):
+        assert math.isclose(cmath.phase(p[1]), -4.0 * math.pi / 3.0 + 2.0 * math.pi, rel_tol=1e-15)
+
+
+def test_rational_channels_validation():
+    s = _state(10.0, 28.0)
+    with pytest.raises(ValueError, match="positive integer mu"):
+        rational_channels(_state(10.0, 2.5), 1, 1, 4)
+    for q, r, sd in ((0, 1, 4), (-1, 1, 4), (1.0, 1, 4), (1, 1, 0), (1, 1, -3), (1, 1, 4.0),
+                     (1, 0.5, 4), (1, 1.0, 4), (1, 1, 2**31), (1, 1, 2**40)):
+        with pytest.raises(ValueError):
+            rational_channels(s, q, r, sd)
+    # s just below 2^31, any integer r and levels near 3e5: the residues
+    # are Python's, where an unreduced int64 product would wrap
+    s = _state(1e9, 80.0)
+    r, sd = -(10**30) - 7, 2**31 - 1
+    w = weights(s)
+    exact = sum(w[n] * cmath.exp(-2j * math.pi * ((n * (n + 80) * r) % sd) / sd)
+                for n in range(s.n_min, s.n_max + 1))
+    assert abs(rational_channels(s, 1, r, sd)[0] - exact) <= 1e-14

@@ -21,7 +21,7 @@ from gkrevival.gkstate import CoherentState
 from gkrevival.measure import (MomentReport, QuadratureConfig, density_rho, measure_k,
                                moment_checks)
 from gkrevival.revival import (FractionalDecomposition, TimeSeries, autocorrelation,
-                               phase_group_check)
+                               rational_channels)
 from gkrevival.specfun import ConvergenceError, bessel_i_ratio
 from gkrevival.spectrum import (
     SpectrumParams,
@@ -132,9 +132,6 @@ def test_record_reprs():
         "n_max=0, ln_weights=array([0.]), ln_norm_sq=0.0, tail_tol=1e-14)")
     assert repr(TimeSeries([0.0, 0.5], [1, 2], "x")) == (
         "TimeSeries(t_grid=array([0. , 0.5]), values=array([1, 2]), label='x')")
-    assert repr(phase_group_check(3, 2.0, 2)) == (
-        "PhaseGroupReport(q=3, mu=2.0, k_max=2, group_phases=array([0.       , 0.       , "
-        "4.1887902]), max_deviation=8.881784197001252e-15)")
     # the one deliberate change: an empty tuple, where a class-level
     # list would be shared by every default instance
     assert repr(FractionalDecomposition(3)) == "FractionalDecomposition(q=3, fractions=())"
@@ -356,7 +353,9 @@ _SCALAR_ENTRY_POINTS = {
     "build_state_gamma": lambda x, y, p: build_state(10.0, x, _STATE.params).ln_norm_sq,
     "normalization_sq": lambda x, y, p: normalization_sq(x, _STATE.params),
     "evolve": lambda x, y, p: evolve(_STATE, x).gamma,
-    "phase_group_check_mu": lambda x, y, p: phase_group_check(4, x, 3).max_deviation,
+    # the mu = 28 weights on the ladder mu = x: the reader reads only mu
+    "rational_channels_mu": lambda x, y, p: abs(complex(rational_channels(
+        CoherentState(**{**_STATE.__dict__, "params": SpectrumParams(x)}), 4, 1, 4)[1])),
     "density_rho": lambda x, y, p: density_rho(x, _STATE.params),
     "measure_k": lambda x, y, p: measure_k(x, _STATE.params),
     "autocorrelation": lambda x, y, p: autocorrelation(_STATE, x).real,
