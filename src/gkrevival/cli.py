@@ -275,11 +275,12 @@ def _rows_unity(cfg: RunConfig):
 
 def _rows_overlap(cfg: RunConfig):
     # non-orthogonality profile: <J,0|J',0> as J' sweeps (0, 2J], in one
-    # overlap call, which takes the partners in batches as they are built
+    # overlap call, which takes the partners in batches as the batched
+    # walk builds them, each with the bits of its build_state call
     p = SpectrumParams(cfg.mu)
     s1 = gkstate.build_state(cfg.j, 0.0, p, cfg.tail_tol)
     grid = _sweep_grid(2.0 * cfg.j, cfg.points)
-    values = gkstate.overlap(s1, (gkstate.build_state(j2, 0.0, p, cfg.tail_tol) for j2 in grid))
+    values = gkstate.overlap(s1, gkstate._build_states(grid, 0.0, p, cfg.tail_tol))
     return ["j2", "re", "im", "abs2"], [(j2, v.real, v.imag, abs(v) ** 2)
                                         for j2, v in zip(grid, values)]
 

@@ -12,7 +12,8 @@ an accuracy knob:
 
 * ``ln_bessel_i`` (and ``bessel_i_scaled`` through it) sums the ascending
   series (DLMF 10.25.2) in the log domain from its largest term outward
-  by ``_peak_walk``, the walk that also gives ``gkstate`` its weights.
+  by ``_peak_walk``; ``gkstate`` walks its weights out from their peak
+  the same way, a sweep's states as one block.
   All terms are positive, so there is no cancellation; the terms peak
   near k = x/2 but carry weight over only about 8.5 sqrt(x) of them, and
   on each side of the peak a geometric bound controls the tail, so the
@@ -128,6 +129,8 @@ def _first_half_width(peak: int, nu: float, ln_stop: float) -> int:
     # first levels per side of the peak k* of terms with t_{k-1} / t_k ~ k (nu + k):
     # 1.1 times the Gaussian half-width where they fall to e^ln_stop of t_k*, plus 16
     var = peak * (nu + peak) / (2.0 * peak + nu) if peak else 0.0
+    if var == math.inf:  # peak (nu + peak) overflows, near nu = 1e305
+        var = peak * ((nu + peak) / (2.0 * peak + nu))
     return 16 + int(1.1 * math.sqrt(-2.0 * ln_stop * var))
 
 

@@ -170,7 +170,10 @@ def classical_period(n_bar: float, p: SpectrumParams) -> float:
     if not 0.0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
     d = p.alpha * (2.0 * n_bar + p.mu)  # 0.0 only where the product underflows
-    return _finite(2.0 * math.pi * p.mu / d if d else math.inf, "T_cl")
+    t_cl = _finite(2.0 * math.pi * p.mu / d if d else math.inf, "T_cl")
+    if not t_cl:  # the quotient underflows, or d overflows
+        raise ValueError(f"T_cl underflows to 0 at alpha={p.alpha}, mu={p.mu}, n_bar={n_bar}")
+    return t_cl
 
 
 def time_scales(n_bar: float, p: SpectrumParams) -> TimeScales:

@@ -3,7 +3,8 @@ the state-free sweep rows against the state path, the pure-Python grids
 against np.linspace, the column-wise CSV writer against a per-cell
 oracle, round-tripping through the bundled reader, random dataset
 commands in a child with 1 GiB of address space, and the input contract
-of overlap, weights and autocorr over every value their flags accept."""
+of overlap, weights, autocorr, survival, survival-intensity, mandel and
+timescales over every value their flags accept."""
 
 import argparse
 import atexit
@@ -915,6 +916,7 @@ def test_overlap_contract(j, mu, tol, tmp_path_factory):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(j=_J_ANY, mu=_MU_ANY, tol=_TOL_ANY)
 @example(j=1000.0, mu=1.7e305, tol=1e-14)  # warned, then walked 10^6 levels
+@example(j=898.6, mu=2e305, tol=1e-14)  # the first block's variance overflowed: exit 1
 def test_weights_contract(j, mu, tol, tmp_path_factory):
     _contract(["weights", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol)],
               tmp_path_factory.mktemp("weights"))
@@ -928,3 +930,55 @@ def test_weights_contract(j, mu, tol, tmp_path_factory):
 def test_autocorr_contract(j, mu, tol, t_max, points, tmp_path_factory):
     _contract(["autocorr", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol),
                "--t-max", repr(t_max), "--points", points], tmp_path_factory.mktemp("autocorr"))
+
+
+_POSITIVE_ANY = _log_uniform(5e-324, 1.79e308)
+# q log-uniform over [2, 2^63 - 1], and delta log-uniform over [0, q)
+_Q_ANY = st.floats(1.0, 63.0).map(lambda e: max(2, min(int(2.0**e), 2**63 - 1)))
+
+
+@st.composite
+def _q_delta(draw):
+    q = draw(_Q_ANY)
+    e = draw(st.floats(0.0, math.log2(q)))
+    return q, min(q - 1, int(2.0**e) - 1)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(j=_J_ANY, mu=_MU_ANY, tol=_TOL_ANY, t_max=_POSITIVE_ANY, points=st.integers(2, 5),
+       q_delta=_q_delta())
+@example(j=10.0, mu=28.0, tol=1e-14, t_max=1.0, points=3, q_delta=(2**63 - 1, 0))
+@example(j=10.0, mu=28.0, tol=1e-14, t_max=1.0, points=3, q_delta=(2**63 - 1, 2**63 - 2))
+def test_survival_contract(j, mu, tol, t_max, points, q_delta, tmp_path_factory):
+    q, delta = q_delta
+    _contract(["survival", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol),
+               "--t-max", repr(t_max), "--points", points, "--q", q, "--delta", delta],
+              tmp_path_factory.mktemp("survival"))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(j=_J_ANY, mu=_MU_ANY, tol=_TOL_ANY, t_max=_POSITIVE_ANY, points=st.integers(2, 5),
+       q=_Q_ANY)
+@example(j=10.0, mu=28.0, tol=1e-14, t_max=1.0, points=3, q=2**63 - 1)
+def test_survival_intensity_contract(j, mu, tol, t_max, points, q, tmp_path_factory):
+    _contract(["survival-intensity", "--j", repr(j), "--mu", repr(mu), "--tail-tol", repr(tol),
+               "--t-max", repr(t_max), "--points", points, "--q", q],
+              tmp_path_factory.mktemp("survival_intensity"))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(mu=_MU_ANY, j_max=_POSITIVE_ANY, points=st.integers(2, 5))
+@example(mu=28.0, j_max=1e-320, points=3)
+@example(mu=1e-300, j_max=20.0, points=3)
+def test_mandel_contract(mu, j_max, points, tmp_path_factory):
+    _contract(["mandel", "--mu", repr(mu), "--j-max", repr(j_max), "--points", points],
+              tmp_path_factory.mktemp("mandel"))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(j=_J_ANY, mu=_MU_ANY, alpha=_POSITIVE_ANY)
+@example(j=1e-320, mu=28.0, alpha=1.0)
+@example(j=10.0, mu=1e-320, alpha=1.0)
+def test_timescales_contract(j, mu, alpha, tmp_path_factory):
+    _contract(["timescales", "--j", repr(j), "--mu", repr(mu), "--alpha", repr(alpha)],
+              tmp_path_factory.mktemp("timescales"))

@@ -1,8 +1,10 @@
 """The peak-outward walk of the I_mu series terms: built states and the
 overlap's terms on both sides of a window against the range-doubling build they
-replaced, bit for bit, and ln N^2 against 40-digit arithmetic."""
+replaced, bit for bit, a sweep's batched walk against one-state calls, the
+first block's size at tiny tail_tol, and ln N^2 against 40-digit arithmetic."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkrevival import gkstate
-from gkrevival.gkstate import build_state, normalization_sq
+from gkrevival.cli import _sweep_grid
+from gkrevival.gkstate import build_state, normalization_sq, overlap
 from gkrevival.specfun import ConvergenceError, _first_half_width, _peak_level
 from gkrevival.spectrum import SpectrumParams, moment_rho
 
@@ -98,7 +101,7 @@ def _assert_same_state(J, mu, tail_tol):
 _TAIL_TOL = st.one_of(
     st.floats(min_value=-300.0, max_value=-50.0),
     st.floats(min_value=-50.0, max_value=-6.0),
-).map(lambda e: 10.0**e)
+).map(lambda e: 10.0**e) | st.sampled_from([5e-324, 1.5e-323, 1e-320, 1e-310])
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,3 +160,122 @@ def test_ln_norm_sq_against_mpmath(mu, log_jmu):
     tol = 16.0 * 2.0**-52 * scale
     assert abs(s.ln_norm_sq - ref) <= tol + 2.0 * s.tail_tol
     assert abs(normalization_sq(J, p) - ref) <= tol
+
+
+def _bits(s):
+    return s.J.hex(), s.n_min, s.n_max, s.ln_norm_sq.hex(), s.ln_weights.tobytes()
+
+
+def _until_error(states):
+    # the states an iterable yields up to its first error, and that error
+    built = []
+    try:
+        for s in states:
+            built.append(s)
+    except (ValueError, ConvergenceError) as exc:
+        return built, (type(exc), str(exc))
+    return built, None
+
+
+_CAP_JMU = _CAP * (_CAP + 1.0)
+
+
+@st.composite
+def _sweeps(draw):
+    # a sweep's J values on one ladder: the overlap command's grid, one
+    # running down to J -> 0, or a few J mu near the level cap; now and
+    # then with a bad J among them
+    mu = 10.0 ** draw(st.floats(-2.0, 4.0))
+    kind = draw(st.sampled_from(["grid", "to_zero", "near_cap"]))
+    if kind == "near_cap":
+        Js = [_CAP_JMU / mu * draw(st.floats(0.995, 1.005)) for _ in range(draw(st.integers(1, 3)))]
+    else:
+        J = 10.0 ** draw(st.floats(-3.0, 6.0 - max(0.0, math.log10(mu))))
+        if kind == "grid":
+            Js = _sweep_grid(2.0 * J, draw(st.integers(2, 40)))
+        else:
+            Js = [J * 10.0 ** -e for e in draw(st.lists(st.floats(0.0, 300.0), min_size=1,
+                                                        max_size=12))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        Js.insert(draw(st.integers(0, len(Js))), draw(st.sampled_from([-1.0, math.nan, math.inf])))
+    return mu, Js
+
+
+@settings(max_examples=120, deadline=None)
+@given(sweep=_sweeps(), tail_tol=_TAIL_TOL, short=st.sampled_from([None, 1, 3]),
+       levels=st.sampled_from([64, 1000, gkstate._WALK_LEVELS, gkstate._OVERLAP_LEVELS]))
+def test_batched_walk_matches_one_state_calls(sweep, tail_tol, short, levels):
+    # a sweep walked as (partner x level) blocks, some rows of which
+    # (short) start from first blocks of 1 or 3 levels a side and so need
+    # blocks past the first: each state has the bits of build_state, the
+    # first error comes from the same partner with the same message, and
+    # every row of the overlap's extended terms has the bits of
+    # _overlap_terms over the pairwise window, and -inf past it
+    mu, Js = sweep
+    p = SpectrumParams(mu)
+    real = gkstate._first_widths
+
+    def widths(J, jmu, mu, peak, tail_tol):
+        if short and int(J * 1e6) % 2:
+            return min(peak, short), short
+        return real(J, jmu, mu, peak, tail_tol)
+
+    with mock.patch.object(gkstate, "_first_widths", widths), \
+            mock.patch.object(gkstate, "_WALK_LEVELS", levels):
+        one = _until_error(build_state(J, 0.0, p, tail_tol) for J in Js)
+        batched = _until_error(gkstate._build_states(Js, 0.0, p, tail_tol))
+    assert [_bits(s) for s in batched[0]] == [_bits(s) for s in one[0]]
+    assert batched[1] == one[1]
+    states = one[0]
+    if not states:
+        return
+    s1 = states[len(states) // 2]
+    calls = []
+    real_terms = gkstate._extended_terms
+
+    def spy(states, n_lo, n_up, lo=None, up=None):
+        ln = real_terms(states, n_lo, n_up, lo, up)
+        calls.append((states, n_lo, n_up, lo, up, ln))
+        return ln
+
+    with mock.patch.object(gkstate, "_extended_terms", spy), \
+            mock.patch.object(gkstate, "_OVERLAP_LEVELS", levels):
+        values = overlap(s1, states)
+    assert [v.real.hex() + v.imag.hex() for v in values] == \
+        [(v := overlap(s1, s)).real.hex() + v.imag.hex() for s in states]
+    for batch, n_lo, n_up, lo, up, ln in calls:
+        for s, row in zip(batch, ln):
+            a = n_lo if lo is None else min(lo, s.n_min)
+            b = n_up if up is None else max(up, s.n_max)
+            own = gkstate._overlap_terms(s, a, b)
+            assert row[a - n_lo : b + 1 - n_lo].tobytes() == own.tobytes()
+            assert np.all(row[: a - n_lo] == -math.inf) and np.all(row[b + 1 - n_lo :] == -math.inf)
+
+
+@pytest.mark.parametrize("mu,tail_tol", [(28.0, 1e-300), (1e3, 1e-300), (28.0, 1e-14), (1e5, 5e-324)])
+def test_tiny_tail_tol_closes_in_first_block(mu, tail_tol):
+    # Every state of the 200-point sweep at J = 1e4, and its own state,
+    # closes both tails in the first block of its walk, one state at a
+    # time and batched.  The first block is sized from a Gaussian below
+    # the peak and from a Newton step on a lower bound of the fall of the
+    # log-terms above it: at (1e4, 28, 1e-300) it walks 1321 levels for
+    # the window 44 .. 1232, where a Gaussian on both sides walked 1201,
+    # then 1370 more above
+    p = SpectrumParams(mu)
+    rows, real = [], gkstate._walk_block
+
+    def spy(block, *args):  # a row walked again, wider, comes back here
+        rows.extend(block)
+        return real(block, *args)
+
+    with mock.patch.object(gkstate, "_walk_block", spy):
+        states = [build_state(J, 0.0, p, tail_tol) for J in [1e4, *_sweep_grid(2e4, 200)]]
+        batched = list(gkstate._build_states(_sweep_grid(2e4, 200), 0.0, p, tail_tol))
+    assert len(rows) == len(states) + len(batched)
+    assert [_bits(s) for s in batched] == [_bits(s) for s in states[1:]]
+    if (mu, tail_tol) == (28.0, 1e-300):
+        s = states[0]
+        _, _, peak, _, below, above = gkstate._peak_row(1e4, 0.0, p, tail_tol)
+        assert (s.n_min, s.n_max, peak) == (44, 1232, 515)
+        assert (below, above) == (515, 805)
+        assert below + above + 1 == 1321
