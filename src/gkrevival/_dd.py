@@ -182,13 +182,14 @@ def _buffers():
     return _local.buffers
 
 
-def _phase_terms(n_lo: int, count: int, mu: float, t):
+def _phase_terms(split: tuple, t):
     """Yield (i, re, im) over the 1-D grid t: re[k, j] + i im[k, j] is
-    exp(-2 pi i (mu n + n^2) t[i + k]) for level n = n_lo + j, j < count,
-    in blocks of _BLOCK_LEVEL_POINTS // count grid rows (count is at most
-    _BLOCK_LEVEL_POINTS), in this thread's workspace: a block's parts hold
-    until the next."""
-    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
-    rows, work = _BLOCK_LEVEL_POINTS // count, _buffers()[0]
+    exp(-2 pi i (m_hi[j] + m_lo[j]) t[i + k]), where split = (m_hi, m_lo)
+    is ``quadratic_in_n`` of count consecutive levels n (count at most
+    _BLOCK_LEVEL_POINTS; the kernel builds it once per level chunk of a
+    state), in blocks of _BLOCK_LEVEL_POINTS // count grid rows, in this
+    thread's workspace: a block's parts hold until the next."""
+    m_hi, m_lo = split
+    rows, work = _BLOCK_LEVEL_POINTS // len(m_hi), _buffers()[0]
     for i in range(0, len(t), rows):
         yield (i, *phase_parts(m_hi, m_lo, t[i : i + rows, None], work))

@@ -65,6 +65,10 @@ _HARD_CAP = 10**6
 # and small sweeps at par (interleaved runs on a 2-vCPU x86-64 VM)
 _WALK_LEVELS = 1 << 14
 _OVERLAP_LEVELS = 1 << 16
+# Levels per piece of an overlap's dot products: OpenBLAS runs a ddot of
+# up to 10 000 entries on one thread, and splits a longer one across its
+# threads, with other bits
+_DOT_LEVELS = 10_000
 _UNCAPPED = "weight tail did not close within %d levels (J=%r, mu=%r)"
 
 
@@ -408,8 +412,10 @@ def overlap(s1: CoherentState, s2):
     once per batch, over the union of the pairwise windows; the
     partners' terms past their windows are walked as one block, down
     from n_min and up from n_max, each side a row-wise cumsum; and each
-    partner's series is two 1-D dot products on slices of them: every
-    entry has the bits of the one-state call, a batch of one.
+    partner's series is two 1-D dot products on slices of them, each in
+    pieces of at most ``_DOT_LEVELS`` levels so that its bits do not
+    depend on the BLAS thread count: every entry has the bits of the
+    one-state call, a batch of one.
     Raises ValueError for partners of two angles, and when
     (mu n_up + n_up^2) |dgamma| / (2 pi mu) exceeds the phase reduction
     bound of ``_dd`` (1e20).
@@ -456,5 +462,16 @@ def _overlaps(s1: CoherentState, batch: list) -> list:
     for r, (s2, c) in enumerate(zip(batch, c.tolist())):
         i, j = min(s1.n_min, s2.n_min) - n_lo, max(s1.n_max, s2.n_max) + 1 - n_lo
         w, scale = a[r, i:j], math.exp(c)
-        values.append(complex((re[i:j] @ w) * scale, (im[i:j] @ w) * scale))
+        values.append(complex(_dot(re[i:j], w) * scale, _dot(im[i:j], w) * scale))
     return values
+
+
+def _dot(x: np.ndarray, w: np.ndarray):
+    # x @ w in consecutive pieces of at most _DOT_LEVELS levels, added in
+    # order from the first piece (not from 0.0, so a window of one piece
+    # keeps the bits of x @ w, -0.0 included): BLAS splits a longer dot
+    # product across its threads, which changes its bits with their number
+    total = x[:_DOT_LEVELS] @ w[:_DOT_LEVELS]
+    for k in range(_DOT_LEVELS, len(w), _DOT_LEVELS):
+        total += x[k : k + _DOT_LEVELS] @ w[k : k + _DOT_LEVELS]
+    return total

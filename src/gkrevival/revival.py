@@ -34,7 +34,15 @@ The kernel keeps one memo entry, the read-only column blocks of the last
 (state, grid) it evaluated, keyed on what the sums read: (mu, n_min,
 ln_weights[n_min:] as bytes, grid as bytes).  A call asking a modulus the
 entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and replaces
-the entry.  Validation runs before the lookup.
+the entry.  Validation runs before the lookup.  Beside it one context
+entry keeps the level side of the last state evaluated, keyed on the
+memo key's first three fields: the window weights, and per level chunk
+the ``quadratic_in_n`` split that ``_dd._phase_terms`` takes and the scan
+moduli's weight matrix with its column map, at most 24 L floats.  An
+evaluation of the same state on another grid (a one-time A(tau) after
+a grid, an evolved or identically rebuilt state) builds only its phase
+rows and products, with the same bits; any other modulus builds its own
+matrix per call.
 
 At an exact fraction t = r/s of the revival time (Averbukh and Perelman,
 Phys. Lett. A 139, 449 (1989)) and integer mu, ``rational_channels``
@@ -48,7 +56,7 @@ import numbers
 
 import numpy as np
 
-from ._dd import _buffers, _check_cycles, _phase_terms
+from ._dd import _buffers, _check_cycles, _phase_terms, quadratic_in_n
 from .gkstate import CoherentState
 from .spectrum import _Record
 
@@ -111,7 +119,7 @@ def _grid(t_grid) -> np.ndarray:
 
 
 def _check_increasing(t: np.ndarray) -> None:
-    if len(t) > 1 and not np.all(np.diff(t) > 0.0):
+    if not (t[1:] > t[:-1]).all():
         raise ValueError("t_grid must be strictly increasing")
 
 
@@ -127,6 +135,12 @@ def _series_grid(t_grid) -> np.ndarray:
 _SCAN_Q = range(1, 7)
 # The memo entry (key, {q: read-only (T, min(q, L)) column block}), or None.
 _memo = None
+# The level side of the last state evaluated, (key, w, chunks), or None:
+# key is the memo key's first three fields, w the window weights, and
+# chunks one (a, split, matrix, cols) per level chunk from window offset
+# a, split the chunk's quadratic_in_n pair and (matrix, cols) the scan
+# moduli's _weight_matrix.
+_context = None
 # Entries of one chunk's weight matrix per modulus: the window's L levels
 # are contracted in chunks of at most _MATRIX_ENTRIES // L of them.
 _MATRIX_ENTRIES = 1 << 20
@@ -145,25 +159,43 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
     memo = _memo
     have = memo[1] if memo is not None and memo[0] == key else {}
     if not have.keys() >= set(qs):
-        have = _evaluate(state, sorted(set(qs).union(_SCAN_Q)), t)
+        have = _evaluate(state, [q for q in sorted(set(qs)) if q not in _SCAN_Q], t, key[:3])
         _memo = (key, have)
     return {q: have[q] for q in qs}
 
 
-def _evaluate(state: CoherentState, qs, t: np.ndarray) -> dict:
-    lo = state.n_min
-    w = np.exp(state.ln_weights[lo:])
+def _level_side(state: CoherentState, key: tuple) -> tuple:
+    # the context entry of a state whose memo key starts with key
+    global _context
+    context = _context
+    if context is None or context[0] != key:
+        lo, mu = state.n_min, state.params.mu
+        w = np.exp(state.ln_weights[lo:])
+        size = len(w)
+        step = min(size, max(1, _MATRIX_ENTRIES // size))
+        chunks = [
+            (a, quadratic_in_n(np.arange(lo + a, lo + min(a + step, size), dtype=float), mu),
+             *_weight_matrix(a, w[a : a + step], _SCAN_Q, size))
+            for a in range(0, size, step)
+        ]
+        context = _context = (key, w, chunks)
+    return context
+
+
+def _evaluate(state: CoherentState, others: list, t: np.ndarray, key: tuple) -> dict:
+    # the scan moduli and the moduli others, from the state's context
+    _, w, chunks = _level_side(state, key)
     size = len(w)
     # one product per group, the scan moduli together and every other
     # modulus alone, so that a modulus's bits do not depend on what else
     # was asked
-    groups = [[q for q in qs if q in _SCAN_Q], *([q] for q in qs if q not in _SCAN_Q)]
+    groups = [_SCAN_Q, *([q] for q in others)]
     sums = [np.zeros((len(t), sum(min(q, size) for q in g)), dtype=complex) for g in groups]
-    step = min(size, max(1, _MATRIX_ENTRIES // size))
     _, buf = _buffers()
-    for a in range(0, size, step):
-        chunk = [_weight_matrix(a, w[a : a + step], g, size) for g in groups]
-        for i, re, im in _phase_terms(lo + a, min(step, size - a), state.params.mu, t):
+    for a, split, *scan in chunks:
+        c = len(split[0])
+        chunk = [scan, *(_weight_matrix(a, w[a : a + c], [q], size) for q in others)]
+        for i, re, im in _phase_terms(split, t):
             r = len(re)
             for (m, cols), p in zip(chunk, sums):
                 k = r * m.shape[1]
@@ -260,8 +292,10 @@ def fractional_decomposition(state: CoherentState, q: int, t_grid) -> Fractional
     _check_residue(q)
     t = _series_grid(t_grid)
     chans = channel_amplitudes(state, q, t)
-    fractions = [_series(t, chans[:, d], f"P_{d}(t)") for d in range(q)]
-    return FractionalDecomposition(q=q, fractions=fractions)
+    # the fields set as __init__ would set them, as _series does
+    fd = object.__new__(FractionalDecomposition)
+    fd.__dict__.update(q=q, fractions=[_series(t, chans[:, d], f"P_{d}(t)") for d in range(q)])
+    return fd
 
 
 def _diagonal(p: np.ndarray) -> np.ndarray:

@@ -982,3 +982,55 @@ def test_mandel_contract(mu, j_max, points, tmp_path_factory):
 def test_timescales_contract(j, mu, alpha, tmp_path_factory):
     _contract(["timescales", "--j", repr(j), "--mu", repr(mu), "--alpha", repr(alpha)],
               tmp_path_factory.mktemp("timescales"))
+
+
+# --tail-tol and --points values outside their accepted ranges
+_TOL_OUTSIDE = st.sampled_from([0.0, -0.0, -1e-14, 2e-6, 1.0, math.inf, math.nan])
+_POINTS_OUTSIDE = st.sampled_from([-3, 0, 1, 10**6 + 1, 2**63])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(figure_id=st.integers(-1, 9),
+       tol=st.one_of(st.none(), _TOL_ANY, _TOL_OUTSIDE),
+       points=st.one_of(st.none(), st.integers(2, 5), _POINTS_OUTSIDE))
+@example(figure_id=1, tol=5e-324, points=None)
+@example(figure_id=2, tol=None, points=2)
+@example(figure_id=7, tol=5e-324, points=5)
+def test_figure_contract(figure_id, tol, points, tmp_path_factory):
+    # exit 0 with every cell of every file finite, or exit 2 or 3 with
+    # one error line; no warning either way.  Each flag is present or
+    # absent, and figures 1 and 2 refuse the one they do not read.
+    out = tmp_path_factory.mktemp("figure") / "figs"
+    args = ["figure", "--id", str(figure_id), "--out-dir", str(out)]
+    # --flag=value, so that argparse takes -1e-14 as a value
+    args += [f"--tail-tol={tol!r}"] * (tol is not None)
+    args += [f"--points={points}"] * (points is not None)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(args)
+    assert caught == [], (args, [str(w.message) for w in caught])
+    assert code in (0, 2, 3), args
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, args
+        return
+    files = sorted(out.glob("*.csv"))
+    assert files, args
+    for f in files:
+        _, _, rows = read_dataset(str(f))
+        assert rows and all(math.isfinite(v) for row in rows for v in row), (args, f.name)
+
+
+def test_long_overlap_windows_do_not_depend_on_blas_threads():
+    # at J = 1e9 the pairwise windows pass 10 000 levels, where OpenBLAS
+    # splits a dot product across its threads: an overlap contracts each
+    # partner in pieces of at most 10 000 levels, so its bytes are the
+    # same under one and two BLAS threads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "gkrevival.cli", "overlap", "--j", "1e9", "--mu", "80",
+            "--points", "20"]
+    outs = [subprocess.run(args, env=dict(env, OPENBLAS_NUM_THREADS=n), capture_output=True,
+                           timeout=120) for n in ("1", "2")]
+    assert [o.returncode for o in outs] == [0, 0]
+    assert outs[0].stdout.count(b"\n") > 20 and outs[0].stdout == outs[1].stdout

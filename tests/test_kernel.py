@@ -9,8 +9,10 @@ readers against the dense channel matrix, the level window against un-windowed
 sums, the phase reduction bound, and the kernel's memo (hits
 bit-identical to fresh evaluations, never stale, validation before
 lookup, evaluations counted, the scan moduli's bits independent of the
-other moduli asked)."""
+other moduli asked) and state context (one level side per state, reused
+across grids, evolved and rebuilt states, and shared by threads)."""
 
+import copy
 import math
 import sys
 import threading
@@ -41,9 +43,10 @@ FIGURE_GRID = np.linspace(0.0, 1.0, 2001)
 
 @pytest.fixture(autouse=True)
 def _fresh_memo(monkeypatch):
-    # every test starts from an empty kernel memo, so the block-boundary
-    # tests exercise a fresh evaluation
+    # every test starts from an empty kernel memo and state context, so
+    # the block-boundary tests exercise a fresh evaluation
     monkeypatch.setattr(revival, "_memo", None)
+    monkeypatch.setattr(revival, "_context", None)
 
 
 def _state(J, mu):
@@ -268,7 +271,8 @@ def test_workspace_parts_bit_identical(n_lo, count, mu, grid, rows, scalar_lo):
     _dd._buffers()  # this thread's buffers at the real block size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_dd, "_BLOCK_LEVEL_POINTS", rows * count)
-        blocks = [(i, re.copy(), im.copy()) for i, re, im in _dd._phase_terms(n_lo, count, mu, t[:, 0])]
+        terms = _dd._phase_terms((m_hi, m_lo), t[:, 0])
+        blocks = [(i, re.copy(), im.copy()) for i, re, im in terms]
     assert [i for i, _, _ in blocks] == list(range(0, len(grid), rows))
     for k, whole in enumerate(phase_parts(m_hi, m_lo, t)):
         assert np.concatenate([b[k + 1] for b in blocks]).tobytes() == whole.tobytes()
@@ -403,6 +407,7 @@ def test_chunked_contraction_matches_exact_sums(log_j, mu, q, entries, grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(revival, "_MATRIX_ENTRIES", entries)
         mp.setattr(revival, "_memo", None)
+        mp.setattr(revival, "_context", None)
         p = channel_amplitudes(s, q, t)
     _assert_exact_sums(p, s, q, t)
 
@@ -568,7 +573,7 @@ def _same_bits(a, b):
 
 
 def _fresh(state, q, t):
-    revival._memo = None
+    revival._memo = revival._context = None
     return channel_amplitudes(state, q, t)
 
 
@@ -789,6 +794,97 @@ def test_memo_shared_by_threads():
             i = (offset + 5 * k) % len(cases)
             s, t, q = cases[i]
             if not _same_bits(channel_amplitudes(s, q, t), expected[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+def _count_builds(monkeypatch):
+    # weight matrices and quadratic_in_n splits the kernel builds (revival
+    # calls _dd.quadratic_in_n by this name)
+    built = []
+    for name in ("_weight_matrix", "quadratic_in_n"):
+        real = getattr(revival, name)
+
+        def spy(*args, real=real, name=name):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(revival, name, spy)
+    return built
+
+
+def _same_value(z, p):
+    # a one-time A(t) against the one row of a fresh (1, 1) evaluation
+    return _same_bits(np.array([z]), p[0])
+
+
+def test_state_context_reused(monkeypatch):
+    # after a grid evaluation, a one-time call, another grid, the evolved
+    # state and an identically rebuilt one take the state's level side
+    # from the context: each call evaluates its phase rows but builds no
+    # weight matrix or split.  An in-place weight edit or another state
+    # builds them again.  Every result has the bits of a fresh evaluation.
+    # A lowered entry budget splits the 247-level window into 4 chunks.
+    monkeypatch.setattr(revival, "_MATRIX_ENTRIES", 1 << 14)
+    s = _state(1e4, 16.1)
+    grid, other, tau = np.linspace(0.0, 1.0, 267), np.linspace(0.1, 0.9, 31), 0.37
+    built = _count_builds(monkeypatch)
+    rows = _count_rows(monkeypatch)
+    series, kept = autocorrelation_series(s, grid), copy.deepcopy(s)
+    assert len(revival._context[2]) == 4
+    assert built.count("_weight_matrix") == built.count("quadratic_in_n") == 4
+    del built[:], rows[:]
+    got = []
+    for state in (s, evolve(s, 2.5), _state(1e4, 16.1)):
+        z, p = autocorrelation(state, tau), channel_amplitudes(state, 3, other)
+        got.append((copy.deepcopy(state), z, p))
+    assert built == [] and sum(rows) == 4 * 3 * (1 + len(other))  # rows per chunk
+
+    s.ln_weights[s.n_min + 3] -= 1.0  # in place
+    for state in (s, _state(1e3, 28.3)):
+        del built[:]
+        p = channel_amplitudes(state, 3, other)
+        assert "_weight_matrix" in built and "quadratic_in_n" in built
+        got.append((state, autocorrelation(state, tau), p))
+
+    assert _same_bits(series.values, revival._intensities(_fresh(kept, 1, grid)[:, 0]))
+    for state, z, p in got:
+        assert _same_value(z, _fresh(state, 1, [tau]))
+        assert _same_bits(p, _fresh(state, 3, other))
+
+
+def test_context_shared_by_threads():
+    # threads interleaving one-time and grid calls on three states share
+    # the one memo entry and state context, and get exactly the values of
+    # a fresh evaluation
+    grid = np.linspace(0.0, 1.0, 40)
+    states = [_state(J, mu) for J, mu in [(10.0, 28.0), (1e3, 28.3), (1e4, 16.1)]]
+    cases = [(s, tau, None) for s in states for tau in (0.25, 0.61)]
+    cases += [(s, grid, q) for s in states for q in (1, 4)]
+    expected = [_fresh(s, 1, [t]) if q is None else _fresh(s, q, t) for s, t, q in cases]
+    wrong = []
+
+    def work(offset):
+        for k in range(60):
+            i = (offset + 7 * k) % len(cases)
+            s, t, q = cases[i]
+            if q is None:
+                ok = _same_value(autocorrelation(s, t), expected[i])
+            else:
+                ok = _same_bits(channel_amplitudes(s, q, t), expected[i])
+            if not ok:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
