@@ -22,12 +22,15 @@ they vectorize.
 for the revival kernel, in blocks of grid rows x levels of at most
 _BLOCK_LEVEL_POINTS, computed in place in a workspace each thread makes
 once and keeps (``_buffers``, which also keeps the kernel's BLAS product
-buffer): a block's parts are valid until the next block.  The weights
-enter by contraction, re @ M and im @ M: the kernel's M is a weight
-matrix that also groups the levels into channels, and ``gkstate.overlap``
-(evolving only shifts gamma, so A(t) and an overlap are one series)
-contracts slices of one row of parts, at its one time, with the weight
-vector of each partner.
+buffer): a block's parts are valid until the next block.  The six level x
+time products of ``mul_frac`` in a block are outer products formed by
+np.einsum (``_product``): one contiguous loop where np.multiply's
+broadcast runs one strided loop per grid row, with the same rounded
+products.  The weights enter by contraction, re @ M and im @ M: the
+kernel's M is a weight matrix that also groups the levels into channels,
+and ``gkstate.overlap`` (evolving only shifts gamma, so A(t) and an
+overlap are one series) contracts slices of one row of parts, at its one
+time, with the weight vector of each partner.
 
 ``_check_cycles`` holds every reduction to
 (mu*n_max + n_max**2)*max|t| <= 1e20, where the reduced cycle is off by
@@ -116,6 +119,17 @@ def _check_cycles(n_top: int, mu: float, t_max: float) -> None:
             raise ValueError(f"phase factor {name} = {x:.3g} overflows the split x * (2**27 + 1)")
 
 
+def _product(x, y, out):
+    """x * y in out, each product rounded as np.multiply rounds it.  einsum
+    adds each product into +0, so an exact zero comes out +0 where
+    np.multiply can give -0; ``mul_frac`` turns every zero into f = +0
+    either way.  A 0-d operand keeps np.multiply: einsum refuses two 0-d
+    operands against a 1-d out."""
+    if getattr(x, "ndim", 0) == 0 or getattr(y, "ndim", 0) == 0:
+        return np.multiply(x, y, out=out)
+    return np.einsum("...,...->...", x, y, out=out)
+
+
 def mul_frac(m_hi, m_lo, t, out=None):
     """frac((m_hi + m_lo) * t) to a few ulp of a cycle: ``two_prod`` of m_hi
     and t, then the fractional part of p + (e + m_lo t), each step in place
@@ -125,11 +139,11 @@ def mul_frac(m_hi, m_lo, t, out=None):
         out = [np.empty(np.broadcast(m_hi, m_lo, t).shape) for _ in range(3)]
     a, b, c = out
     (a_hi, a_lo), (b_hi, b_lo) = _split(m_hi), _split(t)
-    np.multiply(m_hi, t, out=a)
-    np.multiply(a_hi, b_hi, out=b)
+    _product(m_hi, t, a)
+    _product(a_hi, b_hi, b)
     b -= a
     for x, y in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo), (m_lo, t)):
-        b += np.multiply(x, y, out=c)
+        b += _product(x, y, c)
     a -= np.floor(a, out=c)  # exact: the low bits of a are representable
     a += b
     a -= np.floor(a, out=c)

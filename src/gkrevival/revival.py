@@ -35,14 +35,15 @@ The kernel keeps one memo entry, the read-only column blocks of the last
 ln_weights[n_min:] as bytes, grid as bytes).  A call asking a modulus the
 entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and replaces
 the entry.  Validation runs before the lookup.  Beside it one context
-entry keeps the level side of the last state evaluated, keyed on the
-memo key's first three fields: the window weights, and per level chunk
-the ``quadratic_in_n`` split that ``_dd._phase_terms`` takes and the scan
-moduli's weight matrix with its column map, at most 24 L floats.  An
-evaluation of the same state on another grid (a one-time A(tau) after
-a grid, an evolved or identically rebuilt state) builds only its phase
-rows and products, with the same bits; any other modulus builds its own
-matrix per call.
+entry keeps the level side of the last state evaluated whose window is
+one level chunk (L <= 1024), keyed on the memo key's first three fields:
+the window weights, the ``quadratic_in_n`` split that ``_dd._phase_terms``
+takes and the scan moduli's weight matrix with its column map, at most
+24 L floats.  An evaluation of the same state on another grid (a one-time
+A(tau) after a grid, an evolved or identically rebuilt state) builds only
+its phase rows and products, with the same bits; any other modulus builds
+its own matrix per call, and a longer window builds each chunk's split
+and matrices per evaluation, one chunk at a time.
 
 At an exact fraction t = r/s of the revival time (Averbukh and Perelman,
 Phys. Lett. A 139, 449 (1989)) and integer mu, ``rational_channels``
@@ -135,10 +136,10 @@ def _series_grid(t_grid) -> np.ndarray:
 _SCAN_Q = range(1, 7)
 # The memo entry (key, {q: read-only (T, min(q, L)) column block}), or None.
 _memo = None
-# The level side of the last state evaluated, (key, w, chunks), or None:
-# key is the memo key's first three fields, w the window weights, and
-# chunks one (a, split, matrix, cols) per level chunk from window offset
-# a, split the chunk's quadratic_in_n pair and (matrix, cols) the scan
+# The level side of the last state evaluated whose window is one level
+# chunk, (key, w, chunks), or None: key is the memo key's first three
+# fields, w the window weights, and chunks [(0, split, matrix, cols)],
+# split the window's quadratic_in_n pair and (matrix, cols) the scan
 # moduli's _weight_matrix.
 _context = None
 # Entries of one chunk's weight matrix per modulus: the window's L levels
@@ -165,25 +166,31 @@ def _channels(state: CoherentState, qs, t_grid) -> dict:
 
 
 def _level_side(state: CoherentState, key: tuple) -> tuple:
-    # the context entry of a state whose memo key starts with key
+    # (key, w, chunks) of a state whose memo key starts with key: the
+    # context entry, which keeps only a window of one level chunk (at most
+    # 24 * 1024 floats), or a longer window's chunks built one at a time as
+    # the kernel walks them
     global _context
     context = _context
-    if context is None or context[0] != key:
-        lo, mu = state.n_min, state.params.mu
-        w = np.exp(state.ln_weights[lo:])
-        size = len(w)
-        step = min(size, max(1, _MATRIX_ENTRIES // size))
-        chunks = [
-            (a, quadratic_in_n(np.arange(lo + a, lo + min(a + step, size), dtype=float), mu),
-             *_weight_matrix(a, w[a : a + step], _SCAN_Q, size))
-            for a in range(0, size, step)
-        ]
-        context = _context = (key, w, chunks)
+    if context is not None and context[0] == key:
+        return context
+    lo, mu = state.n_min, state.params.mu
+    w = np.exp(state.ln_weights[lo:])
+    size = len(w)
+    step = min(size, max(1, _MATRIX_ENTRIES // size))
+    chunks = (
+        (a, quadratic_in_n(np.arange(lo + a, lo + min(a + step, size), dtype=float), mu),
+         *_weight_matrix(a, w[a : a + step], _SCAN_Q, size))
+        for a in range(0, size, step)
+    )
+    if step < size:
+        return key, w, chunks
+    context = _context = (key, w, list(chunks))
     return context
 
 
 def _evaluate(state: CoherentState, others: list, t: np.ndarray, key: tuple) -> dict:
-    # the scan moduli and the moduli others, from the state's context
+    # the scan moduli and the moduli others, from the state's level side
     _, w, chunks = _level_side(state, key)
     size = len(w)
     # one product per group, the scan moduli together and every other
@@ -266,8 +273,10 @@ def intensity_split(state: CoherentState, q: int, t_grid) -> tuple:
 
 
 def _intensities(amplitudes: np.ndarray) -> np.ndarray:
-    # |z|^2 through Python's abs (hypot), which np.abs can miss by an ulp.
-    return np.array([abs(z) ** 2 for z in amplitudes.tolist()])
+    # |z|^2 with the bits of Python's abs(z) ** 2: hypot, then libm pow,
+    # which np.float_power calls; np.abs can miss hypot by an ulp, and
+    # NumPy's ** 2 squares by multiplication, which can miss pow by one.
+    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
 
 
 def autocorrelation(state: CoherentState, t: float) -> complex:

@@ -10,7 +10,8 @@ sums, the phase reduction bound, and the kernel's memo (hits
 bit-identical to fresh evaluations, never stale, validation before
 lookup, evaluations counted, the scan moduli's bits independent of the
 other moduli asked) and state context (one level side per state, reused
-across grids, evolved and rebuilt states, and shared by threads)."""
+across grids, evolved and rebuilt states, shared by threads, and kept
+only for windows of one level chunk)."""
 
 import copy
 import math
@@ -278,6 +279,80 @@ def test_workspace_parts_bit_identical(n_lo, count, mu, grid, rows, scalar_lo):
         assert np.concatenate([b[k + 1] for b in blocks]).tobytes() == whole.tobytes()
 
 
+def _broadcast_mul_frac(m_hi, m_lo, t, out=None):
+    # mul_frac with each level x time product taken by np.multiply's
+    # broadcast, the reference of its outer products
+    if out is None:
+        out = [np.empty(np.broadcast(m_hi, m_lo, t).shape) for _ in range(3)]
+    a, b, c = out
+    (a_hi, a_lo), (b_hi, b_lo) = _dd._split(m_hi), _dd._split(t)
+    np.multiply(m_hi, t, out=a)
+    np.multiply(a_hi, b_hi, out=b)
+    b -= a
+    for x, y in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo), (m_lo, t)):
+        b += np.multiply(x, y, out=c)
+    a -= np.floor(a, out=c)
+    a += b
+    a -= np.floor(a, out=c)
+    return a
+
+
+def _outer_parts(m_hi, m_lo, t):
+    # mul_frac and phase_parts on the grid column t and at its first time,
+    # and the blocks of _phase_terms, each as bytes
+    parts = [mul_frac(m_hi, m_lo, t), *phase_parts(m_hi, m_lo, t)]
+    parts += phase_parts(m_hi, m_lo, float(t[0, 0]))
+    blocks = _dd._phase_terms((m_hi, m_lo), t[:, 0])
+    parts += [x for _, *block in blocks for x in block]
+    return [np.asarray(x).tobytes() for x in parts]
+
+
+_times = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -1.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_lo=st.integers(min_value=0, max_value=10**6),
+    count=st.integers(min_value=1, max_value=800),
+    mu=_mu,
+    grid=st.lists(_times, min_size=1, max_size=300),
+    scalar_lo=st.booleans(),
+)
+@example(n_lo=0, count=1, mu=1.0, grid=[0.0], scalar_lo=True)
+@example(n_lo=0, count=800, mu=16.5, grid=[-0.0, 0.0, 5e-324, -0.25, 1.0] * 60, scalar_lo=False)
+@example(n_lo=10**6, count=3, mu=99.5, grid=[5e-324, -5e-324, -4.0], scalar_lo=True)
+def test_outer_products_match_broadcast(n_lo, count, mu, grid, scalar_lo):
+    # the level x time products by np.einsum give mul_frac, phase_parts
+    # (a grid column and one time) and the blocks of _phase_terms the bits
+    # of np.multiply's broadcast: each product is exact or rounded once
+    # either way, and only the sign of an exact zero differs, which the
+    # fractional part turns into f = +0
+    m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_lo + count, dtype=float), mu)
+    lo = float(m_lo[0]) if scalar_lo else m_lo
+    t = np.array(grid)[:, None]
+    got = _outer_parts(m_hi, lo, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dd, "mul_frac", _broadcast_mul_frac)
+        assert _outer_parts(m_hi, lo, t) == got
+
+
+def test_kernel_outer_products_match_broadcast(monkeypatch):
+    # channel_amplitudes at q = 1..7 on non-integer-mu windows of 273 to
+    # 815 levels, on a grid clustered at t_rev / k with negative times,
+    # against the same states evaluated through the broadcast products
+    k = np.arange(1, 8)
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 101), 1.0 / k, 1.0 / k + 1e-9, 1.0 / k - 1e-9])
+    states = [_state(J, mu) for J, mu in [(1e6, 16.5), (1e5, 20.3), (3e4, 7.7), (1e6, 4.7)]]
+    assert min(s.n_max - s.n_min + 1 for s in states) > 267
+    got = [_fresh(s, q, grid) for s in states for q in range(1, 8)]
+    monkeypatch.setattr(_dd, "mul_frac", _broadcast_mul_frac)
+    want = [_fresh(s, q, grid) for s in states for q in range(1, 8)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def _prefix_interference(row):
     # one grid row: 2 Re sum_Delta P_Delta conj(P_0 + ... + P_{Delta-1}),
     # the prefix sums built one channel at a time
@@ -300,6 +375,19 @@ def _exact_interference(row):
     re = [Fraction(z.real) for z in row.tolist()]
     im = [Fraction(z.imag) for z in row.tolist()]
     return sum(re) ** 2 + sum(im) ** 2 - sum(a * a + b * b for a, b in zip(re, im))
+
+
+def test_intensities_match_python_abs():
+    # revival._intensities has the bits of Python's abs(z) ** 2 (hypot,
+    # then libm pow), the reference loop, on a kernel series and on
+    # values from subnormal to |z|^2 near 1e300, zeros included
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)
+    z *= 10.0 ** rng.uniform(-165.0, 150.0, len(z))
+    kernel = channel_amplitudes(_state(1e6, 16.5), 1, np.linspace(0.0, 1.0, 2001))[:, 0]
+    z = np.concatenate([z, kernel, [0.0, -0.0 - 0.0j, 5e-324, 5e-324j, 1e-170 + 1e-170j]])
+    loop = np.array([abs(v) ** 2 for v in z.tolist()])
+    assert revival._intensities(z).tobytes() == loop.tobytes()
 
 
 def test_intensity_split_matches_per_point_formulas():
@@ -836,21 +924,19 @@ def test_state_context_reused(monkeypatch):
     # from the context: each call evaluates its phase rows but builds no
     # weight matrix or split.  An in-place weight edit or another state
     # builds them again.  Every result has the bits of a fresh evaluation.
-    # A lowered entry budget splits the 247-level window into 4 chunks.
-    monkeypatch.setattr(revival, "_MATRIX_ENTRIES", 1 << 14)
     s = _state(1e4, 16.1)
     grid, other, tau = np.linspace(0.0, 1.0, 267), np.linspace(0.1, 0.9, 31), 0.37
     built = _count_builds(monkeypatch)
     rows = _count_rows(monkeypatch)
     series, kept = autocorrelation_series(s, grid), copy.deepcopy(s)
-    assert len(revival._context[2]) == 4
-    assert built.count("_weight_matrix") == built.count("quadratic_in_n") == 4
+    assert len(revival._context[2]) == 1
+    assert built.count("_weight_matrix") == built.count("quadratic_in_n") == 1
     del built[:], rows[:]
     got = []
     for state in (s, evolve(s, 2.5), _state(1e4, 16.1)):
         z, p = autocorrelation(state, tau), channel_amplitudes(state, 3, other)
         got.append((copy.deepcopy(state), z, p))
-    assert built == [] and sum(rows) == 4 * 3 * (1 + len(other))  # rows per chunk
+    assert built == [] and sum(rows) == 3 * (1 + len(other))
 
     s.ln_weights[s.n_min + 3] -= 1.0  # in place
     for state in (s, _state(1e3, 28.3)):
@@ -863,6 +949,30 @@ def test_state_context_reused(monkeypatch):
     for state, z, p in got:
         assert _same_value(z, _fresh(state, 1, [tau]))
         assert _same_bits(p, _fresh(state, 3, other))
+
+
+def test_state_context_bounded(monkeypatch):
+    # a window of more than one level chunk (here 247 levels in 4 chunks,
+    # under a lowered entry budget) is not kept: each evaluation builds
+    # each chunk's split and scan matrix again, and the context keeps the
+    # last one-chunk state, with the bits of a fresh evaluation
+    monkeypatch.setattr(revival, "_MATRIX_ENTRIES", 1 << 14)
+    small, s = _state(10.0, 28.3), _state(1e4, 16.1)
+    grid, tau = np.linspace(0.0, 1.0, 267), 0.37
+    channel_amplitudes(small, 3, grid)
+    context = revival._context
+    built = _count_builds(monkeypatch)
+    got = []
+    for call in range(3):
+        del built[:]
+        z, p = autocorrelation(s, tau), channel_amplitudes(s, 3, grid[call:])
+        assert built.count("_weight_matrix") == built.count("quadratic_in_n") == 2 * 4
+        assert revival._context is context
+        got.append((z, p, grid[call:]))
+    for z, p, t in got:
+        assert _same_value(z, _fresh(s, 1, [tau]))
+        assert _same_bits(p, _fresh(s, 3, t))
+        assert revival._context is None
 
 
 def test_context_shared_by_threads():
