@@ -12,11 +12,11 @@ geometric tail bound drops below ``tail_tol`` of the peak weight:
 ``n_min`` is 0; at large J the weights peak near sqrt(J mu), and most
 levels below the peak are dropped.  The weights are the terms of the
 ascending series of N^2 ~ I_mu(2 sqrt(J mu)), walked out from the peak
-as ``ln_bessel_i`` sums them, so the cost follows the window, not n_max
-(``build_state`` states the tests).  The ladder enters only through the
-term ratio r_n = a_{n-1} / a_n = n (n + mu) / (J mu), so a weight is
-exact to a few roundings per level from the peak, and each level has the
-bits of one cumulative sum from the peak however the walk is split.  So
+in blocks from ``specfun._peak_block``, the builder ``ln_bessel_i`` sums
+them with, so the cost follows the window, not n_max (``build_state``
+states the tests).  The ladder enters only through the term ratio
+r_n = a_{n-1} / a_n = n (n + mu) / (J mu), so a weight is exact to a few
+roundings per level from the peak, with the bits the builder states.  So
 a sweep's states (the ``overlap`` command's partners) are walked together
 as one (state x level) block, each row aligned at its own peak, with the
 tail tests as masked 2-D comparisons; only each window's 1-D sum and the
@@ -37,7 +37,8 @@ import numbers
 import numpy as np
 
 from ._dd import _TWO_PI, _check_cycles, phase_parts, quadratic_in_n
-from .specfun import ConvergenceError, _first_half_width, _peak_level, ln_bessel_i, ln_gamma
+from .specfun import (ConvergenceError, _first_half_width, _peak_block, _peak_level, ln_bessel_i,
+                      ln_gamma)
 from .spectrum import (_TAIL_TOL, _TAIL_TOL_MAX, SpectrumParams, _mandel_q, _mean_n, _real,
                        _Record, moment_rho)
 
@@ -105,11 +106,11 @@ def build_state(
     one Newton step on a lower bound of that fall, and at a subnormal
     tail_tol reaches at least the level where n_max's test stops rounding
     to false (``_first_widths``).
-    ln(a_n / a_p) is the cumulative sum of ln r_k outward from p, and
-    ln a_p = p ln J - ln rho_p the one ``lgamma`` pair.  This is the
-    one-state case of ``_build_states``, which walks a sweep's states as
-    one (state x level) block, each row aligned at its own peak: every
-    level has the bits of one cumsum from p, however the walk is split.
+    ln(a_n / a_p) is the cumulative sum of ln r_k outward from p, from
+    ``specfun._peak_block``, and ln a_p = p ln J - ln rho_p the one
+    ``lgamma`` pair.  This is the one-state case of ``_build_states``,
+    which walks a sweep's states as one (state x level) block, each row
+    aligned at its own peak, with the bits of this call.
 
     * ``n_max`` is the first level n >= p whose energy-weighted tail
       bound a_n e_{n+1} r_n / (1 - s_n) = a_n J / (1 - s_n) is below
@@ -209,8 +210,8 @@ def _x_ln_x_rise(a: float, m: float) -> float:
 
 def _walk_block(rows: list, gamma: float, params: SpectrumParams, tail_tol: float):
     # The states of rows from _peak_row, in order.  The first blocks of
-    # the rows' walks are one (row x level) block, row i's column c at
-    # level p_i - b + c, and both tail tests run on all of it as 2-D
+    # the rows' walks are one (row x level) _peak_block, row i's column c
+    # at level p_i - b + c, and both tail tests run on all of it as 2-D
     # comparisons: each level has the bits of one cumsum from p, so a
     # row's first passing level is its own walk's, wherever the row's
     # own first block would have ended.  A row's columns below level 0
@@ -225,15 +226,9 @@ def _walk_block(rows: list, gamma: float, params: SpectrumParams, tail_tol: floa
         J, jmu, p = walked[0][:3] if len(walked) == 1 else \
             np.array([row[:3] for row in walked]).T[:, :, None]
         b, a = max(row[4] for row in walked), max(row[5] for row in walked)
-        k = (np.arange(-b, a + 3, dtype=float) + p).reshape(len(walked), -1)
-        ln = np.empty((len(walked), b + a + 1))
-        ln[:, b] = 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = k * (k + mu)
-            ln_r = np.log(d / jmu)
-            np.add.accumulate(ln_r[:, b:0:-1], axis=1, out=ln[:, :b][:, ::-1])
-            np.negative(np.add.accumulate(ln_r[:, b + 1 : -2], axis=1, out=ln[:, b + 1 :]),
-                        out=ln[:, b + 1 :])
+            ln, d = _peak_block(jmu, mu, p, b, a)
+            ln, d = ln.reshape(len(walked), -1), d.reshape(len(walked), -1)
             rel = np.exp(ln)
             # n_min's test: a_k r_k / (1 - r_k) < tail_tol, r_k = d_k / (J mu)
             # <= 1 (at r_k = 1 the bound is inf and fails); hits from p down
@@ -345,11 +340,6 @@ def evolve(state: CoherentState, t: float) -> CoherentState:
     return CoherentState(**{**state.__dict__, "gamma": gamma})
 
 
-def _overlap_terms(s: CoherentState, n_lo: int, n_up: int) -> np.ndarray:
-    # ln w_n on levels n_lo .. n_up: the one-state case of _extended_terms
-    return _extended_terms([s], n_lo, n_up)[0]
-
-
 def _extended_terms(states: list, n_lo: int, n_up: int, lo=None, up=None) -> np.ndarray:
     # ln w_n on levels n_lo .. n_up, one row per state of one ladder: the
     # state's own window, and on each side of it the terms the window
@@ -455,7 +445,7 @@ def _overlaps(s1: CoherentState, batch: list) -> list:
     _check_cycles(n_up, mu, abs(t))
     re, im = phase_parts(*quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu), t)
     ln2 = _extended_terms(batch, n_lo, n_up, s1.n_min, s1.n_max)
-    ln_a = 0.5 * (_overlap_terms(s1, n_lo, n_up) + ln2)
+    ln_a = 0.5 * (_extended_terms([s1], n_lo, n_up)[0] + ln2)
     c = ln_a.max(axis=1)
     a = np.exp(ln_a - c[:, None])
     values = []

@@ -125,7 +125,8 @@ def _u_window(n: np.ndarray, mu: float, ln_shift: np.ndarray, cfg: QuadratureCon
     # _BATCH at a time, so ln K is evaluated once per batch for every n.
     peaks = 2.0 * n + mu + 0.5
     ln_peak = _ln_integrand_u(peaks, ln_bessel_k(mu, peaks), n, mu) - ln_shift
-    threshold = np.minimum(math.log(cfg.abs_tol * _CUTOFF_FACTOR), ln_peak - 46.0)
+    # a sum of logs: abs_tol * _CUTOFF_FACTOR underflows to 0 below about 4.9e-321
+    threshold = np.minimum(math.log(cfg.abs_tol) + math.log(_CUTOFF_FACTOR), ln_peak - 46.0)
     u_peak = float(peaks.max())
     step = max(1.0, 0.125 * u_peak)
     k = np.arange(_BATCH)

@@ -11,9 +11,9 @@ budget derived from the argument (``_term_budget``), so no caller sets
 an accuracy knob:
 
 * ``ln_bessel_i`` (and ``bessel_i_scaled`` through it) sums the ascending
-  series (DLMF 10.25.2) in the log domain from its largest term outward
-  by ``_peak_walk``; ``gkstate`` walks its weights out from their peak
-  the same way, a sweep's states as one block.
+  series (DLMF 10.25.2) in the log domain from its largest term outward,
+  in blocks from ``_peak_block``, the builder ``gkstate`` walks its
+  weights (the same series' terms) with, a sweep's states as one block.
   All terms are positive, so there is no cancellation; the terms peak
   near k = x/2 but carry weight over only about 8.5 sqrt(x) of them, and
   on each side of the peak a geometric bound controls the tail, so the
@@ -63,11 +63,10 @@ _REL_TOL = 1e-12
 # past about 1e5 two sweeps agree to _REL_TOL only after millions of nodes
 _BLOCK_NODES = 1 << 16
 _MAX_NODES = 1 << 24
-# levels per side in one block of a peak walk past its first (bounds the
-# memory of ln_bessel_i however wide its window grows), and the largest
-# argument the series serves: past it the peak index x/2 nears 2^53,
-# where float levels stop being exact, and the window's 8.5e8 terms
-# already take seconds
+# levels per side in one _peak_block of ln_bessel_i's walk (bounds its
+# memory however wide its window grows), and the largest argument the
+# series serves: past it the peak index x/2 nears 2^53, where float
+# levels stop being exact, and the window's 8.5e8 terms take seconds
 _WALK_BLOCK = 1 << 16
 _SERIES_X_MAX = 1e16
 
@@ -146,39 +145,32 @@ def _peak_level(q: float, nu: float) -> int:
     return p
 
 
-def _peak_walk(q: float, nu: float, p: int, below: int, above: int):
-    """Blocks of ln(t_k / t_p) for a series with term ratio
-    t_{k-1} / t_k = d_k / q, d_k = k (k + nu), walked out from level p.
+def _peak_block(q, nu, p, below, above, seed=0.0):
+    """(ln, d) of one block of a peak walk over levels p - below .. p + above,
+    for a series with term ratio t_{k-1} / t_k = d_k / q, d_k = k (k + nu).
 
-    A block over levels a .. b is (a, ln, d): ln(t_k / t_p) ascending, and
-    d_k on a .. b + 2 for the callers' tail tests.  ``next`` gives levels
-    p - below .. p + above, both sides in one pass; ``send(side)`` the next
-    block below (-1) or above (+1), twice that side's last, at most
-    ``_WALK_BLOCK`` levels and none below 0.  A block's cumsum is seeded
-    with its neighbour's value, so each level is evaluated once and has
-    the bits of one cumsum from p (ln(d_k / q) is inf where q underflows,
-    and d_k is inf where it overflows).
+    ln holds seed + ln(t_k / t_p), ascending; d holds d_k on
+    p - below .. p + above + 2 for the callers' tail tests.  q and p are
+    floats for one block, or (rows, 1) columns for one block per row.
+    Each side is one cumulative sum of ln(d_k / q) outward from p whose
+    first step carries the seed, so a block seeded with the end of the
+    last continues its sum: every level has the bits of one cumsum from
+    the peak, however the walk is split.  Callers hold ``np.errstate``
+    with divide, over and invalid ignored (ln(d_k / q) is inf where q
+    underflows, and d_k where it overflows).
     """
     import numpy as np
-    lo, hi = p - below, p + above
-    k = np.arange(lo, hi + 3, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        d = k * (k + nu)
-        ln_r = np.log(d[1 : hi - lo + 1] / q)  # ln r_k, k = lo + 1 .. hi
-    ln = np.concatenate((np.cumsum(ln_r[:below][::-1])[::-1], [0.0], -np.cumsum(ln_r[below:])))
-    a, size, end = lo, {-1: below, 1: above}, {-1: ln[0], 1: ln[-1]}
-    while True:
-        side = yield a, ln, d
-        n = size[side] = min(2 * size[side], _WALK_BLOCK, lo if side < 0 else _WALK_BLOCK)
-        lo, a, hi = (lo - n, lo - n, hi) if side < 0 else (lo, hi + 1, hi + n)
-        k = np.arange(a, a + n + 2, dtype=float)
-        # outward steps ln(t_next / t_cur): ln r_k down from k = a + n, -ln r_k up from k = a
-        with np.errstate(divide="ignore", over="ignore"):
-            d = k * (k + nu)
-            steps = np.log(d[1 : n + 1] / q)[::-1] if side < 0 else -np.log(d[:n] / q)
-        steps[0] += end[side]
-        ln = np.cumsum(steps)[::side]
-        end[side] = ln[-1] if side > 0 else ln[0]
+    k = np.arange(-below, above + 3, dtype=float) + p
+    d = k * (k + nu)
+    ln_r = np.log(d / q)
+    ln = np.empty_like(ln_r[..., 2:])
+    # down: seed + ln r_p, then + ln r_{p-1}, ...; up: seed - ln r_{p+1}, - ln r_{p+2}, ...
+    if seed:
+        ln_r[..., below] += seed
+    np.add.accumulate(ln_r[..., below:0:-1], axis=-1, out=ln[..., :below][..., ::-1])
+    ln_r[..., below] = seed
+    np.subtract.accumulate(ln_r[..., below:-2], axis=-1, out=ln[..., below:])
+    return ln, d
 
 
 def ln_bessel_i(nu: float, x: float) -> float:
@@ -191,9 +183,10 @@ def ln_bessel_i(nu: float, x: float) -> float:
                    \frac{(x^2/4)^k}{k!\,\Gamma(\nu+k+1)}
 
     summed in the log domain (every term positive) from its largest term
-    outward by ``_peak_walk`` (q = x^2/4): one ``lgamma`` pair gives the
-    peak term, and each side stops once its geometric tail bound is below
-    ``_REL_TOL`` e^-3 of it (``_term_budget`` gives the walk's length).
+    outward in blocks from ``_peak_block`` (q = x^2/4): one ``lgamma``
+    pair gives the peak term, and each side stops once its geometric tail
+    bound is below ``_REL_TOL`` e^-3 of it (``_term_budget`` gives the
+    walk's length).
     Returns ``-inf`` at ``x = 0`` for ``nu > 0``; raises ConvergenceError
     where the walk would pass ``_term_budget`` terms, and past x = 1e16.
     """
@@ -210,24 +203,32 @@ def ln_bessel_i(nu: float, x: float) -> float:
     ln_peak = (nu + 2.0 * peak) * ln_half - ln_gamma(peak + 1.0) - ln_gamma(nu + peak + 1.0)
     ln_stop = math.log(_REL_TOL) - 3.0
     first = min(_first_half_width(peak, nu, ln_stop), _WALK_BLOCK, _term_budget(x) // 2)
-    walk = _peak_walk(q, nu, peak, min(peak, first), first)
-    block = next(walk)
-    total, count = float(np.exp(block[1]).sum()), len(block[1])  # sum of t_k / t_peak
-    for side in (1, -1):
-        _, ln, d = block
-        # the next term beyond the side's end is t_end r, and once r < 1
-        # the rest of the side is below t_end r / (1 - r), since the ratio
-        # falls further outward; the walk down ends at level 0 (d = 0)
-        while side > 0 or d[0] > 0:
-            ln_r = side * (2.0 * ln_half - math.log(d[-2] if side > 0 else d[0]))
-            r = math.exp(ln_r)
-            if r < 1.0 and (ln[-1] if side > 0 else ln[0]) + ln_r - math.log1p(-r) < ln_stop:
-                break
-            if count > _term_budget(x):
-                raise ConvergenceError(f"I series for nu={nu}, x={x} did not converge in "
-                                       f"{_term_budget(x)} terms")
-            _, ln, d = walk.send(side)
-            total, count = total + float(np.exp(ln).sum()), count + len(ln)
+    below = min(peak, first)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ln, d = _peak_block(q, nu, peak, below, first)
+        total, count = float(np.exp(ln).sum()), len(ln)  # sum of t_k / t_peak
+        # per side: its end level, its block's width, ln(t_end / t_peak), and
+        # the d of the ratio t_next / t_end = q / d (up) or d / q (down)
+        for side, end, n, ln_end, d_end in ((1, peak + first, first, ln[-1], d[-2]),
+                                            (-1, peak - below, below, ln[0], d[0])):
+            # the next term beyond the side's end is t_end r, and once r < 1
+            # the rest of the side is below t_end r / (1 - r), since the ratio
+            # falls further outward; the walk down ends at level 0 (d = 0)
+            while side > 0 or d_end > 0:
+                ln_r = side * (2.0 * ln_half - math.log(d_end))
+                r = math.exp(ln_r)
+                if r < 1.0 and ln_end + ln_r - math.log1p(-r) < ln_stop:
+                    break
+                if count > _term_budget(x):
+                    raise ConvergenceError(f"I series for nu={nu}, x={x} did not converge in "
+                                           f"{_term_budget(x)} terms")
+                # the side's next block, twice its last and none below level 0,
+                # seeded with its end (the end level itself is dropped)
+                up, n = side > 0, min(2 * n, _WALK_BLOCK, end if side < 0 else _WALK_BLOCK)
+                ln, d = _peak_block(q, nu, end, 0 if up else n, n if up else 0, ln_end)
+                ln, ln_end, d_end = (ln[1:], ln[-1], d[-2]) if up else (ln[:-1], ln[0], d[0])
+                end += side * n
+                total, count = total + float(np.exp(ln).sum()), count + len(ln)
     return ln_peak + math.log(total)
 
 

@@ -3,8 +3,8 @@ the state-free sweep rows against the state path, the pure-Python grids
 against np.linspace, the column-wise CSV writer against a per-cell
 oracle, round-tripping through the bundled reader, random dataset
 commands in a child with 1 GiB of address space, and the input contract
-of overlap, weights, autocorr, survival, survival-intensity, mandel and
-timescales over every value their flags accept."""
+of overlap, weights, autocorr, survival, survival-intensity, mandel,
+timescales, unity and figure over every value their flags accept."""
 
 import argparse
 import atexit
@@ -114,6 +114,16 @@ def test_unity_rows(tmp_path):
     assert header == ["n", "integral", "rho_n", "rel_err"]
     assert len(rows) == 6
     assert all(r[3] < 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("abs_tol", ["1e-321", "5e-324"])
+def test_unity_tiny_abs_tol(abs_tol, tmp_path):
+    # abs_tol times the window cutoff's 1e-3 underflows to 0 here, whose
+    # log failed (exit 2); the cutoff is a sum of logs
+    out = tmp_path / "u.csv"
+    assert main(["unity", "--abs-tol", abs_tol, "--out", str(out)]) == 0
+    _, _, rows = read_dataset(str(out))
+    assert len(rows) == 6 and all(math.isfinite(v) and r[3] < 1e-6 for r in rows for v in r)
 
 
 def test_overlap_sweep(tmp_path):
@@ -982,6 +992,17 @@ def test_mandel_contract(mu, j_max, points, tmp_path_factory):
 def test_timescales_contract(j, mu, alpha, tmp_path_factory):
     _contract(["timescales", "--j", repr(j), "--mu", repr(mu), "--alpha", repr(alpha)],
               tmp_path_factory.mktemp("timescales"))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(mu=_MU_ANY, n_max=st.one_of(st.integers(0, 20), st.sampled_from([-1, 21, 2**63])),
+       abs_tol=_POSITIVE_ANY, rel_tol=_POSITIVE_ANY)
+@example(mu=28.0, n_max=5, abs_tol=1e-321, rel_tol=1e-8)  # the cutoff's log of 0: exit 2
+# about 1-2 s: the K sweeps grow with mu, and at 5e4 reach their node cap (exit 3)
+@example(mu=2e4, n_max=5, abs_tol=1e-10, rel_tol=1e-8)
+def test_unity_contract(mu, n_max, abs_tol, rel_tol, tmp_path_factory):
+    _contract(["unity", "--mu", repr(mu), "--n-max", n_max, "--abs-tol", repr(abs_tol),
+               "--rel-tol", repr(rel_tol)], tmp_path_factory.mktemp("unity"))
 
 
 # --tail-tol and --points values outside their accepted ranges

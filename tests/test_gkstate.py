@@ -371,7 +371,8 @@ def _inline_overlap(s1, s2):
     # scaled by e^c
     n_lo = min(s1.n_min, s2.n_min)
     n_up = max(s1.n_max, s2.n_max)
-    ln_a = 0.5 * (gkstate._overlap_terms(s1, n_lo, n_up) + gkstate._overlap_terms(s2, n_lo, n_up))
+    ln_a = 0.5 * (gkstate._extended_terms([s1], n_lo, n_up)[0]
+                  + gkstate._extended_terms([s2], n_lo, n_up)[0])
     c = float(ln_a.max())
     mu = s1.params.mu
     m_hi, m_lo = quadratic_in_n(np.arange(n_lo, n_up + 1, dtype=float), mu)

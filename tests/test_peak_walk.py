@@ -1,8 +1,11 @@
-"""The peak-outward walk of the I_mu series terms: built states and the
-overlap's terms on both sides of a window against the range-doubling build they
-replaced, bit for bit, a sweep's batched walk against one-state calls, the
-first block's size at tiny tail_tol, and ln N^2 against 40-digit arithmetic."""
+"""The peak-outward walk of the I_mu series terms: ln_bessel_i against
+the blockwise walk that summed it before specfun._peak_block, built states
+and the overlap's terms on both sides of a window against the
+range-doubling build they replaced, bit for bit, a sweep's batched walk
+against one-state calls, the first block's size at tiny tail_tol, and
+ln N^2 against 40-digit arithmetic."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -11,13 +14,103 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkrevival import gkstate
+from gkrevival import gkstate, specfun
 from gkrevival.cli import _sweep_grid
 from gkrevival.gkstate import build_state, normalization_sq, overlap
-from gkrevival.specfun import ConvergenceError, _first_half_width, _peak_level
+from gkrevival.specfun import ConvergenceError, _first_half_width, _peak_level, ln_bessel_i
 from gkrevival.spectrum import SpectrumParams, moment_rho
 
 _CAP = 10**6
+
+
+def _digest(ln):
+    return hashlib.blake2b(ln.tobytes()).hexdigest()
+
+
+def _ln_bessel_i_reference(nu, x):
+    # ln I_nu(x) as the walk summed it before the shared block builder, and
+    # a digest of each block's ln(t_k / t_peak) in walk order: a first block
+    # of one cumsum per side from the peak, then per side blocks twice the
+    # last, at most _WALK_BLOCK levels and none below 0, each a cumsum
+    # whose first step carries the side's end; the same tail tests
+    ln_half, q = math.log(0.5 * x), 0.25 * x * x
+    p = _peak_level(q, nu)
+    ln_peak = (nu + 2.0 * p) * ln_half - math.lgamma(p + 1.0) - math.lgamma(nu + p + 1.0)
+    ln_stop = math.log(specfun._REL_TOL) - 3.0
+    budget = specfun._term_budget(x)
+    above = min(_first_half_width(p, nu, ln_stop), specfun._WALK_BLOCK, budget // 2)
+    below = min(p, above)
+    k = np.arange(p - below, p + above + 3, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = k * (k + nu)
+        ln_r = np.log(d[1 : below + above + 1] / q)
+    ln = np.concatenate((np.cumsum(ln_r[:below][::-1])[::-1], [0.0], -np.cumsum(ln_r[below:])))
+    total, count, blocks = float(np.exp(ln).sum()), len(ln), [_digest(ln)]
+    for side, edge, size, end, d_out in ((1, p + above, above, ln[-1], d[-2]),
+                                         (-1, p - below, below, ln[0], d[0])):
+        while side > 0 or d_out > 0:
+            step = side * (2.0 * ln_half - math.log(d_out))
+            r = math.exp(step)
+            if r < 1.0 and end + step - math.log1p(-r) < ln_stop:
+                break
+            if count > budget:
+                raise ConvergenceError("budget")
+            size = min(2 * size, specfun._WALK_BLOCK, edge if side < 0 else specfun._WALK_BLOCK)
+            a = edge + 1 if side > 0 else edge - size
+            k = np.arange(a, a + size + 2, dtype=float)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                d = k * (k + nu)
+                steps = -np.log(d[:size] / q) if side > 0 else np.log(d[1 : size + 1] / q)[::-1]
+            steps[0] += end
+            ln = np.cumsum(steps)[::side]
+            end, d_out = (ln[-1], d[-2]) if side > 0 else (ln[0], d[0])
+            edge += side * size
+            total, count = total + float(np.exp(ln).sum()), count + size
+            blocks.append(_digest(ln))
+    return ln_peak + math.log(total), blocks
+
+
+def _ln_bessel_i_walked(nu, x):
+    # ln_bessel_i(nu, x), and a digest of each block it walked, less the
+    # seed level of each block past the first
+    blocks, real = [], specfun._peak_block
+
+    def spy(q, nu, p, below, above, seed=0.0):
+        ln, d = real(q, nu, p, below, above, seed)
+        blocks.append(_digest(ln if not blocks else ln[1:] if below == 0 else ln[:-1]))
+        return ln, d
+
+    with mock.patch.object(specfun, "_peak_block", spy):
+        return ln_bessel_i(nu, x), blocks
+
+
+@pytest.mark.parametrize("nu,x,past_first", [(40.5, 1e5, 0), (80.0, 1.41e8, 1), (0.0, 1e10, 6),
+                                             (80.0, 1e12, 69)])
+def test_ln_bessel_i_matches_blockwise_walk_fixed(nu, x, past_first):
+    # points whose walks take 0, 1, 6 and 69 blocks past the first a side
+    ref, ref_blocks = _ln_bessel_i_reference(nu, x)
+    value, blocks = _ln_bessel_i_walked(nu, x)
+    assert len(ref_blocks) == 1 + 2 * past_first
+    assert value.hex() == ref.hex() and blocks == ref_blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.one_of(st.just(0.0), st.floats(0.0, 300.0),
+                    st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
+       log_x=st.one_of(st.floats(-300.0, 9.0), st.floats(7.5, 10.0)))
+def test_ln_bessel_i_matches_blockwise_walk(nu, log_x):
+    # the value and every block's bits, whatever the block count; np.log
+    # bits may differ between CPUs, so the reference is recomputed here,
+    # never read from a table
+    x = 10.0**log_x
+    try:
+        ref = _ln_bessel_i_reference(nu, x)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            ln_bessel_i(nu, x)
+        return
+    value, blocks = _ln_bessel_i_walked(nu, x)
+    assert value.hex() == ref[0].hex() and blocks == ref[1]
 
 
 def _build_reference(J, mu, tail_tol):
@@ -121,7 +214,7 @@ def test_walk_matches_range_doubling(log_j, log_mu, tail_tol, ratio):
         return
     n_lo, n_up = min(s1.n_min, s2.n_min), max(s1.n_max, s2.n_max)
     for s in (s1, s2):
-        got = gkstate._overlap_terms(s, n_lo, n_up)
+        got = gkstate._extended_terms([s], n_lo, n_up)[0]
         assert got.tobytes() == _overlap_terms_reference(s, n_lo, n_up).tobytes()
 
 
@@ -210,7 +303,7 @@ def test_batched_walk_matches_one_state_calls(sweep, tail_tol, short, levels):
     # blocks past the first: each state has the bits of build_state, the
     # first error comes from the same partner with the same message, and
     # every row of the overlap's extended terms has the bits of
-    # _overlap_terms over the pairwise window, and -inf past it
+    # _extended_terms([s], a, b) over the pairwise window, and -inf past it
     mu, Js = sweep
     p = SpectrumParams(mu)
     real = gkstate._first_widths
@@ -247,7 +340,7 @@ def test_batched_walk_matches_one_state_calls(sweep, tail_tol, short, levels):
         for s, row in zip(batch, ln):
             a = n_lo if lo is None else min(lo, s.n_min)
             b = n_up if up is None else max(up, s.n_max)
-            own = gkstate._overlap_terms(s, a, b)
+            own = gkstate._extended_terms([s], a, b)[0]
             assert row[a - n_lo : b + 1 - n_lo].tobytes() == own.tobytes()
             assert np.all(row[: a - n_lo] == -math.inf) and np.all(row[b + 1 - n_lo :] == -math.inf)
 
