@@ -30,20 +30,19 @@ modulus's bits do not depend on what else was asked.  The two readers
 return arrays: ``channel_amplitudes`` the dense (T, q) form, and
 ``intensity_split`` the columns in channel order, reduced row by row.
 
-The kernel keeps one memo entry, the read-only column blocks of the last
-(state, grid) it evaluated, keyed on what the sums read: (mu, n_min,
-ln_weights[n_min:] as bytes, grid as bytes).  A call asking a modulus the
-entry lacks evaluates its moduli plus q = 1 .. 6 in one pass and replaces
-the entry.  Validation runs before the lookup.  Beside it one context
-entry keeps the level side of the last state evaluated whose window is
-one level chunk (L <= 1024), keyed on the memo key's first three fields:
-the window weights, the ``quadratic_in_n`` split that ``_dd._phase_terms``
-takes and the scan moduli's weight matrix with its column map, at most
-24 L floats.  An evaluation of the same state on another grid (a one-time
-A(tau) after a grid, an evolved or identically rebuilt state) builds only
-its phase rows and products, with the same bits; any other modulus builds
-its own matrix per call, and a longer window builds each chunk's split
-and matrices per evaluation, one chunk at a time.
+The kernel keeps one cache entry for the last state and grid it
+evaluated: the level key (mu, n_min, ln_weights[n_min:] as bytes), the
+state's level side, the grid's bytes and its read-only column blocks.
+Validation runs before the lookup.  A call asking a modulus the blocks of
+its key and grid lack evaluates its moduli plus q = 1 .. 6 in one pass and
+replaces the entry.  The level side is the window weights and, for a
+window of one level chunk (L <= 1024), the ``quadratic_in_n`` split that
+``_dd._phase_terms`` takes and the scan moduli's weight matrix with its
+column map, at most 24 L floats.  So the same state on another grid (a
+one-time A(tau) after a grid, an evolved or identically rebuilt state)
+builds only its phase rows and products, with the same bits; any other
+modulus builds its own matrix per call, and a longer window builds each
+chunk's split and matrices per evaluation, one chunk at a time.
 
 At an exact fraction t = r/s of the revival time (Averbukh and Perelman,
 Phys. Lett. A 139, 449 (1989)) and integer mu, ``rational_channels``
@@ -134,14 +133,10 @@ def _series_grid(t_grid) -> np.ndarray:
 # Moduli every evaluation fills besides those asked, so a scan over q <= 6
 # costs one pass.
 _SCAN_Q = range(1, 7)
-# The memo entry (key, {q: read-only (T, min(q, L)) column block}), or None.
-_memo = None
-# The level side of the last state evaluated whose window is one level
-# chunk, (key, w, chunks), or None: key is the memo key's first three
-# fields, w the window weights, and chunks [(0, split, matrix, cols)],
-# split the window's quadratic_in_n pair and (matrix, cols) the scan
-# moduli's _weight_matrix.
-_context = None
+# The cache entry (level key, w, chunks, grid bytes, {q: read-only (T,
+# min(q, L)) column block}), or None; see the module docstring.  w and
+# chunks are None where the window is longer than one level chunk.
+_entry = None
 # Entries of one chunk's weight matrix per modulus: the window's L levels
 # are contracted in chunks of at most _MATRIX_ENTRIES // L of them.
 _MATRIX_ENTRIES = 1 << 20
@@ -150,30 +145,34 @@ _MATRIX_ENTRIES = 1 << 20
 def _channels(state: CoherentState, qs, t_grid) -> dict:
     """{q: read-only (T, min(q, L)) column block} for every q in qs:
     column c holds P_{(n_min + c) mod q}(t_k)."""
-    global _memo
+    global _entry
     for q in qs:
         _check_residue(q, least=1)
     t = _grid(t_grid)
     mu = state.params.mu
     _check_cycles(state.n_max, mu, abs(t).max(initial=0.0))
-    key = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes(), t.tobytes())
-    memo = _memo
-    have = memo[1] if memo is not None and memo[0] == key else {}
+    key, grid = (mu, state.n_min, state.ln_weights[state.n_min :].tobytes()), t.tobytes()
+    entry = _entry
+    if entry is None or entry[0] != key:
+        entry = (key, None, None, None, {})
+    _, w, chunks, seen, have = entry
+    if seen != grid:
+        have = {}
     if not have.keys() >= set(qs):
-        have = _evaluate(state, [q for q in sorted(set(qs)) if q not in _SCAN_Q], t, key[:3])
-        _memo = (key, have)
+        if chunks is None:
+            w, chunks = _level_side(state)
+        have = _evaluate(w, chunks, [q for q in sorted(set(qs)) if q not in _SCAN_Q], t)
+        kept = isinstance(chunks, list)
+        _entry = (key, w if kept else None, chunks if kept else None, grid, have)
     return {q: have[q] for q in qs}
 
 
-def _level_side(state: CoherentState, key: tuple) -> tuple:
-    # (key, w, chunks) of a state whose memo key starts with key: the
-    # context entry, which keeps only a window of one level chunk (at most
-    # 24 * 1024 floats), or a longer window's chunks built one at a time as
-    # the kernel walks them
-    global _context
-    context = _context
-    if context is not None and context[0] == key:
-        return context
+def _level_side(state: CoherentState) -> tuple:
+    # (w, chunks): the window weights and one (a, split, matrix, cols) per
+    # level chunk from offset a, split its quadratic_in_n pair and (matrix,
+    # cols) the scan moduli's _weight_matrix; a list for a window of one
+    # chunk, and for a longer one a generator that builds each chunk as the
+    # kernel walks it
     lo, mu = state.n_min, state.params.mu
     w = np.exp(state.ln_weights[lo:])
     size = len(w)
@@ -183,15 +182,11 @@ def _level_side(state: CoherentState, key: tuple) -> tuple:
          *_weight_matrix(a, w[a : a + step], _SCAN_Q, size))
         for a in range(0, size, step)
     )
-    if step < size:
-        return key, w, chunks
-    context = _context = (key, w, list(chunks))
-    return context
+    return w, chunks if step < size else list(chunks)
 
 
-def _evaluate(state: CoherentState, others: list, t: np.ndarray, key: tuple) -> dict:
-    # the scan moduli and the moduli others, from the state's level side
-    _, w, chunks = _level_side(state, key)
+def _evaluate(w: np.ndarray, chunks, others: list, t: np.ndarray) -> dict:
+    # the scan moduli and the moduli others, from the level side (w, chunks)
     size = len(w)
     # one product per group, the scan moduli together and every other
     # modulus alone, so that a modulus's bits do not depend on what else

@@ -355,7 +355,9 @@ def _ln_k_trapezoid(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.empty(x.size)
     idx = np.arange(x.size)  # elements still refining; the arrays below follow it
     previous = np.full(x.size, np.nan)  # the first sweep never converges
-    for _ in range(24):
+    # h starts at <= 0.5 and halves per sweep, and t_hi >= 1, so by the
+    # 24th sweep every element left exceeds the node cap below
+    while True:
         # len(np.arange(0, t_hi + h, h)), the node count of a one-element call
         counts = np.ceil((t_hi + h) / h)
         if counts.max(initial=0) > _MAX_NODES:  # compared before the cast can wrap
@@ -374,9 +376,6 @@ def _ln_k_trapezoid(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
             a[keep] for a in (idx, x, nu, ln_peak, t_hi, total, 0.5 * h))
         if not idx.size:
             return out
-    raise ConvergenceError(
-        f"K quadrature for nu={float(nu[0])}, x={float(x[0])} did not converge"
-    )
 
 
 def bessel_k_scaled(nu: float, x: float) -> float:

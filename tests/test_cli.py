@@ -362,6 +362,13 @@ def test_run_config_direct(tmp_path):
     assert len(rows) == 11
 
 
+def test_read_dataset_needs_its_parameter_line(tmp_path):
+    out = tmp_path / "bare.csv"
+    out.write_text("t,abs2\n0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="missing parameter comment line"):
+        read_dataset(str(out))
+
+
 def test_figure_bundle_files(tmp_path):
     d = tmp_path / "figs"
     files = figure_bundle(1, str(d), points=51)

@@ -6,12 +6,13 @@ reference loop and near NumPy's complex exp, block boundaries, the
 channel sum rule, the intensity split against exact rationals, empty
 channels outside the level window, the single-column and channel-order
 readers against the dense channel matrix, the level window against un-windowed
-sums, the phase reduction bound, and the kernel's memo (hits
+sums, the phase reduction bound, and the kernel's one cache entry (hits
 bit-identical to fresh evaluations, never stale, validation before
-lookup, evaluations counted, the scan moduli's bits independent of the
-other moduli asked) and state context (one level side per state, reused
-across grids, evolved and rebuilt states, shared by threads, and kept
-only for windows of one level chunk)."""
+lookup, evaluations and level-side builds counted in large_j's order of
+reads, the scan moduli's bits independent of the other moduli asked, one
+level side per state reused across grids, evolved and rebuilt states,
+shared by threads, and its level chunks kept only for windows of one
+chunk)."""
 
 import copy
 import math
@@ -43,11 +44,10 @@ FIGURE_GRID = np.linspace(0.0, 1.0, 2001)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memo(monkeypatch):
-    # every test starts from an empty kernel memo and state context, so
-    # the block-boundary tests exercise a fresh evaluation
-    monkeypatch.setattr(revival, "_memo", None)
-    monkeypatch.setattr(revival, "_context", None)
+def _fresh_entry(monkeypatch):
+    # every test starts from an empty kernel cache entry, so the
+    # block-boundary tests exercise a fresh evaluation
+    monkeypatch.setattr(revival, "_entry", None)
 
 
 def _state(J, mu):
@@ -494,8 +494,7 @@ def test_chunked_contraction_matches_exact_sums(log_j, mu, q, entries, grid):
     t = np.array(grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(revival, "_MATRIX_ENTRIES", entries)
-        mp.setattr(revival, "_memo", None)
-        mp.setattr(revival, "_context", None)
+        mp.setattr(revival, "_entry", None)
         p = channel_amplitudes(s, q, t)
     _assert_exact_sums(p, s, q, t)
 
@@ -641,7 +640,7 @@ def test_phase_bound_kernel(monkeypatch):
         channel_amplitudes(s, 1, [-1e25])
     # inside the bound the check changes nothing (evaluated afresh)
     monkeypatch.setattr(_dd, "_MAX_CYCLES", math.inf)
-    monkeypatch.setattr(revival, "_memo", None)
+    monkeypatch.setattr(revival, "_entry", None)
     assert np.array_equal(channel_amplitudes(s, 3, -grid), inside)
 
 
@@ -661,7 +660,7 @@ def _same_bits(a, b):
 
 
 def _fresh(state, q, t):
-    revival._memo = revival._context = None
+    revival._entry = None
     return channel_amplitudes(state, q, t)
 
 
@@ -678,9 +677,9 @@ def test_memo_hit_equals_fresh_evaluation(mu, frac, first, q, grid):
     J = math.exp(math.log(0.5) + frac * (math.log(1e7 / mu) - math.log(0.5)))
     s = _state(J, mu)
     t = np.array(grid)
-    revival._memo = None
+    revival._entry = None
     p_first = channel_amplitudes(s, first, t)
-    assert set(range(1, 7)) | {first} == set(revival._memo[1])
+    assert set(range(1, 7)) | {first} == set(revival._entry[4])
     p_q = channel_amplitudes(s, q, t)  # a hit, or q = 7 added to the entry
     hit = channel_amplitudes(s, q, t)
     assert _same_bits(hit, p_q)
@@ -741,7 +740,7 @@ def test_large_modulus_fills_scan_moduli(monkeypatch):
     t = np.linspace(0.0, 1.0, 101)
     rows = _count_rows(monkeypatch)
     p7 = channel_amplitudes(s, 7, t)
-    assert set(revival._memo[1]) == set(range(1, 8))
+    assert set(revival._entry[4]) == set(range(1, 8))
     assert sum(rows) == len(t)
     del rows[:]
     p3 = channel_amplitudes(s, 3, t)
@@ -756,13 +755,13 @@ def test_large_modulus_scan_bounds_memo():
     s = _state(10.0, 28.0)
     for q in range(7, 61):
         p = channel_amplitudes(s, q, FIGURE_GRID)
-        assert set(revival._memo[1]) == set(range(1, 7)) | {q}
-    assert len(revival._memo[1]) <= 7
+        assert set(revival._entry[4]) == set(range(1, 7)) | {q}
+    assert len(revival._entry[4]) <= 7
     assert _same_bits(p, _fresh(s, 60, FIGURE_GRID))
     # moduli asked together are all kept
     channel_amplitudes(s, 2, FIGURE_GRID)
     revival._channels(s, [8, 9], FIGURE_GRID)
-    assert set(revival._memo[1]) == set(range(1, 10)) - {7}
+    assert set(revival._entry[4]) == set(range(1, 10)) - {7}
 
 
 @pytest.mark.parametrize("J,mu,t_max,points", [(1e3, 28.3, 1.0, 267), (3e5, 50.5, 1.3, 1001)])
@@ -777,7 +776,7 @@ def test_scan_moduli_bits_do_not_depend_on_larger_moduli(monkeypatch, J, mu, t_m
     scan = {q: channel_amplitudes(s, q, t) for q in range(1, 7)}
     assert sum(rows) == len(t)
     _fresh(s, 60, t)
-    assert set(revival._memo[1]) == set(range(1, 7)) | {60}
+    assert set(revival._entry[4]) == set(range(1, 7)) | {60}
     assert sum(rows) == 2 * len(t)
     for q, p in scan.items():
         assert _same_bits(channel_amplitudes(s, q, t), p)
@@ -807,14 +806,14 @@ def test_validation_precedes_memo(monkeypatch):
     with pytest.raises(ValueError):
         channel_amplitudes(s, 0, t)
 
-    # a planted entry is served on its key, but a non-finite time on
-    # the key still raises
+    # a planted entry is served on its level key and grid, but a
+    # non-finite time on them still raises
     key = (s.params.mu, s.n_min, s.ln_weights[s.n_min :].tobytes())
     planted = np.full((2, 1), 7.0 + 0j)
-    revival._memo = (key + (t.tobytes(),), {1: planted})
+    revival._entry = (key, None, None, t.tobytes(), {1: planted})
     assert _same_bits(channel_amplitudes(s, 1, t), planted)
     bad = np.array([0.0, math.nan])
-    revival._memo = (key + (bad.tobytes(),), {1: planted[:2]})
+    revival._entry = (key, None, None, bad.tobytes(), {1: planted[:2]})
     with pytest.raises(ValueError, match="finite"):
         channel_amplitudes(s, 1, bad)
 
@@ -853,7 +852,7 @@ def test_series_reject_unordered_grid_before_kernel(monkeypatch, grid):
     s = _state(1e6, 16.1)
     ordered = np.linspace(0.0, 1.0, 5)
     channel_amplitudes(s, 2, ordered)
-    memo = revival._memo
+    entry = revival._entry
     rows = _count_rows(monkeypatch)
     for call in (
         lambda: autocorrelation_series(s, grid),
@@ -861,13 +860,13 @@ def test_series_reject_unordered_grid_before_kernel(monkeypatch, grid):
     ):
         with pytest.raises(ValueError, match="strictly increasing"):
             call()
-    assert rows == [] and revival._memo is memo
+    assert rows == [] and revival._entry is entry
     # the kernel itself takes any order
     assert channel_amplitudes(s, 2, ordered[::-1]).shape == (5, 2)
 
 
 def test_memo_shared_by_threads():
-    # threads racing on the one memo entry, each with its own states,
+    # threads racing on the one cache entry, each with its own states,
     # grids and moduli, get exactly the values of a fresh evaluation
     cases = [
         (_state(J, mu), np.linspace(0.0, t_max, 40), q)
@@ -898,11 +897,12 @@ def test_memo_shared_by_threads():
     assert wrong == []
 
 
-def _count_builds(monkeypatch):
-    # weight matrices and quadratic_in_n splits the kernel builds (revival
-    # calls _dd.quadratic_in_n by this name)
+def _count_builds(monkeypatch, names=("_weight_matrix", "quadratic_in_n")):
+    # calls of the revival functions names, by default the weight matrices
+    # and quadratic_in_n splits the kernel builds (revival calls
+    # _dd.quadratic_in_n by this name)
     built = []
-    for name in ("_weight_matrix", "quadratic_in_n"):
+    for name in names:
         real = getattr(revival, name)
 
         def spy(*args, real=real, name=name):
@@ -921,7 +921,7 @@ def _same_value(z, p):
 def test_state_context_reused(monkeypatch):
     # after a grid evaluation, a one-time call, another grid, the evolved
     # state and an identically rebuilt one take the state's level side
-    # from the context: each call evaluates its phase rows but builds no
+    # from the cache entry: each call evaluates its phase rows but builds no
     # weight matrix or split.  An in-place weight edit or another state
     # builds them again.  Every result has the bits of a fresh evaluation.
     s = _state(1e4, 16.1)
@@ -929,7 +929,7 @@ def test_state_context_reused(monkeypatch):
     built = _count_builds(monkeypatch)
     rows = _count_rows(monkeypatch)
     series, kept = autocorrelation_series(s, grid), copy.deepcopy(s)
-    assert len(revival._context[2]) == 1
+    assert len(revival._entry[2]) == 1
     assert built.count("_weight_matrix") == built.count("quadratic_in_n") == 1
     del built[:], rows[:]
     got = []
@@ -953,32 +953,57 @@ def test_state_context_reused(monkeypatch):
 
 def test_state_context_bounded(monkeypatch):
     # a window of more than one level chunk (here 247 levels in 4 chunks,
-    # under a lowered entry budget) is not kept: each evaluation builds
-    # each chunk's split and scan matrix again, and the context keeps the
-    # last one-chunk state, with the bits of a fresh evaluation
+    # under a lowered entry budget) keeps no chunks in the cache entry:
+    # each evaluation builds each chunk's split and scan matrix again,
+    # with the bits of a fresh evaluation
     monkeypatch.setattr(revival, "_MATRIX_ENTRIES", 1 << 14)
-    small, s = _state(10.0, 28.3), _state(1e4, 16.1)
+    s = _state(1e4, 16.1)
     grid, tau = np.linspace(0.0, 1.0, 267), 0.37
-    channel_amplitudes(small, 3, grid)
-    context = revival._context
     built = _count_builds(monkeypatch)
     got = []
     for call in range(3):
         del built[:]
         z, p = autocorrelation(s, tau), channel_amplitudes(s, 3, grid[call:])
         assert built.count("_weight_matrix") == built.count("quadratic_in_n") == 2 * 4
-        assert revival._context is context
+        assert revival._entry[0][2] == s.ln_weights[s.n_min :].tobytes()
+        assert revival._entry[1] is revival._entry[2] is None
         got.append((z, p, grid[call:]))
     for z, p, t in got:
         assert _same_value(z, _fresh(s, 1, [tau]))
         assert _same_bits(p, _fresh(s, 3, t))
-        assert revival._context is None
+
+
+@pytest.mark.parametrize("entries,chunks", [(1 << 20, 1), (1 << 14, 4)])
+def test_large_j_reads_cost_two_evaluations(monkeypatch, entries, chunks):
+    # large_j's reads of one state through the public readers: a grid
+    # series, the channels of q = 2..5 on that grid, then a one-time
+    # A(tau).  That is two evaluations.  A window of one level chunk
+    # (247 levels) builds its level side once, for the first; past one
+    # chunk (a lowered entry budget) the entry keeps no chunks, and each
+    # evaluation builds the level side and every chunk's split and scan
+    # matrix again.  Every read has the bits of a fresh evaluation.
+    monkeypatch.setattr(revival, "_MATRIX_ENTRIES", entries)
+    s = _state(1e4, 16.1)
+    grid, tau = np.linspace(0.0, 1.0, 267), 0.37
+    calls = _count_builds(monkeypatch, ("_evaluate", "_level_side", "_weight_matrix",
+                                        "quadratic_in_n"))
+    series = autocorrelation_series(s, grid)
+    parts = [fractional_decomposition(s, q, grid) for q in (2, 3, 4, 5)]
+    z = autocorrelation(s, tau)
+    builds = 1 if chunks == 1 else 2
+    assert calls.count("_evaluate") == 2
+    assert calls.count("_level_side") == builds
+    assert calls.count("quadratic_in_n") == calls.count("_weight_matrix") == builds * chunks
+    assert (revival._entry[1] is revival._entry[2] is None) == (chunks > 1)
+    assert _same_value(z, _fresh(s, 1, [tau]))
+    assert _same_bits(series.values, revival._intensities(_fresh(s, 1, grid)[:, 0]))
+    for fd in parts:
+        assert _same_bits(np.column_stack([f.values for f in fd.fractions]), _fresh(s, fd.q, grid))
 
 
 def test_context_shared_by_threads():
     # threads interleaving one-time and grid calls on three states share
-    # the one memo entry and state context, and get exactly the values of
-    # a fresh evaluation
+    # the one cache entry, and get exactly the values of a fresh evaluation
     grid = np.linspace(0.0, 1.0, 40)
     states = [_state(J, mu) for J, mu in [(10.0, 28.0), (1e3, 28.3), (1e4, 16.1)]]
     cases = [(s, tau, None) for s in states for tau in (0.25, 0.61)]

@@ -115,6 +115,17 @@ def test_moment_check_requires_small_n():
         moment_checks([-1], p)
 
 
+def test_moment_checks_of_no_moments():
+    assert moment_checks([], SpectrumParams(mu=28.0)) == []
+
+
+def test_moment_window_fails_loudly_at_huge_mu():
+    # at mu = 2e6 the walk for the upper limit starts at u = 2e6 + 0.5,
+    # past _U_LIMIT, so no point is tried
+    with pytest.raises(ConvergenceError, match="failed to decay"):
+        moment_checks([0], SpectrumParams(mu=2e6))
+
+
 def test_moment_zero_is_unity():
     rep = moment_checks([0], SpectrumParams(mu=2.0))[0]
     assert isinstance(rep, MomentReport)

@@ -372,3 +372,20 @@ def test_tiny_tail_tol_closes_in_first_block(mu, tail_tol):
         assert (s.n_min, s.n_max, peak) == (44, 1232, 515)
         assert (below, above) == (515, 805)
         assert below + above + 1 == 1321
+
+
+@pytest.mark.parametrize("q,nu,p", [(3.9999999999999996, 0.0, 1), (613.8000000000001, 16.1, 18)])
+def test_peak_level_corrects_its_estimate(q, nu, p):
+    # the closed-form estimate is one level off, 2 above and 17 below
+    # max{k : k (k + nu) <= q}, and the two steps after it move it there
+    assert _peak_level(q, nu) == p
+    assert p * (p + nu) <= q < (p + 1) * (p + 1 + nu)
+
+
+def test_ground_state_in_a_batched_walk():
+    # J = 0 is the ground state, walked in the same block as J = 2
+    p = SpectrumParams(28.0)
+    batched = list(gkstate._build_states([0.0, 2.0], 0.0, p, 1e-14))
+    assert [_bits(s) for s in batched] == [_bits(build_state(J, 0.0, p, 1e-14)) for J in (0.0, 2.0)]
+    ground = batched[0]
+    assert (ground.n_min, ground.n_max) == (0, 0) and ground.ln_weights.tolist() == [0.0]
